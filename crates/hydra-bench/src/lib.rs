@@ -6,10 +6,12 @@
 //!   regenerates every table and figure of the paper on the simulated
 //!   testbed and prints them in paper format; `--full` runs the paper's
 //!   10-minute durations;
-//! * the **Criterion benches** (`cargo bench -p hydra-bench`) measure the
-//!   harness itself — one bench per table/figure plus the ablations
-//!   DESIGN.md calls out (channel buffering policy, loading strategy,
-//!   ILP vs greedy).
+//! * the **report benches** in [`BENCHES`] (`repro -- bench <name>`)
+//!   regenerate the committed sim-time `BENCH_*.json` reports that the
+//!   gate tests diff.
+//!
+//! What the code itself costs in host time is measured by the separate
+//! `perfbench` package at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,9 +22,6 @@ pub mod crossover_bench;
 pub mod engine_bench;
 pub mod lint;
 pub mod report;
-
-use hydra_sim::time::SimDuration;
-use hydra_tivo::experiments::SuiteConfig;
 
 /// The bench manifest: every `repro -- bench <name>` selector paired
 /// with the committed report it regenerates at the workspace root.
@@ -54,24 +53,9 @@ pub fn run_bench(name: &str) -> Option<String> {
     }
 }
 
-/// A short-duration suite configuration for benches: 6 simulated seconds
-/// — enough for the pipelines to reach steady state *and* to land at
-/// least one 5-second utilization/L2 sample window.
-pub fn bench_suite() -> SuiteConfig {
-    SuiteConfig {
-        duration: SimDuration::from_secs(6),
-        seed: 42,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_suite_is_short() {
-        assert_eq!(bench_suite().duration.as_millis(), 6_000);
-    }
 
     #[test]
     // The BENCH_*.json convention is deliberately case-sensitive — it

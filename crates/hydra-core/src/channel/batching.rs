@@ -102,61 +102,14 @@ impl Channel {
             now,
             total_bytes,
         );
-        // Headroom mirrors the single path's per-send check: a send is
-        // accepted while no open endpoint queue is at capacity.
-        let backlog = self
-            .open_queues()
-            .map(std::collections::VecDeque::len)
-            .max()
-            .unwrap_or(0);
-        let headroom = self.usable_capacity().saturating_sub(backlog);
-        let accepted = batch.len().min(headroom);
-
+        // The prefix is exactly what `admit` lets in at `now`, one
+        // message per slot of headroom — all behind one doorbell.
+        let accepted = batch.len().min(self.headroom());
         out.delivered_at.reserve(accepted);
         if accepted > 0 {
-            let accepted_bytes: u64 = batch[..accepted].iter().map(|m| m.len() as u64).sum();
-            let ctx = self.recorder.trace_hop(
-                ctx,
-                "provider.batch",
-                &self.provider_name,
-                self.target_pid(),
-                start,
-                accepted_bytes,
-            );
-            // One doorbell covers the batch; whether its launch charge
-            // is paid depends on the pipe state, exactly like a single
-            // send (a coalescing provider submitting onto a busy pipe
-            // pays nothing extra).
-            let pipe_idle = self.busy_until <= now;
-            self.profile.doorbell(self.cost.launch_charge(pipe_idle));
-            let mut cum_bytes = 0usize;
-            for msg in &batch[..accepted] {
-                cum_bytes += msg.len();
-                let deliver_at = start + self.cost.send_latency(cum_bytes, pipe_idle);
-                self.profile.record(
-                    now.as_nanos(),
-                    msg.len() as u64,
-                    deliver_at.as_nanos().saturating_sub(now.as_nanos()),
-                );
-                out.delivered_at.push(deliver_at);
-                for (q, &ep_closed) in self.queues.iter_mut().zip(&self.closed) {
-                    if ep_closed {
-                        continue;
-                    }
-                    q.push_back(ChannelMessage {
-                        data: msg.clone(),
-                        deliver_at,
-                        trace: ctx,
-                    });
-                }
-            }
-            self.busy_until = *out.delivered_at.last().expect("accepted > 0");
-            self.stats.sent += accepted as u64;
-            self.stats.bytes += accepted_bytes;
-            self.recorder
-                .counter_add("channel.sent", &self.provider_name, accepted as u64);
-            self.recorder
-                .counter_add("channel.bytes", &self.provider_name, accepted_bytes);
+            let last = self.enqueue_run(now, now, &batch[..accepted], ctx, "provider.batch", |t| {
+                out.delivered_at.push(t);
+            });
             self.recorder
                 .counter_incr("channel.batches", &self.provider_name);
             self.recorder
@@ -164,99 +117,32 @@ impl Channel {
             self.recorder.observe(
                 "channel.latency_ns",
                 &self.provider_name,
-                self.busy_until.as_nanos().saturating_sub(now.as_nanos()),
+                last.as_nanos().saturating_sub(now.as_nanos()),
             );
-            let backlog = self.queues.iter().map(|q| q.len()).max().unwrap_or(0);
-            self.recorder.gauge_max(
-                "channel.backlog_high_water",
-                &self.provider_name,
-                backlog as u64,
-            );
+            self.note_backlog_high_water();
         }
         // Everything past the headroom: with a retry policy each message
         // gets its own deterministic backoff chance to squeeze in (paying
         // its own doorbell — a retried message is effectively a late
-        // single send); what still doesn't fit keeps the historical
-        // per-message fault accounting of the single path.
+        // single send); what still doesn't fit is refused per message,
+        // exactly like the single path.
         for msg in &batch[accepted..] {
-            if let Some((at, attempts)) = self.retry_admit(now) {
-                let bytes = msg.len() as u64;
-                let start = self.busy_until.max(at);
-                let pipe_idle = self.busy_until <= at;
-                let deliver_at = start + self.cost.send_latency(msg.len(), pipe_idle);
-                self.profile.doorbell(self.cost.launch_charge(pipe_idle));
-                self.profile.record(
-                    now.as_nanos(),
-                    bytes,
-                    deliver_at.as_nanos().saturating_sub(now.as_nanos()),
-                );
-                let mctx = self.recorder.trace_hop(
-                    ctx,
-                    "provider.retry",
-                    &self.provider_name,
-                    self.target_pid(),
-                    start,
-                    bytes,
-                );
-                for (q, &ep_closed) in self.queues.iter_mut().zip(&self.closed) {
-                    if ep_closed {
-                        continue;
-                    }
-                    q.push_back(ChannelMessage {
-                        data: msg.clone(),
-                        deliver_at,
-                        trace: mctx,
-                    });
-                }
-                self.busy_until = deliver_at;
-                out.delivered_at.push(deliver_at);
-                self.stats.sent += 1;
-                self.stats.bytes += bytes;
-                out.retries += u64::from(attempts);
-                self.recorder
-                    .counter_incr("channel.sent", &self.provider_name);
-                self.recorder
-                    .counter_add("channel.bytes", &self.provider_name, bytes);
-                self.recorder.counter_add(
-                    "channel.retries",
-                    &self.provider_name,
-                    u64::from(attempts),
-                );
-                self.recorder.observe(
-                    "channel.retry_wait_ns",
-                    &self.provider_name,
-                    at.as_nanos().saturating_sub(now.as_nanos()),
-                );
-                continue;
-            }
-            match self.config.reliability {
-                Reliability::Reliable => {
-                    out.rejected += 1;
-                    self.recorder
-                        .counter_incr("channel.rejected", &self.provider_name);
-                    self.recorder.trace_drop(
-                        ctx,
-                        "channel.reject",
-                        &self.provider_name,
-                        0,
+            match self.admit(now) {
+                Some((at, attempts)) => {
+                    out.retries += u64::from(attempts);
+                    self.enqueue_run(
                         now,
-                        msg.len() as u64,
+                        at,
+                        std::slice::from_ref(msg),
+                        ctx,
+                        "provider.retry",
+                        |t| out.delivered_at.push(t),
                     );
                 }
-                Reliability::Unreliable => {
-                    out.dropped += 1;
-                    self.stats.dropped += 1;
-                    self.recorder
-                        .counter_incr("channel.dropped", &self.provider_name);
-                    self.recorder.trace_drop(
-                        ctx,
-                        "channel.drop",
-                        &self.provider_name,
-                        self.target_pid(),
-                        now,
-                        msg.len() as u64,
-                    );
-                }
+                None => match self.refuse(now, msg.len() as u64, ctx) {
+                    Reliability::Reliable => out.rejected += 1,
+                    Reliability::Unreliable => out.dropped += 1,
+                },
             }
         }
         out.complete_at = self.busy_until.max(start);

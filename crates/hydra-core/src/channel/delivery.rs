@@ -1,16 +1,19 @@
-//! Channel delivery: configuration, provider cost models, and the
-//! single-message send/recv data path.
+//! Channel delivery: configuration, provider cost models, the
+//! single-message send/recv data path, and the ring enqueue every send
+//! shares.
 //!
-//! Everything in this module is about moving one message from a sender
-//! to the endpoint queues of a channel — admission, serialization on the
-//! pipe, delivery instants, and the causal trace chain. Ring-full
-//! fallout and retry live in [`super::reliability`]; the vectored paths
-//! live in [`super::batching`].
+//! Everything in this module is about moving messages from a sender to
+//! the endpoint queues of a channel — serialization on the pipe,
+//! delivery instants, and the causal trace chain. Every accepted
+//! message, single or batched, enters the queues through
+//! [`Channel::enqueue_run`]; admission and ring-full fallout live in
+//! [`super::reliability`], the vectored paths in [`super::batching`].
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use bytes::Bytes;
+use hydra_obs::TraceCtx;
 use hydra_sim::time::{SimDuration, SimTime};
 
 use crate::device::DeviceId;
@@ -438,80 +441,97 @@ impl Channel {
         let ctx = self
             .recorder
             .trace_begin("channel.send", &self.provider_name, 0, now, bytes);
-        let mut admit_at = now;
-        let any_full = self
-            .open_queues()
-            .any(|q| q.len() >= self.usable_capacity());
-        if any_full {
-            match self.retry_admit(now) {
-                Some((at, attempts)) => {
-                    admit_at = at;
-                    self.recorder.counter_add(
-                        "channel.retries",
-                        &self.provider_name,
-                        u64::from(attempts),
-                    );
-                    self.recorder.observe(
-                        "channel.retry_wait_ns",
-                        &self.provider_name,
-                        at.as_nanos().saturating_sub(now.as_nanos()),
-                    );
+        let Some((admit_at, _)) = self.admit(now) else {
+            return match self.refuse(now, bytes, ctx) {
+                super::Reliability::Reliable => Err(ChannelError::WouldBlock),
+                super::Reliability::Unreliable => {
+                    Ok(self.busy_until.max(now) + self.cost.latency(data.len()))
                 }
-                None => {
-                    return self.send_full_fallout(now, bytes, ctx);
-                }
-            }
-        }
-        let start = self.busy_until.max(admit_at);
-        // Idle pipe: the doorbell must actually start the engine. Busy
-        // pipe: a coalescing (double-buffered) provider pre-armed the
-        // launch while the previous transfer drained.
-        let pipe_idle = self.busy_until <= admit_at;
-        let deliver_at = start + self.cost.send_latency(data.len(), pipe_idle);
-        self.busy_until = deliver_at;
-        self.stats.sent += 1;
-        self.stats.bytes += bytes;
-        self.profile.doorbell(self.cost.launch_charge(pipe_idle));
-        self.profile.record(
-            now.as_nanos(),
-            bytes,
-            deliver_at.as_nanos().saturating_sub(now.as_nanos()),
-        );
-        let ctx = self.recorder.trace_hop(
+            };
+        };
+        let deliver_at = self.enqueue_run(
+            now,
+            admit_at,
+            std::slice::from_ref(&data),
             ctx,
             "provider.hop",
-            &self.provider_name,
-            self.target_pid(),
-            start,
-            bytes,
+            |_| {},
         );
-        for (q, &closed) in self.queues.iter_mut().zip(&self.closed) {
-            if closed {
-                continue;
-            }
-            q.push_back(ChannelMessage {
-                data: data.clone(),
-                deliver_at,
-                trace: ctx,
-            });
-        }
-        self.recorder
-            .counter_incr("channel.sent", &self.provider_name);
-        self.recorder
-            .counter_add("channel.bytes", &self.provider_name, bytes);
         self.recorder.observe(
             "channel.latency_ns",
             &self.provider_name,
             deliver_at.as_nanos().saturating_sub(now.as_nanos()),
         );
-        let backlog = self.queues.iter().map(|q| q.len()).max().unwrap_or(0);
-        self.recorder.gauge_max(
-            "channel.backlog_high_water",
-            &self.provider_name,
-            backlog as u64,
-        );
+        self.note_backlog_high_water();
         self.publish_queue_depth();
         Ok(deliver_at)
+    }
+
+    /// Rings one doorbell for the run `msgs`, admitted at `admit_at` by
+    /// a send issued at `now`: the one place the send side enqueues.
+    ///
+    /// The run starts once the pipe is free and its payloads stream
+    /// back-to-back: message *i* delivers when the bytes up to and
+    /// including it have cleared the ring. One hop trace event named
+    /// `hop` covers the run and stamps every queued copy; the cost
+    /// profile is charged one launch and sampled once per message; the
+    /// stats and the `channel.sent`/`channel.bytes` counters move by the
+    /// run's totals. Each delivery instant goes to `delivered` in order,
+    /// and the last one is returned.
+    pub(super) fn enqueue_run(
+        &mut self,
+        now: SimTime,
+        admit_at: SimTime,
+        msgs: &[Bytes],
+        ctx: TraceCtx,
+        hop: &'static str,
+        mut delivered: impl FnMut(SimTime),
+    ) -> SimTime {
+        debug_assert!(!msgs.is_empty(), "a run carries at least one message");
+        let run_bytes: u64 = msgs.iter().map(|m| m.len() as u64).sum();
+        let start = self.busy_until.max(admit_at);
+        // Idle pipe: the doorbell must actually start the engine. Busy
+        // pipe: a coalescing (double-buffered) provider pre-armed the
+        // launch while the previous transfer drained.
+        let pipe_idle = self.busy_until <= admit_at;
+        let ctx = self.recorder.trace_hop(
+            ctx,
+            hop,
+            &self.provider_name,
+            self.target_pid(),
+            start,
+            run_bytes,
+        );
+        self.profile.doorbell(self.cost.launch_charge(pipe_idle));
+        let mut cum_bytes = 0;
+        for msg in msgs {
+            cum_bytes += msg.len();
+            let deliver_at = start + self.cost.send_latency(cum_bytes, pipe_idle);
+            self.profile.record(
+                now.as_nanos(),
+                msg.len() as u64,
+                deliver_at.as_nanos().saturating_sub(now.as_nanos()),
+            );
+            for (q, &closed) in self.queues.iter_mut().zip(&self.closed) {
+                if !closed {
+                    q.push_back(ChannelMessage {
+                        data: msg.clone(),
+                        deliver_at,
+                        trace: ctx,
+                    });
+                }
+            }
+            self.busy_until = deliver_at;
+            delivered(deliver_at);
+        }
+        let count = msgs.len() as u64;
+        self.stats.sent += count;
+        self.stats.bytes += run_bytes;
+        self.recorder
+            .counter_add("channel.sent", &self.provider_name, count);
+        self.recorder
+            .counter_add("channel.bytes", &self.provider_name, run_bytes);
+        self.busy_until
     }
 
     /// Receives the oldest message visible at `now` on endpoint `ep`.

@@ -11,8 +11,8 @@
 //! Executive** picks the cheapest capable provider.
 //!
 //! The layer is split by concern: [`delivery`] holds configuration,
-//! provider cost models and the single-message data path; [`reliability`]
-//! the delivery guarantees and pluggable ring backpressure;
+//! provider cost models and the ring enqueue; [`reliability`] the
+//! delivery guarantees, ring admission and retry backoff;
 //! [`batching`] the vectored hot paths; [`observe`] counters and the
 //! live cost profile; [`adaptive`] online provider selection. The
 //! public API is re-exported flat from this module, so callers are
@@ -31,9 +31,7 @@ pub use delivery::{
     KernelCopyProvider, SyncPolicy, Transport, ZeroCopyDmaProvider,
 };
 pub use observe::{ChannelStats, CostProfile, CHANNEL_QUEUE_DEPTH};
-pub use reliability::{
-    Admission, BackpressurePolicy, ExponentialBackoff, Reliability, RetryPolicy, RingView,
-};
+pub use reliability::{Reliability, RetryPolicy};
 
 use std::collections::VecDeque;
 
@@ -80,9 +78,6 @@ pub struct Channel {
     /// Online per-bucket provider selection; `None` on a classic
     /// fixed-provider channel.
     adaptive: Option<AdaptiveState>,
-    /// Ring admission under backpressure; [`ExponentialBackoff`] by
-    /// default.
-    backpressure: Box<dyn BackpressurePolicy>,
     /// Label for per-channel level tracks (`chan#N`), built once.
     depth_label: String,
     handler_installed: bool,
@@ -90,33 +85,6 @@ pub struct Channel {
 }
 
 impl Channel {
-    fn new(
-        id: ChannelId,
-        config: ChannelConfig,
-        provider_name: String,
-        cost: ChannelCost,
-        adaptive: Option<AdaptiveState>,
-        recorder: Recorder,
-    ) -> Self {
-        Channel {
-            id,
-            config,
-            provider_name,
-            cost,
-            busy_until: SimTime::ZERO,
-            queues: Vec::new(),
-            closed: Vec::new(),
-            wedged_slots: 0,
-            stats: ChannelStats::default(),
-            profile: CostProfile::default(),
-            adaptive,
-            backpressure: Box::new(ExponentialBackoff),
-            depth_label: format!("chan#{}", id.0),
-            handler_installed: false,
-            recorder,
-        }
-    }
-
     /// The channel id.
     pub fn id(&self) -> ChannelId {
         self.id
@@ -270,20 +238,8 @@ impl ChannelExecutive {
             .filter(|p| p.supports(&config))
             .min_by_key(|p| p.cost(&config).latency(1024))
             .ok_or(ChannelError::NoProvider)?;
-        let id = ChannelId(self.channels.len() as u32);
-        self.recorder
-            .counter_incr("channel.provider_selected", best.name());
-        let channel = Channel::new(
-            id,
-            config,
-            best.name().to_owned(),
-            best.cost(&config),
-            None,
-            self.recorder.clone(),
-        );
-        self.channels.push(Some(channel));
-        self.live += 1;
-        Ok(id)
+        let (name, cost) = (best.name().to_owned(), best.cost(&config));
+        Ok(self.add_channel(config, name, cost, None))
     }
 
     /// Creates a channel pinned to the named provider, bypassing the
@@ -303,20 +259,8 @@ impl ChannelExecutive {
             .iter()
             .find(|p| p.name() == provider && p.supports(&config))
             .ok_or(ChannelError::NoProvider)?;
-        let id = ChannelId(self.channels.len() as u32);
-        self.recorder
-            .counter_incr("channel.provider_selected", chosen.name());
-        let channel = Channel::new(
-            id,
-            config,
-            chosen.name().to_owned(),
-            chosen.cost(&config),
-            None,
-            self.recorder.clone(),
-        );
-        self.channels.push(Some(channel));
-        self.live += 1;
-        Ok(id)
+        let (name, cost) = (chosen.name().to_owned(), chosen.cost(&config));
+        Ok(self.add_channel(config, name, cost, None))
     }
 
     /// Creates a **cost-adaptive** channel: every supporting provider
@@ -340,27 +284,47 @@ impl ChannelExecutive {
             .filter(|p| p.supports(&config))
             .map(|p| (p.name().to_owned(), p.cost(&config)))
             .collect();
-        let initial = candidates
+        let (name, cost) = candidates
             .iter()
             .min_by_key(|(_, c)| c.latency(1024))
             .ok_or(ChannelError::NoProvider)?
             .clone();
+        self.recorder
+            .counter_incr("channel.adaptive_created", &name);
+        let adaptive = AdaptiveState::new(candidates, policy);
+        Ok(self.add_channel(config, name, cost, Some(adaptive)))
+    }
+
+    /// Adds a channel served by the chosen provider and counts the
+    /// selection: the tail every `create_channel*` variant shares.
+    fn add_channel(
+        &mut self,
+        config: ChannelConfig,
+        provider_name: String,
+        cost: ChannelCost,
+        adaptive: Option<AdaptiveState>,
+    ) -> ChannelId {
         let id = ChannelId(self.channels.len() as u32);
         self.recorder
-            .counter_incr("channel.provider_selected", &initial.0);
-        self.recorder
-            .counter_incr("channel.adaptive_created", &initial.0);
-        let channel = Channel::new(
+            .counter_incr("channel.provider_selected", &provider_name);
+        self.channels.push(Some(Channel {
             id,
             config,
-            initial.0,
-            initial.1,
-            Some(AdaptiveState::new(candidates, policy)),
-            self.recorder.clone(),
-        );
-        self.channels.push(Some(channel));
+            provider_name,
+            cost,
+            busy_until: SimTime::ZERO,
+            queues: Vec::new(),
+            closed: Vec::new(),
+            wedged_slots: 0,
+            stats: ChannelStats::default(),
+            profile: CostProfile::default(),
+            adaptive,
+            depth_label: format!("chan#{}", id.0),
+            handler_installed: false,
+            recorder: self.recorder.clone(),
+        }));
         self.live += 1;
-        Ok(id)
+        id
     }
 
     /// The live channel ids, in ascending id order — a deterministic
@@ -876,59 +840,6 @@ mod tests {
         }
         assert_eq!(ch.backlog(ep1), 4);
         assert_eq!(ch.recv_batch(last, ep1, usize::MAX).len(), 4);
-    }
-
-    #[test]
-    fn custom_backpressure_policy_is_consulted() {
-        #[derive(Debug)]
-        struct AdmitNever;
-        impl BackpressurePolicy for AdmitNever {
-            fn admit(&self, _ring: &RingView<'_>, _now: SimTime) -> Option<Admission> {
-                None
-            }
-        }
-        #[derive(Debug)]
-        struct FixedDelay(SimDuration);
-        impl BackpressurePolicy for FixedDelay {
-            fn admit(&self, ring: &RingView<'_>, now: SimTime) -> Option<Admission> {
-                let at = now.saturating_add(self.0);
-                ring.admits_at(at).then_some(Admission { at, attempts: 1 })
-            }
-        }
-
-        // A policy that never admits turns a retry-enabled channel into
-        // an immediate-reject one.
-        let mut e = exec();
-        let mut cfg = ChannelConfig::figure3(DeviceId(1)).with_retry(RetryPolicy::new(
-            4,
-            SimDuration::from_micros(10),
-            SimDuration::from_millis(1),
-        ));
-        cfg.capacity = 1;
-        let id = e.create_channel(cfg).unwrap();
-        let ch = e.get_mut(id).unwrap();
-        ch.connect_endpoint().unwrap();
-        ch.set_backpressure_policy(Box::new(AdmitNever));
-        ch.send(SimTime::ZERO, Bytes::from_static(b"a")).unwrap();
-        assert_eq!(
-            ch.send(SimTime::ZERO, Bytes::from_static(b"b")),
-            Err(ChannelError::WouldBlock)
-        );
-        // A custom policy admits independently of the configured
-        // RetryPolicy (here: retry disabled, yet the send still waits
-        // out the ring and lands).
-        let mut cfg2 = ChannelConfig::figure3(DeviceId(1));
-        cfg2.capacity = 1;
-        let id2 = e.create_channel(cfg2).unwrap();
-        let ch2 = e.get_mut(id2).unwrap();
-        ch2.connect_endpoint().unwrap();
-        ch2.set_backpressure_policy(Box::new(FixedDelay(SimDuration::from_micros(50))));
-        let t1 = ch2.send(SimTime::ZERO, Bytes::from_static(b"a")).unwrap();
-        let t2 = ch2
-            .send(SimTime::ZERO, Bytes::from_static(b"b"))
-            .expect("custom policy admits after its fixed delay");
-        assert!(t2 > t1);
-        assert!(t2 >= SimTime::from_micros(50));
     }
 
     #[test]

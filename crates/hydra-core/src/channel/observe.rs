@@ -143,4 +143,15 @@ impl Channel {
         self.recorder
             .level_set(CHANNEL_QUEUE_DEPTH, &self.depth_label, depth as u64);
     }
+
+    /// Raises `channel.backlog_high_water` to the deepest endpoint
+    /// queue.
+    pub(super) fn note_backlog_high_water(&self) {
+        let backlog = self.queues.iter().map(VecDeque::len).max().unwrap_or(0);
+        self.recorder.gauge_max(
+            "channel.backlog_high_water",
+            &self.provider_name,
+            backlog as u64,
+        );
+    }
 }

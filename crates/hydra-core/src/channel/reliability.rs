@@ -1,20 +1,16 @@
-//! Channel reliability: delivery guarantees, ring backpressure, and the
+//! Channel reliability: delivery guarantees, ring admission, and the
 //! retry policy consulted when a send finds every slot taken.
 //!
-//! Backpressure is pluggable: the channel consults a
-//! [`BackpressurePolicy`] trait object whenever the descriptor ring is
-//! full, so distributed deployments can substitute cross-host admission
-//! policies without touching the delivery path in
-//! [`super::delivery`]. The default, [`ExponentialBackoff`], implements
-//! the classic deterministic sim-time backoff described by
-//! [`RetryPolicy`].
-
-use std::fmt;
+//! Every send — single, batched prefix, or retried overflow message —
+//! enters the ring through [`Channel::admit`], and every message turned
+//! away leaves through [`Channel::refuse`], so the two data paths in
+//! [`super::delivery`] and [`super::batching`] cannot disagree on who
+//! gets in.
 
 use hydra_obs::TraceCtx;
 use hydra_sim::time::{SimDuration, SimTime};
 
-use super::{Channel, ChannelError};
+use super::Channel;
 
 /// Delivery guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,86 +66,15 @@ impl RetryPolicy {
     pub const fn enabled(&self) -> bool {
         self.max_attempts > 0
     }
-}
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
-/// An admission verdict from a [`BackpressurePolicy`]: when the blocked
-/// send may enter the ring and how many backoff attempts it took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Admission {
-    /// The sim-time instant the send is admitted at.
-    pub at: SimTime,
-    /// Backoff attempts spent (1-based: the first retry is attempt 1).
-    pub attempts: u32,
-}
-
-/// Read-only view of a channel's descriptor ring, handed to a
-/// [`BackpressurePolicy`] so it can probe future slot availability
-/// without access to the channel's mutable state.
-pub struct RingView<'a> {
-    channel: &'a Channel,
-    capacity: usize,
-}
-
-impl RingView<'_> {
-    /// The ring's usable capacity (configured capacity minus slots
-    /// wedged by injected ring-exhaustion faults).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Whether an attempt at `at` would find a free slot in every open
-    /// endpoint queue. Slot availability follows the descriptor-ring
-    /// model: a slot frees once the device side has consumed the
-    /// payload, i.e. once a queued message's delivery instant has
-    /// passed (receiver-side buffering is the receiver's business, not
-    /// the ring's).
-    pub fn admits_at(&self, at: SimTime) -> bool {
-        self.channel
-            .open_queues()
-            .all(|q| q.iter().filter(|m| m.deliver_at > at).count() < self.capacity)
-    }
-
-    /// The retry policy configured on the channel, for policies that
-    /// honor the per-channel [`RetryPolicy`] knobs.
-    pub fn retry(&self) -> RetryPolicy {
-        self.channel.config.retry
-    }
-}
-
-/// A pluggable admission policy consulted when a send finds the ring
-/// full.
-///
-/// Implementations must be deterministic functions of the ring view and
-/// `now` — no wall clocks, no randomness — so channel behavior stays
-/// byte-reproducible. Returning `None` makes the send fail (reliable)
-/// or drop (unreliable) exactly as if retry were disabled.
-pub trait BackpressurePolicy: fmt::Debug {
-    /// The first instant at which the policy can admit the blocked
-    /// send, plus the attempts spent finding it; `None` gives up.
-    fn admit(&self, ring: &RingView<'_>, now: SimTime) -> Option<Admission>;
-}
-
-/// The default [`BackpressurePolicy`]: deterministic exponential
-/// backoff driven by the channel's configured [`RetryPolicy`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExponentialBackoff;
-
-impl BackpressurePolicy for ExponentialBackoff {
-    fn admit(&self, ring: &RingView<'_>, now: SimTime) -> Option<Admission> {
-        let policy = ring.retry();
-        if !policy.enabled() {
-            return None;
-        }
-        let deadline = now.saturating_add(policy.timeout);
-        let mut backoff = policy.backoff;
+    /// Walks the backoff schedule after `now` and returns the first
+    /// attempt instant at which `fits` holds, plus the attempts spent
+    /// (1-based); `None` once the policy gives up.
+    fn first_fit(&self, now: SimTime, fits: impl Fn(SimTime) -> bool) -> Option<(SimTime, u32)> {
+        let deadline = now.saturating_add(self.timeout);
+        let mut backoff = self.backoff;
         let mut attempt_at = now;
-        for attempt in 1..=policy.max_attempts {
+        for attempt in 1..=self.max_attempts {
             let next = attempt_at.saturating_add(backoff);
             if next > deadline || next == SimTime::MAX {
                 // Past the per-send deadline — or pinned at the sim-time
@@ -164,11 +89,8 @@ impl BackpressurePolicy for ExponentialBackoff {
                 return None;
             }
             attempt_at = next;
-            if ring.admits_at(attempt_at) {
-                return Some(Admission {
-                    at: attempt_at,
-                    attempts: attempt,
-                });
+            if fits(attempt_at) {
+                return Some((attempt_at, attempt));
             }
             backoff = SimDuration::from_nanos(backoff.as_nanos().saturating_mul(2));
         }
@@ -176,44 +98,66 @@ impl BackpressurePolicy for ExponentialBackoff {
     }
 }
 
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        Self::none()
+    }
+}
+
 impl Channel {
-    /// Replaces the channel's backpressure policy. The default is
-    /// [`ExponentialBackoff`], which honors the config's
-    /// [`RetryPolicy`]; cross-host providers can install their own
-    /// admission logic without touching the delivery path.
-    pub fn set_backpressure_policy(&mut self, policy: Box<dyn BackpressurePolicy>) {
-        self.backpressure = policy;
+    /// Messages the ring accepts at once: the usable capacity minus the
+    /// deepest open endpoint queue. Unbounded when no endpoint is open —
+    /// there is no queue to overflow.
+    pub(super) fn headroom(&self) -> usize {
+        self.open_queues()
+            .map(|q| q.len())
+            .max()
+            .map_or(usize::MAX, |deepest| {
+                self.usable_capacity().saturating_sub(deepest)
+            })
     }
 
-    /// First sim-time instant in `(now, now + timeout]` at which the
-    /// backpressure policy can squeeze a message into the ring, plus the
-    /// number of backoff attempts it took.
-    pub(super) fn retry_admit(&self, now: SimTime) -> Option<(SimTime, u32)> {
-        let view = RingView {
-            channel: self,
-            capacity: self.usable_capacity(),
-        };
-        self.backpressure
-            .admit(&view, now)
-            .map(|a| (a.at, a.attempts))
+    /// Decides whether one message enters the ring, and when: at `now`
+    /// while there is [`Channel::headroom`], otherwise at the first
+    /// instant of the configured [`RetryPolicy`]'s backoff at which a
+    /// slot has freed. Returns the admission instant and the backoff
+    /// attempts spent (zero when admitted at once), or `None` when the
+    /// message must be [refused](Channel::refuse).
+    pub(super) fn admit(&self, now: SimTime) -> Option<(SimTime, u32)> {
+        if self.headroom() > 0 {
+            return Some((now, 0));
+        }
+        let capacity = self.usable_capacity();
+        // Descriptor-ring model: a slot frees once the device side has
+        // consumed the payload, i.e. once a queued message's delivery
+        // instant has passed (receiver-side buffering is the receiver's
+        // business, not the ring's).
+        let (at, attempts) = self.config.retry.first_fit(now, |at| {
+            self.open_queues()
+                .all(|q| q.iter().filter(|m| m.deliver_at > at).count() < capacity)
+        })?;
+        self.recorder
+            .counter_add("channel.retries", &self.provider_name, u64::from(attempts));
+        self.recorder.observe(
+            "channel.retry_wait_ns",
+            &self.provider_name,
+            at.as_nanos().saturating_sub(now.as_nanos()),
+        );
+        Some((at, attempts))
     }
 
-    /// Terminal accounting for a single send that found the ring full and
-    /// exhausted (or lacked) retry: reject on reliable, drop on
-    /// unreliable — identical to the historical no-retry behavior.
-    pub(super) fn send_full_fallout(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        ctx: TraceCtx,
-    ) -> Result<SimTime, ChannelError> {
+    /// Terminal accounting for one message of `bytes` that
+    /// [`Channel::admit`] turned away: a reject on a reliable channel, a
+    /// counted drop on an unreliable one, each closing `ctx` with its
+    /// own *drop* event. Returns the channel's reliability so the caller
+    /// can report the outcome in its own shape.
+    pub(super) fn refuse(&mut self, now: SimTime, bytes: u64, ctx: TraceCtx) -> Reliability {
         match self.config.reliability {
             Reliability::Reliable => {
                 self.recorder
                     .counter_incr("channel.rejected", &self.provider_name);
                 self.recorder
                     .trace_drop(ctx, "channel.reject", &self.provider_name, 0, now, bytes);
-                Err(ChannelError::WouldBlock)
             }
             Reliability::Unreliable => {
                 self.stats.dropped += 1;
@@ -227,9 +171,9 @@ impl Channel {
                     now,
                     bytes,
                 );
-                Ok(self.busy_until.max(now) + self.cost.latency(bytes as usize))
             }
         }
+        self.config.reliability
     }
 
     /// Wedges `slots` descriptor-ring slots (injected ring-exhaustion

@@ -855,8 +855,7 @@ impl LayoutGraph {
     /// capacity; otherwise fall back to the host.
     ///
     /// Greedy is *not always optimal* (the paper's motivation for the ILP
-    /// formulation); `ilp_vs_greedy` in the bench suite quantifies the
-    /// gap.
+    /// formulation); `repro -- ilp` quantifies the gap.
     pub fn resolve_greedy(&self, objective: &Objective) -> Placement {
         let k_count = self.num_devices();
         let mut remaining: Vec<f64> = match objective {

@@ -34,9 +34,9 @@ pub mod runtime;
 
 pub use call::{Call, CallTypeError, MarshalError, Value};
 pub use channel::{
-    AdaptivePolicy, Admission, BackpressurePolicy, Buffering, Channel, ChannelConfig, ChannelCost,
-    ChannelError, ChannelExecutive, ChannelId, ChannelProvider, CostProfile, ExponentialBackoff,
-    Reliability, RetryPolicy, RingView, SyncPolicy, Transport, CHANNEL_QUEUE_DEPTH,
+    AdaptivePolicy, Buffering, Channel, ChannelConfig, ChannelCost, ChannelError, ChannelExecutive,
+    ChannelId, ChannelProvider, CostProfile, Reliability, RetryPolicy, SyncPolicy, Transport,
+    CHANNEL_QUEUE_DEPTH,
 };
 pub use device::{DeviceDescriptor, DeviceId, DeviceRegistry};
 pub use error::{MigrateError, MigrateLeg, RuntimeError};

@@ -12,7 +12,7 @@
 //!    file and symbol tables.
 //!
 //! Both paths produce the same [`LinkedImage`]; [`LoadPlan`] records where
-//! the work landed so the `loader_ablation` bench can compare them.
+//! the work landed so the `offload_pipeline` example can compare them.
 
 use crate::linker::{ExportTable, LinkError, LinkedImage, Linker};
 use crate::object::HofObject;

@@ -1,4 +1,5 @@
-//! Source-level regression lint: no `HashMap<Guid, …>` on hot paths.
+//! Source-level regression lints: no `HashMap<Guid, …>` on hot paths,
+//! and one enqueue site on the channel send side.
 //!
 //! GUID-keyed `HashMap`s hash a `u64` on every lookup and iterate in
 //! nondeterministic order — both properties this codebase has had to
@@ -11,6 +12,12 @@
 //! solve). Adding one anywhere else — in particular in `channel.rs`,
 //! `call.rs`, or any per-message module — fails this test and should be
 //! a dense index or `BTreeMap` instead.
+//!
+//! Single sends, batch prefixes and retried overflow messages all ring
+//! their doorbell and enter the endpoint queues through
+//! `Channel::enqueue_run`. A second doorbell charge or queue push under
+//! `channel/` means a send path grew its own copy again, free to drift
+//! from the others.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -73,6 +80,33 @@ fn the_allowlist_is_not_stale() {
         assert!(
             text.contains("HashMap<Guid"),
             "{rel} no longer uses HashMap<Guid — drop it from the allowlist"
+        );
+    }
+}
+
+#[test]
+fn the_channel_send_side_has_one_enqueue_site() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates/hydra-core/src/channel"), &mut sources);
+    assert!(sources.len() >= 5, "the channel layer was scanned");
+
+    for needle in ["profile.doorbell(", "push_back(ChannelMessage"] {
+        let mut sites = Vec::new();
+        for path in &sources {
+            let text = fs::read_to_string(path).expect("source file is readable");
+            for (i, line) in text.lines().enumerate() {
+                if line.contains(needle) {
+                    sites.push(format!("{}:{}", path.display(), i + 1));
+                }
+            }
+        }
+        assert_eq!(
+            sites.len(),
+            1,
+            "`{needle}` must occur exactly once under channel/ (in \
+             Channel::enqueue_run); found:\n{}",
+            sites.join("\n")
         );
     }
 }
