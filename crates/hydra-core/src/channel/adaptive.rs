@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use hydra_obs::Histogram;
 
+use super::observe::ProviderMetrics;
 use super::{Channel, ChannelCost, CostProfile};
 
 /// Policy knobs for online, per-size-bucket provider selection on a
@@ -49,6 +50,8 @@ pub(super) struct AdaptiveState {
     /// `(name, advertised cost)` of every capable provider, in
     /// registration order (the deterministic tie-break order).
     pub(super) candidates: Vec<(String, ChannelCost)>,
+    /// Parallel to `candidates`: each candidate's recorder handles.
+    pub(super) metrics: Vec<ProviderMetrics>,
     pub(super) policy: AdaptivePolicy,
     /// Active candidate index per size bucket (keyed by the bucket's
     /// upper bound, as in [`CostProfile::size_bucket`]).
@@ -59,10 +62,16 @@ pub(super) struct AdaptiveState {
 }
 
 impl AdaptiveState {
-    /// Fresh selection state over `candidates` under `policy`.
-    pub(super) fn new(candidates: Vec<(String, ChannelCost)>, policy: AdaptivePolicy) -> Self {
+    /// Fresh selection state over `candidates` (with their recorder
+    /// handles `metrics`) under `policy`.
+    pub(super) fn new(
+        candidates: Vec<(String, ChannelCost)>,
+        metrics: Vec<ProviderMetrics>,
+        policy: AdaptivePolicy,
+    ) -> Self {
         AdaptiveState {
             candidates,
+            metrics,
             policy,
             selected: BTreeMap::new(),
             switches: 0,
@@ -105,7 +114,8 @@ impl Channel {
     /// Online provider selection for the next send of `bytes`: picks
     /// (and possibly re-picks) the active candidate for the payload's
     /// size bucket from the live [`CostProfile`], then installs it as
-    /// the channel's current provider/cost. No-op on fixed channels.
+    /// the channel's current provider, cost and recorder handles. No-op
+    /// on fixed channels.
     ///
     /// A cold bucket (fewer than [`AdaptivePolicy::min_samples`]
     /// observations) uses the static argmin of the advertised unloaded
@@ -177,6 +187,7 @@ impl Channel {
         if *name != self.provider_name {
             self.provider_name.clone_from(name);
             self.cost = *cost;
+            self.metrics = state.metrics[idx];
         }
     }
 }

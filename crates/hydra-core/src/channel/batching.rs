@@ -79,7 +79,9 @@ impl Channel {
     /// freshly allocated, so a steady-state send loop that keeps one
     /// [`BatchSendOutcome`] around performs **zero heap allocations** per
     /// batch once the vector has grown to the working batch size (payload
-    /// [`Bytes`] handles are refcounted clones, never copies).
+    /// [`Bytes`] handles are refcounted clones, never copies, and every
+    /// recorder update goes through handles resolved when the channel was
+    /// created). `tests/alloc_free_hot_path.rs` pins the contract.
     pub fn send_batch_into(&mut self, now: SimTime, batch: &[Bytes], out: &mut BatchSendOutcome) {
         let start = self.busy_until.max(now);
         out.delivered_at.clear();
@@ -97,7 +99,7 @@ impl Channel {
         self.select_provider((total_bytes / batch.len() as u64) as usize);
         let ctx = self.recorder.trace_begin(
             "channel.send_batch",
-            &self.provider_name,
+            self.metrics.label,
             0,
             now,
             total_bytes,
@@ -110,13 +112,11 @@ impl Channel {
             let last = self.enqueue_run(now, now, &batch[..accepted], ctx, "provider.batch", |t| {
                 out.delivered_at.push(t);
             });
+            self.recorder.add(self.metrics.batches, 1);
             self.recorder
-                .counter_incr("channel.batches", &self.provider_name);
-            self.recorder
-                .observe("channel.batch_size", &self.provider_name, accepted as u64);
-            self.recorder.observe(
-                "channel.latency_ns",
-                &self.provider_name,
+                .record(self.metrics.batch_size, accepted as u64);
+            self.recorder.record(
+                self.metrics.latency_ns,
                 last.as_nanos().saturating_sub(now.as_nanos()),
             );
             self.note_backlog_high_water();
@@ -174,13 +174,12 @@ impl Channel {
         }
         self.publish_queue_depth();
         self.stats.received += out.len() as u64;
-        self.recorder
-            .counter_add("channel.received", &self.provider_name, out.len() as u64);
+        self.recorder.add(self.metrics.received, out.len() as u64);
         for msg in &mut out {
             msg.trace = self.recorder.trace_recv(
                 msg.trace,
                 "channel.recv",
-                &self.provider_name,
+                self.metrics.label,
                 self.target_pid(),
                 now,
                 msg.data.len() as u64,

@@ -352,7 +352,7 @@ impl Channel {
             self.recorder.trace_drop(
                 msg.trace,
                 "channel.endpoint_closed",
-                &self.provider_name,
+                self.metrics.label,
                 u64::from(self.config.target.0),
                 msg.deliver_at,
                 msg.data.len() as u64,
@@ -440,7 +440,7 @@ impl Channel {
         let bytes = data.len() as u64;
         let ctx = self
             .recorder
-            .trace_begin("channel.send", &self.provider_name, 0, now, bytes);
+            .trace_begin("channel.send", self.metrics.label, 0, now, bytes);
         let Some((admit_at, _)) = self.admit(now) else {
             return match self.refuse(now, bytes, ctx) {
                 super::Reliability::Reliable => Err(ChannelError::WouldBlock),
@@ -457,9 +457,8 @@ impl Channel {
             "provider.hop",
             |_| {},
         );
-        self.recorder.observe(
-            "channel.latency_ns",
-            &self.provider_name,
+        self.recorder.record(
+            self.metrics.latency_ns,
             deliver_at.as_nanos().saturating_sub(now.as_nanos()),
         );
         self.note_backlog_high_water();
@@ -497,7 +496,7 @@ impl Channel {
         let ctx = self.recorder.trace_hop(
             ctx,
             hop,
-            &self.provider_name,
+            self.metrics.label,
             self.target_pid(),
             start,
             run_bytes,
@@ -527,10 +526,8 @@ impl Channel {
         let count = msgs.len() as u64;
         self.stats.sent += count;
         self.stats.bytes += run_bytes;
-        self.recorder
-            .counter_add("channel.sent", &self.provider_name, count);
-        self.recorder
-            .counter_add("channel.bytes", &self.provider_name, run_bytes);
+        self.recorder.add(self.metrics.sent, count);
+        self.recorder.add(self.metrics.bytes, run_bytes);
         self.busy_until
     }
 
@@ -546,14 +543,13 @@ impl Channel {
         let q = self.queues.get_mut(ep)?;
         if q.front().is_some_and(|m| m.deliver_at <= now) {
             self.stats.received += 1;
-            self.recorder
-                .counter_incr("channel.received", &self.provider_name);
+            self.recorder.add(self.metrics.received, 1);
             let mut msg = q.pop_front()?;
             self.publish_queue_depth();
             msg.trace = self.recorder.trace_recv(
                 msg.trace,
                 "channel.recv",
-                &self.provider_name,
+                self.metrics.label,
                 self.target_pid(),
                 now,
                 msg.data.len() as u64,
@@ -572,7 +568,7 @@ impl Channel {
                 self.recorder.trace_drop(
                     msg.trace,
                     "channel.destroyed",
-                    &self.provider_name,
+                    self.metrics.label,
                     u64::from(self.config.target.0),
                     msg.deliver_at,
                     msg.data.len() as u64,

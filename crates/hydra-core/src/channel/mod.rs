@@ -36,12 +36,13 @@ pub use reliability::{Reliability, RetryPolicy};
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use hydra_obs::{Recorder, TraceCtx};
+use hydra_obs::{LevelId, Recorder, TraceCtx};
 use hydra_sim::time::{SimDuration, SimTime};
 
 use crate::device::DeviceId;
 
 use adaptive::AdaptiveState;
+use observe::ProviderMetrics;
 
 /// A message in flight on a channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +79,10 @@ pub struct Channel {
     /// Online per-bucket provider selection; `None` on a classic
     /// fixed-provider channel.
     adaptive: Option<AdaptiveState>,
-    /// Label for per-channel level tracks (`chan#N`), built once.
-    depth_label: String,
+    /// The current provider's recorder handles.
+    metrics: ProviderMetrics,
+    /// The channel's [`CHANNEL_QUEUE_DEPTH`] level track (`chan#N`).
+    depth: LevelId,
     handler_installed: bool,
     recorder: Recorder,
 }
@@ -291,7 +294,11 @@ impl ChannelExecutive {
             .clone();
         self.recorder
             .counter_incr("channel.adaptive_created", &name);
-        let adaptive = AdaptiveState::new(candidates, policy);
+        let metrics = candidates
+            .iter()
+            .map(|(n, _)| ProviderMetrics::resolve(&self.recorder, n))
+            .collect();
+        let adaptive = AdaptiveState::new(candidates, metrics, policy);
         Ok(self.add_channel(config, name, cost, Some(adaptive)))
     }
 
@@ -307,6 +314,7 @@ impl ChannelExecutive {
         let id = ChannelId(self.channels.len() as u32);
         self.recorder
             .counter_incr("channel.provider_selected", &provider_name);
+        let metrics = ProviderMetrics::resolve(&self.recorder, &provider_name);
         self.channels.push(Some(Channel {
             id,
             config,
@@ -318,8 +326,9 @@ impl ChannelExecutive {
             wedged_slots: 0,
             stats: ChannelStats::default(),
             profile: CostProfile::default(),
+            metrics,
+            depth: self.recorder.level_id(CHANNEL_QUEUE_DEPTH, &id.to_string()),
             adaptive,
-            depth_label: format!("chan#{}", id.0),
             handler_installed: false,
             recorder: self.recorder.clone(),
         }));

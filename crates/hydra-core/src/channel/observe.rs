@@ -1,9 +1,10 @@
 //! Channel observability: per-channel counters, the live cost profile,
-//! and the queue-depth level track.
+//! the queue-depth level track, and the recorder handles every
+//! per-message update goes through.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use hydra_obs::Histogram;
+use hydra_obs::{CounterId, GaugeId, HistId, Histogram, Recorder, TraceLabel};
 use hydra_sim::time::SimDuration;
 
 use super::Channel;
@@ -122,6 +123,47 @@ impl CostProfile {
     }
 }
 
+/// One provider's recorder handles: every metric and trace label the
+/// send/recv paths update, resolved once for the label `provider` when
+/// the channel is created. An adaptive channel holds one set per
+/// candidate and swaps sets with the provider, so each update lands
+/// under the provider that carried the message.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ProviderMetrics {
+    pub(super) label: TraceLabel,
+    pub(super) sent: CounterId,
+    pub(super) bytes: CounterId,
+    pub(super) received: CounterId,
+    pub(super) batches: CounterId,
+    pub(super) retries: CounterId,
+    pub(super) rejected: CounterId,
+    pub(super) dropped: CounterId,
+    pub(super) latency_ns: HistId,
+    pub(super) batch_size: HistId,
+    pub(super) retry_wait_ns: HistId,
+    pub(super) backlog_high_water: GaugeId,
+}
+
+impl ProviderMetrics {
+    /// Resolves the handle set for `provider` on `rec`.
+    pub(super) fn resolve(rec: &Recorder, provider: &str) -> Self {
+        ProviderMetrics {
+            label: rec.trace_label(provider),
+            sent: rec.counter_id("channel.sent", provider),
+            bytes: rec.counter_id("channel.bytes", provider),
+            received: rec.counter_id("channel.received", provider),
+            batches: rec.counter_id("channel.batches", provider),
+            retries: rec.counter_id("channel.retries", provider),
+            rejected: rec.counter_id("channel.rejected", provider),
+            dropped: rec.counter_id("channel.dropped", provider),
+            latency_ns: rec.hist_id("channel.latency_ns", provider),
+            batch_size: rec.hist_id("channel.batch_size", provider),
+            retry_wait_ns: rec.hist_id("channel.retry_wait_ns", provider),
+            backlog_high_water: rec.gauge_id("channel.backlog_high_water", provider),
+        }
+    }
+}
+
 /// Per-channel counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChannelStats {
@@ -140,18 +182,14 @@ impl Channel {
     /// [`CHANNEL_QUEUE_DEPTH`] level track.
     pub(super) fn publish_queue_depth(&self) {
         let depth = self.open_queues().map(VecDeque::len).max().unwrap_or(0);
-        self.recorder
-            .level_set(CHANNEL_QUEUE_DEPTH, &self.depth_label, depth as u64);
+        self.recorder.set(self.depth, depth as u64);
     }
 
     /// Raises `channel.backlog_high_water` to the deepest endpoint
     /// queue.
     pub(super) fn note_backlog_high_water(&self) {
         let backlog = self.queues.iter().map(VecDeque::len).max().unwrap_or(0);
-        self.recorder.gauge_max(
-            "channel.backlog_high_water",
-            &self.provider_name,
-            backlog as u64,
-        );
+        self.recorder
+            .raise(self.metrics.backlog_high_water, backlog as u64);
     }
 }

@@ -136,11 +136,9 @@ impl Channel {
             self.open_queues()
                 .all(|q| q.iter().filter(|m| m.deliver_at > at).count() < capacity)
         })?;
-        self.recorder
-            .counter_add("channel.retries", &self.provider_name, u64::from(attempts));
-        self.recorder.observe(
-            "channel.retry_wait_ns",
-            &self.provider_name,
+        self.recorder.add(self.metrics.retries, u64::from(attempts));
+        self.recorder.record(
+            self.metrics.retry_wait_ns,
             at.as_nanos().saturating_sub(now.as_nanos()),
         );
         Some((at, attempts))
@@ -154,19 +152,17 @@ impl Channel {
     pub(super) fn refuse(&mut self, now: SimTime, bytes: u64, ctx: TraceCtx) -> Reliability {
         match self.config.reliability {
             Reliability::Reliable => {
+                self.recorder.add(self.metrics.rejected, 1);
                 self.recorder
-                    .counter_incr("channel.rejected", &self.provider_name);
-                self.recorder
-                    .trace_drop(ctx, "channel.reject", &self.provider_name, 0, now, bytes);
+                    .trace_drop(ctx, "channel.reject", self.metrics.label, 0, now, bytes);
             }
             Reliability::Unreliable => {
                 self.stats.dropped += 1;
-                self.recorder
-                    .counter_incr("channel.dropped", &self.provider_name);
+                self.recorder.add(self.metrics.dropped, 1);
                 self.recorder.trace_drop(
                     ctx,
                     "channel.drop",
-                    &self.provider_name,
+                    self.metrics.label,
                     self.target_pid(),
                     now,
                     bytes,

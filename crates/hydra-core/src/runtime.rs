@@ -1501,7 +1501,7 @@ impl Runtime {
                     Err(e) => return Err(e),
                 };
                 self.recorder.counter_incr("recover.migrations", "");
-                let bind = &self.depot[&guid].odf.bind_name;
+                let bind = self.depot[&guid].odf.bind_name.as_str();
                 let ctx =
                     self.recorder
                         .trace_begin("recover.migrate", bind, u64::from(dev.0), now, 0);
@@ -1520,7 +1520,7 @@ impl Runtime {
                 self.run_phase(new_id, now, Phase::Start)?;
                 self.recorder.counter_incr("recover.redeployed", "");
                 let final_dev = self.instance(new_id).expect("just deployed").device;
-                let bind = &self.depot[&guid].odf.bind_name;
+                let bind = self.depot[&guid].odf.bind_name.as_str();
                 let ctx =
                     self.recorder
                         .trace_begin("recover.redeploy", bind, u64::from(dev.0), now, 0);

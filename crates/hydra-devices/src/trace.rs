@@ -6,8 +6,12 @@
 //! own datapath stages: NIC firmware work, DMA descriptor-ring
 //! transfers, GPU decode, disk block I/O. The tracer is optional on
 //! every model — untraced call sites behave exactly as before.
+//!
+//! The tracer resolves its device label and its [`DEVICE_BUSY_NS`]
+//! counter handle once, at construction, so the busy-time charge every
+//! device operation makes is a single recorder slot write.
 
-use hydra_obs::{Recorder, TraceCtx};
+use hydra_obs::{CounterId, Recorder, TraceCtx};
 use hydra_sim::time::{SimDuration, SimTime};
 
 /// The canonical busy-time counter every device model feeds: windowed
@@ -25,13 +29,26 @@ pub const LINK_BUSY_NS: &str = "link.busy_ns";
 pub struct DeviceTracer {
     recorder: Recorder,
     pid: u64,
+    label: String,
+    busy: CounterId,
 }
 
 impl DeviceTracer {
     /// Couples a recorder with this device's trace pid (its
     /// `DeviceId.0`; 0 is the host).
     pub fn new(recorder: Recorder, pid: u64) -> Self {
-        DeviceTracer { recorder, pid }
+        let label = if pid == 0 {
+            "host".to_owned()
+        } else {
+            format!("device-{pid}")
+        };
+        let busy = recorder.counter_id(DEVICE_BUSY_NS, &label);
+        DeviceTracer {
+            recorder,
+            pid,
+            label,
+            busy,
+        }
     }
 
     /// The device's trace pid.
@@ -42,29 +59,25 @@ impl DeviceTracer {
     /// The device's metric label: `host` for pid 0, else `device-N` —
     /// the same names the Chrome trace export gives the process rows,
     /// so Perfetto counter tracks attach to the right process.
-    pub fn device_label(&self) -> String {
-        if self.pid == 0 {
-            "host".to_owned()
-        } else {
-            format!("device-{}", self.pid)
-        }
+    pub fn device_label(&self) -> &str {
+        &self.label
     }
 
     /// Charges `dur` of busy time to this device's
     /// [`DEVICE_BUSY_NS`] utilization counter.
     pub fn busy(&self, dur: SimDuration) {
-        self.counter_add(DEVICE_BUSY_NS, dur.as_nanos());
+        self.recorder.add(self.busy, dur.as_nanos());
     }
 
     /// Adds to a counter labeled with this device's label.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        self.recorder.counter_add(name, &self.device_label(), delta);
+        self.recorder.counter_add(name, &self.label, delta);
     }
 
     /// Sets an instantaneous level track (queue depth, ring occupancy)
     /// labeled with this device's label.
     pub fn level_set(&self, name: &'static str, value: u64) {
-        self.recorder.level_set(name, &self.device_label(), value);
+        self.recorder.level_set(name, &self.label, value);
     }
 
     /// Records a datapath *hop* on this device, returning the advanced

@@ -83,12 +83,15 @@ impl Histogram {
 
     /// Non-empty buckets as `(inclusive upper bound, count)`, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+        self.nonzero().collect()
+    }
+
+    fn nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (Self::bucket_bound(i), c))
-            .collect()
     }
 
     /// Estimates the `pct`-th percentile (`0..=100`) by bucket-bound
@@ -103,13 +106,7 @@ impl Histogram {
     /// for O(1) recording and fixed memory: the estimate always lands in
     /// the same power-of-two bucket as the exact answer.
     pub fn quantile(&self, pct: u64) -> Option<u64> {
-        quantile_from_buckets(
-            &self.nonzero_buckets(),
-            self.count,
-            self.min(),
-            self.max,
-            pct,
-        )
+        quantile_from_buckets(self.nonzero(), self.count, self.min(), self.max, pct)
     }
 
     /// Median estimate ([`Histogram::quantile`] at 50).
@@ -130,9 +127,10 @@ impl Histogram {
 
 /// Shared quantile estimator over `(inclusive bound, count)` buckets in
 /// ascending order — the representation both [`Histogram`] and
-/// [`crate::HistogramSample`] expose.
+/// [`crate::HistogramSample`] expose. Takes an iterator so
+/// [`Histogram::quantile`] walks its bucket array without allocating.
 pub(crate) fn quantile_from_buckets(
-    buckets: &[(u64, u64)],
+    buckets: impl IntoIterator<Item = (u64, u64)>,
     count: u64,
     min: u64,
     max: u64,
@@ -145,7 +143,7 @@ pub(crate) fn quantile_from_buckets(
     #[allow(clippy::cast_possible_truncation)] // quotient <= count, a u64
     let rank = ((u128::from(pct) * u128::from(count)).div_ceil(100) as u64).clamp(1, count);
     let mut seen = 0u64;
-    for &(bound, in_bucket) in buckets {
+    for (bound, in_bucket) in buckets {
         seen += in_bucket;
         if seen >= rank {
             // A bucket bounded by 2^i - 1 starts at 2^(i-1); bucket 0

@@ -25,10 +25,18 @@
 //!   aggregates into deterministic time series — per-device utilization,
 //!   occupancy, and throughput over time.
 //!
-//! Everything is keyed by a static metric name plus an instance label and
-//! stored in `BTreeMap`s, so a [`MetricsSnapshot`] — including its JSON
+//! Everything is keyed by a static metric name plus an instance label.
+//! Each key is interned once into a dense slot behind a sorted
+//! `(name, label)` index: hot paths hold typed handles
+//! ([`CounterId`], [`GaugeId`], [`LevelId`], [`HistId`], [`TraceLabel`])
+//! and update by slot write, with no lock, lookup or allocation, while
+//! cold paths use the string API over the same slots. Renderings walk
+//! the sorted index, so a [`MetricsSnapshot`] — including its JSON
 //! rendering — is byte-for-byte identical across identical executions.
-//! `tests/obs_determinism.rs` in the workspace root holds the proof.
+//! `tests/obs_determinism.rs` in the workspace root holds the proof. The
+//! [`Recorder`] is an `Rc`, single-threaded by design: one simulation
+//! world, one registry; a sharded simulation would keep one registry per
+//! shard and merge them at snapshot time.
 //!
 //! Two consumers sit on top of the frozen snapshot: [`export`] renders
 //! the event chains as Chrome trace-event JSON (`chrome://tracing` /
@@ -52,7 +60,7 @@ pub use bounds::{
 pub use budget::{check_budget, parse_budget, BudgetSpec, BudgetViolation, CounterBudget};
 pub use export::chrome_trace;
 pub use histogram::Histogram;
-pub use recorder::{Recorder, SpanId, SpanRecord};
+pub use recorder::{CounterId, GaugeId, HistId, LevelId, Recorder, SpanId, SpanRecord};
 pub use snapshot::{
     ChannelProfileSample, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot,
     ProfileBucketSample, SpanSample, TraceEventSample,
@@ -60,4 +68,7 @@ pub use snapshot::{
 pub use timeline::{
     timeline_csv, Sampler, TimeSeries, WindowLevelSample, WindowSample, WindowTrackSample,
 };
-pub use trace::{EventId, FlightRecorder, TraceCtx, TraceEvent, TraceEventKind, TraceId};
+pub use trace::{
+    EventId, FlightRecorder, IntoTraceLabel, TraceCtx, TraceEvent, TraceEventKind, TraceId,
+    TraceLabel,
+};

@@ -58,7 +58,13 @@ impl HistogramSample {
     /// interpolation, matching [`crate::Histogram::quantile`]; `None`
     /// when empty.
     pub fn quantile(&self, pct: u64) -> Option<u64> {
-        quantile_from_buckets(&self.buckets, self.count, self.min, self.max, pct)
+        quantile_from_buckets(
+            self.buckets.iter().copied(),
+            self.count,
+            self.min,
+            self.max,
+            pct,
+        )
     }
 
     /// Median estimate ([`HistogramSample::quantile`] at 50).

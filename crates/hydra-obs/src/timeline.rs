@@ -13,7 +13,9 @@
 //!
 //! * Windows are half-open `(start, end]` in sim time and contiguous:
 //!   window `i+1` starts exactly where window `i` ended; window 0 starts
-//!   at [`SimTime::ZERO`].
+//!   at [`SimTime::ZERO`]. A [`Recorder::reset`] clears the windows but
+//!   keeps the edge, so the first window after it starts where the last
+//!   one before it ended.
 //! * A counter appears in a window iff its value changed during the
 //!   window; the recorded delta carries the running total alongside, so
 //!   the sum of deltas over all windows plus the post-final-window
@@ -26,7 +28,7 @@
 //!
 //! Ticks are ordinary DES events, so they interleave with model events
 //! under the engine's FIFO `(time, seq)` contract; window contents
-//! iterate `BTreeMap`s. Two identical runs therefore render
+//! follow the recorder's sorted `(name, label)` index. Two identical runs therefore render
 //! byte-identical timelines — `repro -- stats` and the CI stats-gate
 //! diff exactly that.
 

@@ -11,6 +11,9 @@
 //! Events land in the [`FlightRecorder`], a bounded ring. When the ring is
 //! full the **oldest** event is discarded and a dropped-events counter is
 //! bumped, so loss is always visible in the snapshot rather than silent.
+//! Event labels are interned ([`TraceLabel`]): an event is plain data,
+//! so recording one into a warm ring and evicting one allocate and free
+//! nothing. Labels resolve back to strings only when a snapshot renders.
 //!
 //! # Determinism
 //!
@@ -19,7 +22,7 @@
 //! so two identical executions produce identical event chains (and
 //! byte-identical Chrome-trace exports — see [`crate::export`]).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use hydra_sim::time::SimTime;
@@ -74,8 +77,34 @@ impl fmt::Display for TraceEventKind {
     }
 }
 
+/// An interned trace-event label: an index into its
+/// [`FlightRecorder`]'s label table. Interning is append-only, so a
+/// label stays valid for the recorder's whole life, resets included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TraceLabel(u32);
+
+/// A trace-event label as the trace APIs accept it: a `&str`, interned
+/// on use, or a [`TraceLabel`] interned ahead of time (the hot-path
+/// form — no lookup at all).
+pub trait IntoTraceLabel {
+    /// The interned label on `flight`.
+    fn into_trace_label(self, flight: &mut FlightRecorder) -> TraceLabel;
+}
+
+impl IntoTraceLabel for &str {
+    fn into_trace_label(self, flight: &mut FlightRecorder) -> TraceLabel {
+        flight.intern(self)
+    }
+}
+
+impl IntoTraceLabel for TraceLabel {
+    fn into_trace_label(self, _flight: &mut FlightRecorder) -> TraceLabel {
+        self
+    }
+}
+
 /// One recorded trace event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Globally unique (per recorder) event id, in record order.
     pub id: EventId,
@@ -87,8 +116,9 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
     /// Static event name, e.g. `"channel.send"` or `"nic.peer_forward"`.
     pub name: &'static str,
-    /// Instance label, e.g. the winning provider's name.
-    pub label: String,
+    /// Instance label, e.g. the winning provider's name (resolve with
+    /// [`FlightRecorder::label`]).
+    pub label: TraceLabel,
     /// The device the event happened on (0 = host); the Chrome-trace
     /// exporter uses this as the "pid".
     pub device: u64,
@@ -109,6 +139,9 @@ pub struct FlightRecorder {
     next_event: u64,
     next_trace: u64,
     dropped: u64,
+    /// Interned labels, indexed by [`TraceLabel`].
+    labels: Vec<Box<str>>,
+    label_ids: BTreeMap<Box<str>, TraceLabel>,
 }
 
 impl Default for FlightRecorder {
@@ -126,7 +159,25 @@ impl FlightRecorder {
             next_event: 0,
             next_trace: 0,
             dropped: 0,
+            labels: Vec::new(),
+            label_ids: BTreeMap::new(),
         }
+    }
+
+    /// Interns `label`, returning its id (the same id every time).
+    pub fn intern(&mut self, label: &str) -> TraceLabel {
+        if let Some(&id) = self.label_ids.get(label) {
+            return id;
+        }
+        let id = TraceLabel(u32::try_from(self.labels.len()).expect("fewer than 2^32 labels"));
+        self.labels.push(label.into());
+        self.label_ids.insert(label.into(), id);
+        id
+    }
+
+    /// The string an interned label stands for.
+    pub fn label(&self, label: TraceLabel) -> &str {
+        &self.labels[label.0 as usize]
     }
 
     /// The configured capacity.
@@ -170,13 +221,14 @@ impl FlightRecorder {
     pub fn begin(
         &mut self,
         name: &'static str,
-        label: String,
+        label: impl IntoTraceLabel,
         device: u64,
         at: SimTime,
         bytes: u64,
     ) -> TraceCtx {
         let trace = TraceId(self.next_trace);
         self.next_trace += 1;
+        let label = label.into_trace_label(self);
         let id = self.push(
             trace,
             None,
@@ -196,11 +248,12 @@ impl FlightRecorder {
         &mut self,
         ctx: TraceCtx,
         name: &'static str,
-        label: String,
+        label: impl IntoTraceLabel,
         device: u64,
         at: SimTime,
         bytes: u64,
     ) -> TraceCtx {
+        let label = label.into_trace_label(self);
         let id = self.push(
             ctx.trace,
             Some(ctx.parent),
@@ -223,11 +276,12 @@ impl FlightRecorder {
         &mut self,
         ctx: TraceCtx,
         name: &'static str,
-        label: String,
+        label: impl IntoTraceLabel,
         device: u64,
         at: SimTime,
         bytes: u64,
     ) -> TraceCtx {
+        let label = label.into_trace_label(self);
         let id = self.push(
             ctx.trace,
             Some(ctx.parent),
@@ -249,11 +303,12 @@ impl FlightRecorder {
         &mut self,
         ctx: TraceCtx,
         name: &'static str,
-        label: String,
+        label: impl IntoTraceLabel,
         device: u64,
         at: SimTime,
         bytes: u64,
     ) {
+        let label = label.into_trace_label(self);
         self.push(
             ctx.trace,
             Some(ctx.parent),
@@ -273,7 +328,7 @@ impl FlightRecorder {
         parent: Option<EventId>,
         kind: TraceEventKind,
         name: &'static str,
-        label: String,
+        label: TraceLabel,
         device: u64,
         at: SimTime,
         bytes: u64,
@@ -298,9 +353,11 @@ impl FlightRecorder {
         id
     }
 
-    /// Clears all events and counters (between benchmark iterations).
+    /// Clears all events and counters (between benchmark iterations) and
+    /// releases the ring's memory; it regrows as events arrive. Interned
+    /// labels survive, so pre-resolved [`TraceLabel`]s stay valid.
     pub fn reset(&mut self) {
-        self.events.clear();
+        self.events = VecDeque::new();
         self.next_event = 0;
         self.next_trace = 0;
         self.dropped = 0;
@@ -314,23 +371,9 @@ mod tests {
     #[test]
     fn begin_hop_recv_forms_a_linked_chain() {
         let mut fr = FlightRecorder::default();
-        let ctx = fr.begin("channel.send", "dma".into(), 0, SimTime::ZERO, 64);
-        let ctx = fr.hop(
-            ctx,
-            "provider.ring",
-            "dma".into(),
-            1,
-            SimTime::from_micros(3),
-            64,
-        );
-        let end = fr.recv(
-            ctx,
-            "channel.recv",
-            "dma".into(),
-            1,
-            SimTime::from_micros(5),
-            64,
-        );
+        let ctx = fr.begin("channel.send", "dma", 0, SimTime::ZERO, 64);
+        let ctx = fr.hop(ctx, "provider.ring", "dma", 1, SimTime::from_micros(3), 64);
+        let end = fr.recv(ctx, "channel.recv", "dma", 1, SimTime::from_micros(5), 64);
         let ev: Vec<&TraceEvent> = fr.events().collect();
         assert_eq!(ev.len(), 3);
         assert_eq!(ev[0].parent, None);
@@ -345,7 +388,7 @@ mod tests {
     fn wraparound_drops_oldest_and_counts_exactly() {
         let mut fr = FlightRecorder::with_capacity(4);
         for i in 0..10u64 {
-            fr.begin("e", String::new(), 0, SimTime::from_nanos(i), i);
+            fr.begin("e", "", 0, SimTime::from_nanos(i), i);
         }
         assert_eq!(fr.len(), 4);
         assert_eq!(fr.dropped(), 6, "exactly len - capacity events dropped");
@@ -358,7 +401,7 @@ mod tests {
     fn shrinking_capacity_evicts_and_counts() {
         let mut fr = FlightRecorder::with_capacity(8);
         for _ in 0..8 {
-            fr.begin("e", String::new(), 0, SimTime::ZERO, 0);
+            fr.begin("e", "", 0, SimTime::ZERO, 0);
         }
         fr.set_capacity(3);
         assert_eq!(fr.len(), 3);
@@ -368,8 +411,8 @@ mod tests {
     #[test]
     fn drop_event_closes_a_trace() {
         let mut fr = FlightRecorder::default();
-        let ctx = fr.begin("channel.send", "p".into(), 0, SimTime::ZERO, 1);
-        fr.drop_event(ctx, "channel.drop", "p".into(), 2, SimTime::ZERO, 1);
+        let ctx = fr.begin("channel.send", "p", 0, SimTime::ZERO, 1);
+        fr.drop_event(ctx, "channel.drop", "p", 2, SimTime::ZERO, 1);
         let ev: Vec<&TraceEvent> = fr.events().collect();
         assert_eq!(ev[1].kind, TraceEventKind::Drop);
         assert_eq!(ev[1].parent, Some(ev[0].id));
@@ -378,13 +421,13 @@ mod tests {
     #[test]
     fn reset_restarts_sequences() {
         let mut fr = FlightRecorder::with_capacity(2);
-        fr.begin("e", String::new(), 0, SimTime::ZERO, 0);
-        fr.begin("e", String::new(), 0, SimTime::ZERO, 0);
-        fr.begin("e", String::new(), 0, SimTime::ZERO, 0);
+        fr.begin("e", "", 0, SimTime::ZERO, 0);
+        fr.begin("e", "", 0, SimTime::ZERO, 0);
+        fr.begin("e", "", 0, SimTime::ZERO, 0);
         fr.reset();
         assert!(fr.is_empty());
         assert_eq!(fr.dropped(), 0);
-        let ctx = fr.begin("e", String::new(), 0, SimTime::ZERO, 0);
+        let ctx = fr.begin("e", "", 0, SimTime::ZERO, 0);
         assert_eq!(ctx.trace, TraceId(0));
         assert_eq!(ctx.parent, EventId(0));
     }

@@ -1,5 +1,6 @@
 //! Source-level regression lints: no `HashMap<Guid, …>` on hot paths,
-//! and one enqueue site on the channel send side.
+//! one enqueue site on the channel send side, and no string building in
+//! the channel's per-message modules.
 //!
 //! GUID-keyed `HashMap`s hash a `u64` on every lookup and iterate in
 //! nondeterministic order — both properties this codebase has had to
@@ -18,6 +19,11 @@
 //! `Channel::enqueue_run`. A second doorbell charge or queue push under
 //! `channel/` means a send path grew its own copy again, free to drift
 //! from the others.
+//!
+//! The per-message channel modules update the recorder through handles
+//! resolved when the channel is created, so they never need to build a
+//! label. `.to_owned()`, `.to_string()`, `format!` or `String::from` in
+//! their non-test code means a per-message allocation crept back in.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -109,4 +115,32 @@ fn the_channel_send_side_has_one_enqueue_site() {
             sites.join("\n")
         );
     }
+}
+
+#[test]
+fn the_per_message_channel_modules_build_no_strings() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut violations = Vec::new();
+    for file in ["delivery", "batching", "reliability", "observe"] {
+        let rel = format!("crates/hydra-core/src/channel/{file}.rs");
+        let text = fs::read_to_string(root.join(&rel)).expect("channel module is readable");
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for (i, line) in code.lines().enumerate() {
+            let line = line.trim();
+            if line.starts_with("//") {
+                continue;
+            }
+            for needle in [".to_owned()", ".to_string()", "format!", "String::from"] {
+                if line.contains(needle) {
+                    violations.push(format!("{rel}:{}: {line}", i + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "string building on the per-message channel paths (resolve a \
+         recorder handle at channel creation instead):\n{}",
+        violations.join("\n")
+    );
 }

@@ -2,6 +2,8 @@
 //! auctions must be byte-reproducible, bracketed by the static
 //! providers, and predictable when the profile is cold.
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 use hydra::core::channel::{
     AdaptivePolicy, ChannelConfig, ChannelProvider, KernelCopyProvider, ZeroCopyDmaProvider,
@@ -227,4 +229,62 @@ fn cold_adaptive_channel_appears_in_the_snapshot() {
     assert_eq!(entry.switches, 0);
     assert!(entry.buckets.is_empty());
     assert!(snap.to_json().contains("\"adaptive\":true"));
+}
+
+/// Per-provider counters follow an adaptive channel's provider: across
+/// an epoch-boundary switch and a recorder reset, `channel.sent`,
+/// `channel.bytes` and `channel.latency_ns` land under the label that
+/// was active for each send, and nowhere else.
+#[test]
+fn adaptive_metrics_follow_the_active_provider_across_switch_and_reset() {
+    let mut e = ChannelExecutive::with_default_providers();
+    install_extras(&mut e);
+    let rec = e.recorder().clone();
+    let id = e
+        .create_channel_adaptive(
+            ChannelConfig::figure3(DeviceId(1)),
+            AdaptivePolicy::default(),
+        )
+        .expect("adaptive channel on the NIC");
+    let ch = e.get_mut(id).expect("channel is live");
+    ch.connect_endpoint().expect("fresh channel has room");
+    let mut now = SimTime::ZERO;
+    for phase in 0..2 {
+        // provider -> (sends, bytes, latency sum)
+        let mut want: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
+        for i in 0..32u8 {
+            let at = ch
+                .send(now, Bytes::from(vec![i; 1024]))
+                .expect("ring has room");
+            let w = want.entry(ch.provider_name().to_owned()).or_default();
+            w.0 += 1;
+            w.1 += 1024;
+            w.2 += at.as_nanos() - now.as_nanos();
+        }
+        let snap = rec.snapshot();
+        for (provider, &(sent, bytes, latency)) in &want {
+            assert_eq!(snap.counter("channel.sent", provider), Some(sent));
+            assert_eq!(snap.counter("channel.bytes", provider), Some(bytes));
+            let h = snap
+                .histogram("channel.latency_ns", provider)
+                .expect("latency recorded");
+            assert_eq!((h.count, h.sum), (sent, latency));
+        }
+        for name in ["channel.sent", "channel.bytes"] {
+            assert_eq!(
+                snap.counters.iter().filter(|c| c.name == name).count(),
+                want.len(),
+                "{name} appears only under providers that carried messages"
+            );
+        }
+        if phase == 0 {
+            assert_eq!(ch.provider_name(), "doorbell-batch");
+            assert!(want.len() >= 2, "the burst switched providers: {want:?}");
+            rec.reset();
+        } else {
+            assert_eq!(want.len(), 1, "after the switch the bucket stays put");
+        }
+        now = SimTime::from_millis(1);
+        while ch.recv(now, 0).is_some() {}
+    }
 }
