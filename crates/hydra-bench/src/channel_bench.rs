@@ -4,16 +4,15 @@
 //! (single-doorbell) path for a range of batch sizes, on a fresh
 //! Figure-3 channel created on the tivo demo deployment's runtime. All
 //! timing is *simulated* time, so two runs produce byte-identical
-//! results — which is what lets CI gate on them: the rendered
-//! [`render_json`] report is `BENCH_channel.json`, and
-//! [`check_bench`] replays the numbers through the
+//! results — which is what lets the artifact gate pin them: the
+//! rendered [`render_json`] report is `BENCH_channel.json`, and
+//! [`bench_snapshot`] replays the numbers through the
 //! [`hydra_obs::budget`] tolerance machinery against the committed
 //! baseline in `budgets/bench_channel.json`.
 
 use bytes::Bytes;
 use hydra_core::channel::ChannelConfig;
 use hydra_core::device::DeviceId;
-use hydra_obs::budget::{check_budget, parse_budget, BudgetParseError, BudgetViolation};
 use hydra_obs::{MetricsSnapshot, Recorder};
 use hydra_sim::time::SimTime;
 use hydra_tivo::demo::demo_deployment;
@@ -146,20 +145,6 @@ pub fn bench_snapshot(results: &[BenchResult]) -> MetricsSnapshot {
         );
     }
     rec.snapshot()
-}
-
-/// Checks fresh results against a committed baseline (the contents of
-/// `budgets/bench_channel.json`), returning every violated line.
-///
-/// # Errors
-///
-/// Fails if the baseline JSON is malformed.
-pub fn check_bench(
-    results: &[BenchResult],
-    baseline_json: &str,
-) -> Result<Vec<BudgetViolation>, BudgetParseError> {
-    let budget = parse_budget(baseline_json)?;
-    Ok(check_budget(&bench_snapshot(results), &budget))
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 //! rate overtakes the ring. Both are pinned (with a tolerance band) in
 //! `budgets/bench_crossover.json`; the rendered [`render_json`] report
 //! is the committed `BENCH_crossover.json`. All timing is simulated, so
-//! the report has no `wall_` lines at all — CI byte-diffs the whole
-//! thing.
+//! the report has no `wall_` lines at all — the artifact gate
+//! byte-diffs the whole thing.
 //!
 //! The final scenario feeds the same [`hydra_core::ChannelCost`] numbers
 //! into the §5 layout objective via
@@ -32,7 +32,6 @@ use hydra_core::device::DeviceId;
 use hydra_core::layout::{bus_price, LayoutGraph, LayoutNode};
 use hydra_core::providers::install_extras;
 use hydra_core::Objective;
-use hydra_obs::budget::{check_budget, parse_budget, BudgetParseError, BudgetViolation};
 use hydra_obs::{MetricsSnapshot, Recorder};
 use hydra_odf::Guid;
 use hydra_sim::time::SimTime;
@@ -242,7 +241,7 @@ fn run_reprice() -> RepriceResult {
 
 /// Renders the report as the `BENCH_crossover.json` artifact through the
 /// shared [`crate::report`] serializer. Every field is sim-time or
-/// structural — no `wall_` lines, so CI byte-diffs the entire file.
+/// structural — no `wall_` lines, so the gate byte-diffs the entire file.
 #[must_use]
 pub fn render_json(report: &CrossoverReport) -> String {
     let mut scenarios: Vec<Vec<report::Field>> = report
@@ -333,20 +332,6 @@ pub fn bench_snapshot(report: &CrossoverReport) -> MetricsSnapshot {
         report.reprice.chatty_device,
     );
     rec.snapshot()
-}
-
-/// Checks a fresh report against a committed baseline (the contents of
-/// `budgets/bench_crossover.json`), returning every violated line.
-///
-/// # Errors
-///
-/// Fails if the baseline JSON is malformed.
-pub fn check_bench(
-    report: &CrossoverReport,
-    baseline_json: &str,
-) -> Result<Vec<BudgetViolation>, BudgetParseError> {
-    let budget = parse_budget(baseline_json)?;
-    Ok(check_budget(&bench_snapshot(report), &budget))
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! Shared serializer for the committed `BENCH_*.json` reports.
 //!
-//! Both bench reports (`BENCH_channel.json`, `BENCH_engine.json`) go
-//! through [`render`], so they share one wire format:
+//! Every bench report (`BENCH_channel.json`, `BENCH_engine.json`,
+//! `BENCH_crossover.json`) goes through [`render`], so they share one
+//! wire format:
 //!
 //! * a leading `"schema"` version field ([`SCHEMA_VERSION`]), so a
 //!   future layout change can be detected instead of silently
 //!   mis-diffed;
 //! * **one key per line** inside every object. That layout is what lets
-//!   CI byte-diff only the *deterministic* fields of a report: wall-clock
-//!   keys carry a `wall_` prefix, and `grep -v '"wall_'` (or
+//!   the artifact gate byte-diff only the *deterministic* fields of a
+//!   report: wall-clock keys carry a `wall_` prefix, and `grep -v '"wall_'` (or
 //!   [`sim_fields`]) strips exactly those lines, leaving a byte-stable
 //!   rest;
 //! * integers and strings only — no floats, no locale, no hash-order.
@@ -79,8 +80,8 @@ pub fn render(report: &Report) -> String {
 
 /// Strips every line holding a `wall_`-prefixed key — the report's
 /// nondeterministic wall-clock measurements — leaving only the fields
-/// two runs must reproduce byte-for-byte. The same filter CI applies
-/// with `grep -v '"wall_'`.
+/// two runs must reproduce byte-for-byte; `grep -v '"wall_'` is the
+/// same filter in a shell.
 #[must_use]
 pub fn sim_fields(rendered: &str) -> String {
     let mut out = String::with_capacity(rendered.len());
@@ -88,20 +89,6 @@ pub fn sim_fields(rendered: &str) -> String {
         let _ = writeln!(out, "{line}");
     }
     out
-}
-
-/// Reads the `"schema"` version back out of a rendered report (`None`
-/// if the field is missing or malformed) — the round-trip check gates
-/// on this before byte-diffing anything.
-#[must_use]
-pub fn schema_version(rendered: &str) -> Option<u32> {
-    let rest = rendered.split("\"schema\":").nth(1)?;
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// Reads a named integer field back out of a rendered report (the first
@@ -141,7 +128,7 @@ mod tests {
     #[test]
     fn round_trips_schema_and_fields() {
         let rendered = render(&sample());
-        assert_eq!(schema_version(&rendered), Some(SCHEMA_VERSION));
+        assert_eq!(read_u64(&rendered, "schema"), Some(SCHEMA_VERSION.into()));
         assert_eq!(read_u64(&rendered, "events"), Some(10));
         assert_eq!(read_u64(&rendered, "wall_elapsed_ns"), Some(12345));
         assert!(rendered.contains("\"bench\": \"sample\""));

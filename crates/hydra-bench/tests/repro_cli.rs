@@ -1,6 +1,6 @@
 //! CLI contract of the `repro` binary: selector listing, unknown-selector
-//! failure, and the pure-JSON `bench` output CI redirects into
-//! `BENCH_channel.json`.
+//! failure, and the pure-JSON `bench` output that `BENCH_channel.json`
+//! is a capture of.
 
 use std::process::{Command, Output};
 
@@ -176,4 +176,22 @@ fn unknown_bench_subselector_exits_nonzero_with_usage() {
     assert!(err.contains("unknown bench selector 'no-such-bench'"));
     assert!(err.contains("usage: repro"), "usage goes to stderr");
     assert!(out.stdout.is_empty(), "nothing on stdout on failure");
+}
+
+#[test]
+fn faults_rejects_extra_arguments_with_usage() {
+    let plan = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../fixtures/faults/nic_crash.faults"
+    );
+    for extra in [vec![plan, "bogus"], vec![plan, plan, "trace"]] {
+        let mut args = vec!["faults"];
+        args.extend(extra);
+        let out = repro(&args);
+        assert!(!out.status.success(), "{args:?}: extra schedule must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("unknown faults selector"), "{args:?}: {err}");
+        assert!(err.contains("usage: repro"), "usage goes to stderr");
+        assert!(out.stdout.is_empty(), "nothing on stdout on failure");
+    }
 }

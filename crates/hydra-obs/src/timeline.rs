@@ -29,8 +29,8 @@
 //! Ticks are ordinary DES events, so they interleave with model events
 //! under the engine's FIFO `(time, seq)` contract; window contents
 //! follow the recorder's sorted `(name, label)` index. Two identical runs therefore render
-//! byte-identical timelines — `repro -- stats` and the CI stats-gate
-//! diff exactly that.
+//! byte-identical timelines — the root `artifact_gate` test diffs
+//! `repro -- stats` against its committed output on exactly that.
 
 use hydra_sim::time::{SimDuration, SimTime};
 use hydra_sim::Sim;

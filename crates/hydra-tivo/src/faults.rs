@@ -13,8 +13,9 @@
 //! live migrations and no call count is lost.
 //!
 //! [`run_fault_demo`] renders the outcome as canonical JSON; two runs of
-//! the same plan produce byte-identical output (`repro -- faults` and
-//! the CI `faults-gate` job diff exactly that).
+//! the same plan produce byte-identical output (the root
+//! `artifact_gate` test diffs `repro -- faults` against its committed
+//! output).
 
 use hydra_core::call::{Call, Value};
 use hydra_core::device::{DeviceDescriptor, DeviceRegistry};

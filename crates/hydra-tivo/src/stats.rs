@@ -15,8 +15,8 @@
 //! [`run_stats_demo`] renders all of that as one canonical hand-rolled
 //! JSON report. Everything is driven by sim time and deterministic
 //! models, so two invocations — with or without a fault plan — are
-//! byte-identical; `repro -- stats`, the root `stats_gate` test and the
-//! CI stats-gate diff exactly that.
+//! byte-identical; the root `artifact_gate` test diffs `repro -- stats`
+//! and `repro -- stats faulted` against their committed outputs.
 
 use bytes::Bytes;
 use hydra_core::channel::{ChannelConfig, ChannelId, CostProfile, CHANNEL_QUEUE_DEPTH};

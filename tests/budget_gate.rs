@@ -1,78 +1,48 @@
-//! The metrics-budget regression gate (tier 1).
+//! The metrics-budget regression gate (tier 1): the `metrics` row of
+//! `hydra_bench::ARTIFACTS`.
 //!
 //! `budgets/demo_deployment.json` is the committed baseline for the demo
 //! deployment's counters. Because every snapshot is deterministic, the
 //! gate is tight: a change that alters channel traffic, provider
 //! selection, solver effort or loader work beyond the per-counter
-//! tolerances fails here (and in CI) instead of drifting silently.
+//! tolerances fails here instead of drifting silently.
 
-use hydra::obs::{check_budget, parse_budget};
-use hydra::tivo::demo::demo_deployment;
+mod gate;
 
-const BASELINE: &str = include_str!("../budgets/demo_deployment.json");
+use gate::{assert_no_failures, row};
+use hydra::obs::check_budget;
+
+fn metrics() -> usize {
+    row(&["metrics"])
+}
 
 #[test]
 fn demo_deployment_stays_within_committed_budget() {
-    let spec = parse_budget(BASELINE).expect("committed baseline parses");
-    assert_eq!(spec.name, "demo-deployment");
-    let snap = demo_deployment().metrics_snapshot();
-    let violations = check_budget(&snap, &spec);
-    assert!(
-        violations.is_empty(),
-        "budget violations:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_eq!(gate::budget(metrics()).name, "demo-deployment");
+    assert_no_failures(&gate::budget_failures(metrics()));
 }
 
 #[test]
 fn gate_fails_when_a_counter_drifts_beyond_tolerance() {
-    // Perturb the baseline instead of the code: demand one more sent
-    // message than the demo produces, with zero tolerance. The gate must
-    // report exactly that line.
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
-    let sent = spec
-        .counters
-        .iter_mut()
-        .find(|c| c.name == "channel.sent")
-        .expect("baseline budgets channel.sent");
-    sent.expect += 1;
-    sent.tolerance = 0;
-    let snap = demo_deployment().metrics_snapshot();
-    let violations = check_budget(&snap, &spec);
-    assert_eq!(violations.len(), 1, "exactly the perturbed line fails");
-    assert_eq!(violations[0].name, "channel.sent");
-    assert_eq!(violations[0].actual + 1, violations[0].expect);
+    gate::assert_perturbed_lines_trip_alone(metrics());
 }
 
+/// Beyond the half-tolerance drift every budget gets: the demo's
+/// channel traffic sits a full tolerance clear of its floor.
 #[test]
 fn gate_tolerance_absorbs_small_drift() {
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
+    gate::assert_half_tolerance_drift_passes(metrics());
+    let mut spec = gate::budget(metrics());
     let bytes = spec
         .counters
         .iter_mut()
         .find(|c| c.name == "channel.bytes")
         .expect("baseline budgets channel.bytes");
-    // Within tolerance: shifting expect by less than the tolerance passes.
     bytes.expect += bytes.tolerance;
-    let snap = demo_deployment().metrics_snapshot();
-    assert!(check_budget(&snap, &spec).is_empty());
+    assert!(check_budget(gate::snapshot(metrics()), &spec).is_empty());
 }
 
 #[test]
 fn vanished_instrumentation_reads_as_zero_and_fails() {
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
-    spec.counters.push(hydra::obs::CounterBudget {
-        name: "no.such.counter".into(),
-        label: None,
-        expect: 7,
-        tolerance: 0,
-    });
-    let snap = demo_deployment().metrics_snapshot();
-    let violations = check_budget(&snap, &spec);
-    assert_eq!(violations.len(), 1);
-    assert_eq!(violations[0].actual, 0, "missing counter reads as zero");
+    gate::assert_vanished_counter_fails(metrics());
 }

@@ -1,9 +1,12 @@
-//! The quantitative-certification gate (tier 1).
+//! The quantitative-certification gate (tier 1): the `certify` rows of
+//! `hydra_bench::ARTIFACTS`, plus the differential the committed report
+//! cannot express.
 //!
-//! Four contracts, mirrored by the CI certify-gate job:
+//! Four contracts:
 //!
 //! 1. the built-in declared-traffic sets (`demo`, `tivo`, `stats`)
-//!    certify with zero errors and a byte-stable canonical JSON report;
+//!    certify with zero errors and a byte-stable canonical JSON report,
+//!    equal to the committed `artifacts/certify.json`;
 //! 2. each committed `fixtures/certify/*.xml` failure case fires
 //!    exactly its designated diagnostic code (HV040 queue overflow,
 //!    HV042 utilization overrun, HV050 ring-write race);
@@ -14,6 +17,10 @@
 //!    committed fault plan — stays bracketed by the (overlay-widened)
 //!    certificate: per-ring p99/depth and per-device busy permille.
 
+mod gate;
+
+use gate::{assert_no_failures, row};
+use hydra::core::device::{DeviceDescriptor, DeviceRegistry};
 use hydra::devices::DEVICE_BUSY_NS;
 use hydra::obs::sustained_busy_permille;
 use hydra::tivo::certify::{
@@ -21,15 +28,16 @@ use hydra::tivo::certify::{
     tivo_certify_odfs, Observation,
 };
 use hydra::tivo::stats::stats_demo_plan;
-use hydra::verify::{Certification, CertifyInput, FaultOverlay, HvCode, VerifyInput};
-use hydra_bench::certify::{any_errors, render_json, run_certify};
+use hydra::verify::{Certification, CertifyInput, FaultOverlay, VerifyInput};
+use hydra_bench::certify::{any_errors, run_certify};
+use hydra_bench::ARTIFACTS;
 
 fn certify(name: &str, overlay: Option<&FaultOverlay>) -> Certification {
     let (odfs, _) = certify_set(name).expect("built-in set");
-    let mut reg = hydra::core::device::DeviceRegistry::new();
-    reg.install(hydra::core::device::DeviceDescriptor::programmable_nic());
-    reg.install(hydra::core::device::DeviceDescriptor::smart_disk());
-    reg.install(hydra::core::device::DeviceDescriptor::gpu());
+    let mut reg = DeviceRegistry::new();
+    reg.install(DeviceDescriptor::programmable_nic());
+    reg.install(DeviceDescriptor::smart_disk());
+    reg.install(DeviceDescriptor::gpu());
     let table = reg.verify_table();
     let services = certify_service_table();
     hydra::verify::certify(&CertifyInput {
@@ -44,7 +52,8 @@ fn certify(name: &str, overlay: Option<&FaultOverlay>) -> Certification {
     })
 }
 
-/// Asserts every observed per-ring value sits inside the certificate.
+/// Asserts every observed per-ring and per-device value sits inside the
+/// certificate's static bounds.
 fn assert_bracketed(name: &str, cert: &Certification, obs: &Observation) {
     assert!(!obs.channels.is_empty(), "{name}: the replay drove traffic");
     for ch in &obs.channels {
@@ -57,10 +66,9 @@ fn assert_bracketed(name: &str, cert: &Certification, obs: &Observation) {
             .unwrap_or_else(|| panic!("{name}: ring {} is stable", ch.ring));
         assert!(
             ch.p99_ns <= latency,
-            "{name}: {} observed p99 {} ns escapes bound {} ns",
+            "{name}: {} observed p99 {} ns escapes bound {latency} ns",
             ch.ring,
-            ch.p99_ns,
-            latency
+            ch.p99_ns
         );
         assert!(
             ch.peak_depth <= bound.queue_bound,
@@ -88,6 +96,7 @@ fn assert_bracketed(name: &str, cert: &Certification, obs: &Observation) {
 
 #[test]
 fn builtin_sets_certify_error_free() {
+    assert_no_failures(&gate::outcome_failures(row(&["certify"])));
     let results = run_certify(&[]);
     assert_eq!(results.len(), 3);
     for r in &results {
@@ -117,9 +126,9 @@ fn builtin_sets_certify_error_free() {
 
 #[test]
 fn certify_json_is_byte_stable() {
-    let a = render_json(&run_certify(&[]));
-    let b = render_json(&run_certify(&[]));
-    assert_eq!(a, b, "certification must be deterministic");
+    let certify = row(&["certify"]);
+    assert_no_failures(&gate::replay_failures(certify));
+    let json = &gate::fresh(certify).stdout;
     for marker in [
         "\"certificate\"",
         "\"queue_bound\"",
@@ -127,84 +136,65 @@ fn certify_json_is_byte_stable() {
         "\"permille\"",
         "\"chains\"",
     ] {
-        assert!(a.contains(marker), "report carries {marker}");
+        assert!(json.contains(marker), "report carries {marker}");
     }
 }
 
 #[test]
 fn committed_fixtures_fire_their_designated_codes() {
     let cases = [
-        (
-            "fixtures/certify/queue_overflow.xml",
-            HvCode::QueueBoundExceedsRing,
-        ),
-        (
-            "fixtures/certify/utilization_overrun.xml",
-            HvCode::UtilizationOverrun,
-        ),
-        (
-            "fixtures/certify/ring_write_race.xml",
-            HvCode::RingWriteRace,
-        ),
+        ("fixtures/certify/queue_overflow.xml", "HV040"),
+        ("fixtures/certify/utilization_overrun.xml", "HV042"),
+        ("fixtures/certify/ring_write_race.xml", "HV050"),
     ];
     for (path, code) in cases {
-        let results = run_certify(&[path]);
-        let report = &results[0].certification.report;
-        assert!(
-            report.errors().any(|d| d.code == code),
-            "{path} must fire {code:?}:\n{}",
-            report.render_human()
-        );
+        let fixture = row(&["certify", path]);
+        assert_eq!(ARTIFACTS[fixture].codes, [code], "{path} expects {code}");
+        assert_no_failures(&gate::outcome_failures(fixture));
     }
 }
 
+/// Replaying each set's declared arrival curves against real channels
+/// never observes more than the certificate allows.
 #[test]
 fn demo_and_tivo_replays_are_bracketed() {
     for (name, odfs) in [("demo", demo_certify_odfs()), ("tivo", tivo_certify_odfs())] {
         let cert = certify(name, None);
         assert!(!cert.report.has_errors(), "{name} certifies clean");
-        let obs = observe_declared(&odfs);
-        assert_bracketed(name, &cert, &obs);
+        assert_bracketed(name, &cert, &observe_declared(&odfs));
     }
 }
 
+/// The stats scenario's full telemetry stays inside the certificate,
+/// clean and — against the overlay-widened certificate — under its
+/// committed fault plan.
 #[test]
 fn stats_telemetry_is_bracketed_clean_and_faulted() {
-    // Clean run against the un-widened certificate.
     let clean_cert = certify("stats", None);
     assert!(!clean_cert.report.has_errors());
-    let clean_obs = stats_observation(None);
-    assert_bracketed("stats/clean", &clean_cert, &clean_obs);
+    assert_bracketed("stats/clean", &clean_cert, &stats_observation(None));
 
-    // Faulted run against the overlay-widened certificate.
     let (_, overlay) = certify_set("stats").expect("built-in set");
     let overlay = overlay.expect("stats commits to a fault plan");
     let faulted_cert = certify("stats", Some(&overlay));
     assert!(!faulted_cert.report.has_errors());
     let plan = stats_demo_plan();
-    let faulted_obs = stats_observation(Some(&plan));
-    assert_bracketed("stats/faulted", &faulted_cert, &faulted_obs);
+    assert_bracketed(
+        "stats/faulted",
+        &faulted_cert,
+        &stats_observation(Some(&plan)),
+    );
 
-    // The overlay only ever widens: every faulted bound dominates its
-    // clean counterpart.
-    for (c, f) in clean_cert
-        .certificate
-        .channels
-        .iter()
-        .zip(&faulted_cert.certificate.channels)
-    {
+    // The overlay only ever widens.
+    let (clean, faulted) = (&clean_cert.certificate, &faulted_cert.certificate);
+    for (c, f) in clean.channels.iter().zip(&faulted.channels) {
         assert!(
             f.latency_bound_ns >= c.latency_bound_ns,
             "{} widens",
             c.bind_name
         );
     }
-    for (c, f) in clean_cert
-        .certificate
-        .devices
-        .iter()
-        .zip(&faulted_cert.certificate.devices)
-    {
+    for (c, f) in clean.devices.iter().zip(&faulted.devices) {
         assert!(f.permille >= c.permille, "{} widens", c.name);
     }
 }

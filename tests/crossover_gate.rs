@@ -1,57 +1,56 @@
-//! The provider-crossover regression gate (tier 1).
+//! The provider-crossover regression gate (tier 1): the `bench
+//! crossover` row of `hydra_bench::ARTIFACTS`.
 //!
 //! `budgets/bench_crossover.json` is the committed baseline for the
 //! PIO / doorbell-batched / DMA sweep, and `BENCH_crossover.json` at
 //! the workspace root is the committed rendering of the report. The
 //! crossover report is pure sim-time — no `wall_` lines — so the byte
-//! comparison here (and in CI's `crossover-gate` job) covers the whole
-//! file. The two crossover points are gated as bands: PIO must stop
-//! winning somewhere in the small-message range, and synchronous DMA
-//! must take over somewhere in the bulk range.
+//! comparison covers the whole file. The two crossover points are gated
+//! as bands: PIO must stop winning somewhere in the small-message range,
+//! and synchronous DMA must take over somewhere in the bulk range.
 
-use hydra::obs::{check_budget, parse_budget};
-use hydra_bench::crossover_bench::{
-    bench_snapshot, check_bench, render_json, run_crossover_bench, SIZES,
-};
-use hydra_bench::report::{read_u64, schema_version, sim_fields, SCHEMA_VERSION};
+mod gate;
 
-const BASELINE: &str = include_str!("../budgets/bench_crossover.json");
-const COMMITTED_REPORT: &str = include_str!("../BENCH_crossover.json");
+use gate::{assert_no_failures, read, row, scenarios};
+use hydra_bench::crossover_bench::SIZES;
+use hydra_bench::report::{read_u64, sim_fields, SCHEMA_VERSION};
+
+fn crossover() -> usize {
+    row(&["bench", "crossover"])
+}
 
 #[test]
 fn crossover_results_stay_within_committed_baseline() {
-    let violations = check_bench(&run_crossover_bench(), BASELINE).expect("baseline parses");
-    assert!(
-        violations.is_empty(),
-        "crossover bench regressions:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_no_failures(&gate::budget_failures(crossover()));
 }
 
 #[test]
 fn report_is_byte_identical_across_runs_and_matches_committed() {
-    let a = render_json(&run_crossover_bench());
-    let b = render_json(&run_crossover_bench());
-    assert_eq!(a, b, "crossover report is deterministic");
+    assert_no_failures(&gate::replay_failures(crossover()));
+    let fresh = &gate::fresh(crossover()).stdout;
     // No wall-clock fields at all: the sim filter must be a no-op.
-    assert_eq!(a, sim_fields(&a), "crossover report carries no wall_ lines");
     assert_eq!(
-        a, COMMITTED_REPORT,
-        "BENCH_crossover.json is stale — regenerate with \
-         `cargo run --release -p hydra-bench --bin repro -- bench crossover > BENCH_crossover.json`"
+        *fresh,
+        sim_fields(fresh),
+        "crossover report carries no wall_ lines"
+    );
+    assert_eq!(
+        *fresh,
+        read("BENCH_crossover.json"),
+        "pure sim time: whole file"
     );
 }
 
 #[test]
 fn committed_report_pins_the_crossover_structure() {
-    assert_eq!(schema_version(COMMITTED_REPORT), Some(SCHEMA_VERSION));
-    let pio_to_db = read_u64(COMMITTED_REPORT, "pio_to_doorbell_bytes")
+    let committed = read("BENCH_crossover.json");
+    assert_eq!(
+        read_u64(&committed, "schema"),
+        Some(u64::from(SCHEMA_VERSION))
+    );
+    let pio_to_db = read_u64(&committed, "pio_to_doorbell_bytes")
         .expect("committed report carries the first crossover point");
-    let db_to_dma = read_u64(COMMITTED_REPORT, "doorbell_to_dma_bytes")
+    let db_to_dma = read_u64(&committed, "doorbell_to_dma_bytes")
         .expect("committed report carries the second crossover point");
     let smallest = SIZES[0] as u64;
     let largest = *SIZES.last().unwrap() as u64;
@@ -68,62 +67,45 @@ fn committed_report_pins_the_crossover_structure() {
         "DMA must win before the largest size ({db_to_dma} >= {largest})"
     );
     // The repriced layout exercise gave the NIC slot to the bulk node.
-    assert_eq!(read_u64(COMMITTED_REPORT, "bulk_device"), Some(1));
-    assert_eq!(read_u64(COMMITTED_REPORT, "chatty_device"), Some(0));
+    assert_eq!(read_u64(&committed, "bulk_device"), Some(1));
+    assert_eq!(read_u64(&committed, "chatty_device"), Some(0));
 }
 
+/// Read off the committed report (which the replay check proves
+/// current): at every size the adaptive channel costs no more than the
+/// worst forced provider.
 #[test]
 fn adaptive_channel_never_costs_more_than_the_worst_static_provider() {
-    let rep = run_crossover_bench();
+    let committed = read("BENCH_crossover.json");
+    let field = |s: &str, key: &str| read_u64(s, key).expect(key);
     for &size in SIZES {
-        let adaptive = rep
-            .results
-            .iter()
-            .find(|r| r.provider == "adaptive" && r.bytes_per_message == size)
+        // Provider runs only; the report's summary entries follow them.
+        let (adaptive, forced): (Vec<&str>, Vec<&str>) = scenarios(&committed)
+            .filter(|s| s.contains("\"provider\":"))
+            .filter(|s| field(s, "bytes_per_message") == size as u64)
+            .partition(|s| s.contains("\"provider\": \"adaptive\""));
+        let adaptive = adaptive
+            .first()
+            .map(|s| field(s, "elapsed_ns"))
             .expect("adaptive run per size");
-        let worst = rep
-            .results
+        let worst = forced
             .iter()
-            .filter(|r| r.provider != "adaptive" && r.bytes_per_message == size)
-            .map(|r| r.elapsed_ns)
+            .map(|s| field(s, "elapsed_ns"))
             .max()
             .expect("forced runs per size");
         assert!(
-            adaptive.elapsed_ns <= worst,
-            "{size} B: adaptive {} ns > worst static {worst} ns",
-            adaptive.elapsed_ns
+            adaptive <= worst,
+            "{size} B: adaptive {adaptive} ns > worst static {worst} ns"
         );
     }
 }
 
 #[test]
 fn gate_fails_when_baseline_is_perturbed_beyond_tolerance() {
-    // Perturb the baseline instead of the code: move the first crossover
-    // point out of its band with zero tolerance. The gate must report
-    // exactly that line.
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
-    let line = spec
-        .counters
-        .iter_mut()
-        .find(|c| {
-            c.name == "bench.crossover_bytes" && c.label.as_deref() == Some("pio_to_doorbell")
-        })
-        .expect("baseline budgets the first crossover point");
-    line.expect *= 16;
-    line.tolerance = 0;
-    let snap = bench_snapshot(&run_crossover_bench());
-    let violations = check_budget(&snap, &spec);
-    assert_eq!(violations.len(), 1, "exactly the perturbed line fails");
-    assert_eq!(violations[0].name, "bench.crossover_bytes");
-    assert_eq!(violations[0].label.as_deref(), Some("pio_to_doorbell"));
+    gate::assert_perturbed_lines_trip_alone(crossover());
 }
 
 #[test]
 fn gate_tolerance_absorbs_small_drift() {
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
-    for line in &mut spec.counters {
-        line.expect += line.tolerance / 2;
-    }
-    let snap = bench_snapshot(&run_crossover_bench());
-    assert!(check_budget(&snap, &spec).is_empty());
+    gate::assert_half_tolerance_drift_passes(crossover());
 }

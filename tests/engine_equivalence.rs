@@ -241,7 +241,7 @@ proptest! {
 
 #[test]
 fn committed_fault_plan_is_scheduler_independent() {
-    // The committed NIC-crash schedule (the faults-gate scenario), as a
+    // The committed NIC-crash schedule (the `repro -- faults` artifact), as a
     // plain deterministic pin alongside the property tests.
     let heap = drive_deployment(SchedulerKind::BinaryHeap, 2, 1);
     let cal = drive_deployment(SchedulerKind::Calendar, 2, 1);

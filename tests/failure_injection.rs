@@ -333,7 +333,7 @@ fn switch_overload_drops_are_bounded_and_counted() {
 
 /// Two runs of the same committed fault schedule must be byte-identical:
 /// same recovery JSON, same metrics snapshot, same trace export. This is
-/// the property the CI faults-gate diffs.
+/// the property the artifact gate's `faults` rows rely on.
 #[test]
 fn fault_schedule_replay_is_deterministic() {
     use hydra::tivo::faults::{fault_demo_plan, run_fault_demo};

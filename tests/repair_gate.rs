@@ -8,18 +8,23 @@
 //!    search explores strictly fewer branch-and-bound nodes than a
 //!    from-scratch exact solve of the same post-failure problem — while
 //!    landing on an objective-equal layout.
-//! 2. **Committed budget**: `budgets/demo_recovery.json` freezes the
-//!    demo's recovery counters (`recover.repaired_nodes`,
+//! 2. **Committed budget**: the `faults` row of `hydra_bench::ARTIFACTS`
+//!    carries `budgets/demo_recovery.json`, which freezes the demo's
+//!    recovery counters (`recover.repaired_nodes`,
 //!    `solver.nodes_explored{repair}`, …) with tolerance 0, so a change
-//!    that silently degrades repair into a full re-solve fails CI
-//!    instead of drifting unnoticed.
+//!    that silently degrades repair into a full re-solve fails instead
+//!    of drifting unnoticed.
 
+mod gate;
+
+use gate::{assert_no_failures, row};
 use hydra::core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
 use hydra::core::layout::{GraphDelta, LayoutGraph, Objective};
-use hydra::obs::{check_budget, parse_budget};
-use hydra::tivo::faults::{fault_demo_odfs, fault_demo_plan, run_fault_demo};
+use hydra::tivo::faults::fault_demo_odfs;
 
-const BASELINE: &str = include_str!("../budgets/demo_recovery.json");
+fn faults() -> usize {
+    row(&["faults"])
+}
 
 fn demo_registry() -> DeviceRegistry {
     let mut reg = DeviceRegistry::new();
@@ -69,39 +74,13 @@ fn recovery_repair_searches_strictly_less_than_scratch() {
 /// The demo's recovery counters stay on the committed baseline.
 #[test]
 fn recovery_counters_stay_within_committed_budget() {
-    let spec = parse_budget(BASELINE).expect("committed baseline parses");
-    assert_eq!(spec.name, "demo-recovery");
-    let (rt, _) = run_fault_demo(&fault_demo_plan());
-    let snap = rt.metrics_snapshot();
-    let violations = check_budget(&snap, &spec);
-    assert!(
-        violations.is_empty(),
-        "recovery budget violations:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_eq!(gate::budget(faults()).name, "demo-recovery");
+    assert_no_failures(&gate::budget_failures(faults()));
 }
 
-/// The gate actually bites: perturbing one baseline entry produces
+/// The gate actually bites: perturbing any one baseline entry produces
 /// exactly that one violation.
 #[test]
 fn perturbed_baseline_trips_exactly_one_violation() {
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
-    let line = spec
-        .counters
-        .iter_mut()
-        .find(|c| c.name == "solver.nodes_explored")
-        .expect("baseline pins the repair search size");
-    line.expect += 100;
-    let (rt, _) = run_fault_demo(&fault_demo_plan());
-    let violations = check_budget(&rt.metrics_snapshot(), &spec);
-    assert_eq!(
-        violations.len(),
-        1,
-        "exactly the perturbed line must trip: {violations:?}"
-    );
-    assert_eq!(violations[0].name, "solver.nodes_explored");
+    gate::assert_perturbed_lines_trip_alone(faults());
 }

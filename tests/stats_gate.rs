@@ -1,50 +1,37 @@
-//! The telemetry-timeline regression gate (tier 1).
+//! The telemetry-timeline regression gate (tier 1): the `stats` and
+//! `stats faulted` rows of `hydra_bench::ARTIFACTS`.
 //!
 //! `budgets/demo_stats.json` is the committed baseline for the stats
 //! scenario's counters — message traffic on both channels plus the
 //! busy-time totals every utilization window is carved from. Message
 //! counts are exact (tolerance 0); busy-time counters carry ~10%
 //! tolerance so device timing models can be re-tuned without touching
-//! this file. The rendered timeline itself is additionally byte-diffed
-//! here and by the CI stats-gate.
+//! this file. The rendered timelines are byte-diffed against
+//! `artifacts/stats.json` and `artifacts/stats_faulted.json`.
 
+mod gate;
+
+use gate::{assert_no_failures, row};
 use hydra::devices::{DEVICE_BUSY_NS, LINK_BUSY_NS};
-use hydra::obs::{check_budget, parse_budget};
-use hydra::tivo::stats::{run_stats_demo, stats_demo_plan};
-
-const BASELINE: &str = include_str!("../budgets/demo_stats.json");
 
 #[test]
 fn stats_scenario_stays_within_committed_budget() {
-    let spec = parse_budget(BASELINE).expect("committed baseline parses");
-    assert_eq!(spec.name, "demo-stats");
-    let (snap, _) = run_stats_demo(None);
-    let violations = check_budget(&snap, &spec);
-    assert!(
-        violations.is_empty(),
-        "budget violations:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    let stats = row(&["stats"]);
+    assert_eq!(gate::budget(stats).name, "demo-stats");
+    assert_no_failures(&gate::budget_failures(stats));
 }
 
 #[test]
 fn stats_report_is_byte_identical_across_runs() {
-    let (_, a) = run_stats_demo(None);
-    let (_, b) = run_stats_demo(None);
-    assert_eq!(a, b, "clean timeline must be byte-stable");
-    let plan = stats_demo_plan();
-    let (_, fa) = run_stats_demo(Some(&plan));
-    let (_, fb) = run_stats_demo(Some(&plan));
-    assert_eq!(fa, fb, "faulted timeline must be byte-stable");
+    let mut failures = gate::replay_failures(row(&["stats"]));
+    failures.extend(gate::replay_failures(row(&["stats", "faulted"])));
+    assert_no_failures(&failures);
 }
 
 #[test]
 fn every_window_reports_utilization_and_every_channel_a_profile() {
-    let (snap, json) = run_stats_demo(None);
+    let fresh = gate::fresh(row(&["stats"]));
+    let snap = fresh.run.snapshot.as_ref().expect("stats run has metrics");
     assert_eq!(snap.windows.len(), 10, "ten 1 ms windows over 10 ms");
     for (i, w) in snap.windows.iter().enumerate() {
         assert_eq!(w.index as usize, i);
@@ -70,6 +57,6 @@ fn every_window_reports_utilization_and_every_channel_a_profile() {
     let total = snap.counter(LINK_BUSY_NS, "device-2").unwrap_or(0);
     assert!(summed <= total && total > 0, "{summed} <= {total}");
     // Both channels render a cost profile with at least one size bucket.
-    assert!(json.contains("\"provider\": \"zero-copy-dma\""));
-    assert!(json.contains("\"provider\": \"kernel-copy\""));
+    assert!(fresh.stdout.contains("\"provider\": \"zero-copy-dma\""));
+    assert!(fresh.stdout.contains("\"provider\": \"kernel-copy\""));
 }
