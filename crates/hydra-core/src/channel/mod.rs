@@ -10,11 +10,11 @@
 //! specific channel, in terms of latency and throughput"); the **Channel
 //! Executive** picks the cheapest capable provider.
 //!
-//! The layer is split by concern: [`delivery`] holds configuration,
-//! provider cost models and the ring enqueue; [`reliability`] the
+//! The layer is split by concern: `delivery` holds configuration,
+//! provider cost models and the ring enqueue; `reliability` the
 //! delivery guarantees, ring admission and retry backoff;
-//! [`batching`] the vectored hot paths; [`observe`] counters and the
-//! live cost profile; [`adaptive`] online provider selection. The
+//! `batching` the vectored hot paths; `observe` counters and the
+//! live cost profile; `adaptive` online provider selection. The
 //! public API is re-exported flat from this module, so callers are
 //! oblivious to the split.
 

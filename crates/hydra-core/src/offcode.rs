@@ -124,6 +124,12 @@ pub trait Offcode: fmt::Debug {
 
     /// The relocatable object file that carries this Offcode to a device.
     ///
+    /// The runtime builds the object once per depot entry, on first use,
+    /// from a fresh factory instance, and reuses that copy for
+    /// verification, certification, every link/load and every migration.
+    /// So the object must depend only on the Offcode's type and bind
+    /// name, never on instance state.
+    ///
     /// The default is a synthetic object sized like a small firmware
     /// module, importing the standard pseudo-Offcode symbols so the
     /// deployment pipeline exercises the real linker.

@@ -15,14 +15,15 @@
 //! descriptor (the runtime hands them back from [`Runtime::invoke`] and
 //! [`Runtime::pump`]).
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use hydra_hw::cpu::Cycles;
-use hydra_link::linker::LinkedImage;
 use hydra_link::loader::{
     load_device_side, load_host_side, DeviceMemoryAllocator, LoadError, LoadPlan, LoadStrategy,
 };
+use hydra_link::object::HofObject;
 use hydra_obs::{MetricsSnapshot, Recorder, SpanId};
 use hydra_odf::odf::{Guid, OdfDocument};
 use hydra_sim::fault::{FaultInjector, FaultPlan};
@@ -107,6 +108,18 @@ pub enum Lifecycle {
 struct DepotEntry {
     odf: OdfDocument,
     factory: Box<dyn Fn() -> Box<dyn Offcode>>,
+    /// Filled on first use by [`DepotEntry::object`].
+    object: OnceCell<HofObject>,
+}
+
+impl DepotEntry {
+    /// The Offcode's relocatable object, built once per depot entry from
+    /// a factory instance on first use. Verification, certification,
+    /// link/load and the migration precheck all read this one copy,
+    /// which [`Offcode::object_file`]'s contract makes sound.
+    fn object(&self) -> &HofObject {
+        self.object.get_or_init(|| (self.factory)().object_file())
+    }
 }
 
 impl std::fmt::Debug for DepotEntry {
@@ -141,8 +154,6 @@ struct Instance {
     oob: ChannelId,
     resource: ResourceId,
     plan: LoadPlan,
-    #[allow(dead_code)]
-    image: LinkedImage,
 }
 
 /// A value returned through a channel dispatch (see [`Runtime::pump`]).
@@ -485,6 +496,7 @@ impl Runtime {
             DepotEntry {
                 odf,
                 factory: Box::new(factory),
+                object: OnceCell::new(),
             },
         );
         Ok(())
@@ -681,8 +693,8 @@ impl Runtime {
     }
 
     /// Runs the static verifier over a closure, feeding pass statistics
-    /// into the observability recorder. Demands are the real linked
-    /// object sizes (each factory's object file), not the ODF estimates.
+    /// into the observability recorder. Demands are the real load sizes
+    /// of the depot's objects, not the ODF estimates.
     fn run_verifier(
         &self,
         root: Guid,
@@ -693,7 +705,7 @@ impl Runtime {
         let table = self.devices.verify_table();
         let demands: Vec<u64> = order
             .iter()
-            .map(|g| u64::from((self.depot[g].factory)().object_file().load_size()))
+            .map(|g| u64::from(self.depot[g].object().load_size()))
             .collect();
         let roots = [root];
         let report = hydra_verify::verify(&hydra_verify::VerifyInput {
@@ -708,7 +720,8 @@ impl Runtime {
 
     /// Runs the full certification (structural passes plus flow bounds
     /// and ring-race analysis) over a closure, with the service table
-    /// exported straight from the live channel executive.
+    /// exported straight from the live channel executive. Demands are
+    /// the depot objects' load sizes, as in `run_verifier`.
     fn run_certifier(
         &self,
         root: Guid,
@@ -720,7 +733,7 @@ impl Runtime {
         let services = self.executive.service_table();
         let demands: Vec<u64> = order
             .iter()
-            .map(|g| u64::from((self.depot[g].factory)().object_file().load_size()))
+            .map(|g| u64::from(self.depot[g].object().load_size()))
             .collect();
         let roots = [root];
         let cert = hydra_verify::certify(&hydra_verify::CertifyInput {
@@ -836,31 +849,24 @@ impl Runtime {
         Ok(())
     }
 
-    /// Links and loads `guid`'s object at exactly `device` — no host
-    /// fallback, nothing registered. The migration path uses this to
-    /// validate the target *before* destroying the source instance.
+    /// Links and loads `guid`'s depot object at exactly `device` and
+    /// instantiates the Offcode — no host fallback, nothing registered.
+    /// The migration path uses this to validate the target *before*
+    /// destroying the source instance.
     fn load_at(
         &mut self,
         guid: Guid,
         device: DeviceId,
-    ) -> Result<(Box<dyn Offcode>, LinkedImage, LoadPlan), LoadError> {
+    ) -> Result<(Box<dyn Offcode>, LoadPlan), LoadError> {
         let entry = &self.depot[&guid];
-        let offcode = (entry.factory)();
-        let object = offcode.object_file();
-        let exports = self.devices.get(device).exports.clone();
-        let attempt = match self.config.load_strategy {
-            LoadStrategy::HostSideLink => load_host_side(
-                std::slice::from_ref(&object),
-                &mut self.allocators[device.idx()],
-                &exports,
-            ),
-            LoadStrategy::DeviceSideLink => load_device_side(
-                std::slice::from_ref(&object),
-                &mut self.allocators[device.idx()],
-                &exports,
-            ),
-        };
-        attempt.map(|(image, plan)| (offcode, image, plan))
+        let objects = std::slice::from_ref(entry.object());
+        let allocator = &mut self.allocators[device.idx()];
+        let exports = &self.devices.get(device).exports;
+        let (_, plan) = match self.config.load_strategy {
+            LoadStrategy::HostSideLink => load_host_side(objects, allocator, exports),
+            LoadStrategy::DeviceSideLink => load_device_side(objects, allocator, exports),
+        }?;
+        Ok(((entry.factory)(), plan))
     }
 
     fn deploy_one(
@@ -870,34 +876,30 @@ impl Runtime {
         span_parent: Option<(SpanId, SimTime)>,
     ) -> Result<OffcodeId, RuntimeError> {
         // Try the chosen device; fall back to the host on OOM (§3.4).
-        let (device, offcode, image, plan) = match self.load_at(guid, device) {
-            Ok((offcode, image, plan)) => (device, offcode, image, plan),
+        let (device, offcode, plan) = match self.load_at(guid, device) {
+            Ok((offcode, plan)) => (device, offcode, plan),
             Err(LoadError::Memory(_)) if !device.is_host() => {
                 self.recorder.counter_incr("deploy.host_fallback", "");
                 let entry = &self.depot[&guid];
-                let offcode = (entry.factory)();
-                let object = offcode.object_file();
-                let exports = self.devices.get(DeviceId::HOST).exports.clone();
-                let (image, plan) = load_host_side(
-                    &[object],
+                let (_, plan) = load_host_side(
+                    std::slice::from_ref(entry.object()),
                     &mut self.allocators[DeviceId::HOST.idx()],
-                    &exports,
+                    &self.devices.get(DeviceId::HOST).exports,
                 )?;
-                (DeviceId::HOST, offcode, image, plan)
+                (DeviceId::HOST, (entry.factory)(), plan)
             }
             Err(e) => return Err(e.into()),
         };
-        self.register_loaded(guid, device, offcode, image, plan, span_parent)
+        self.register_loaded(guid, device, offcode, plan, span_parent)
     }
 
-    /// Registers an already-loaded image as a live instance: accounting
+    /// Registers an already-loaded Offcode as a live instance: accounting
     /// counters, resource subtree, OOB channel, instance table entry.
     fn register_loaded(
         &mut self,
         guid: Guid,
         device: DeviceId,
         offcode: Box<dyn Offcode>,
-        image: LinkedImage,
         plan: LoadPlan,
         span_parent: Option<(SpanId, SimTime)>,
     ) -> Result<OffcodeId, RuntimeError> {
@@ -955,7 +957,6 @@ impl Runtime {
             oob,
             resource,
             plan,
-            image,
         }));
         self.deployed_by_guid.insert(guid, id);
         Ok(id)
@@ -1246,7 +1247,7 @@ impl Runtime {
         }
         // Reserve the target: link and load there with no fallback, so a
         // load failure leaves the source instance running.
-        let (offcode, image, plan) = match self.load_at(guid, target) {
+        let (offcode, plan) = match self.load_at(guid, target) {
             Ok(loaded) => loaded,
             Err(e) => {
                 return Err(MigrateError::TargetLoadFailed {
@@ -1261,7 +1262,7 @@ impl Runtime {
         // takes over.
         self.teardown(id);
         self.recorder.counter_incr("deploy.migrations", "");
-        let new_id = match self.register_loaded(guid, target, offcode, image, plan, None) {
+        let new_id = match self.register_loaded(guid, target, offcode, plan, None) {
             Ok(new_id) => new_id,
             Err(e) => {
                 return self.migrate_fallback(guid, &bind_name, state, MigrateLeg::Load, &e, now)
@@ -1350,7 +1351,7 @@ impl Runtime {
         };
         let mut odf = entry.odf.clone();
         odf.imports.clear();
-        let demand = u64::from((entry.factory)().object_file().load_size());
+        let demand = u64::from(entry.object().load_size());
         let odfs = [odf];
         let demands = [demand];
         let roots = [guid];

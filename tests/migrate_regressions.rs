@@ -14,8 +14,9 @@ use hydra::core::channel::{
 };
 use hydra::core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
 use hydra::core::error::{MigrateError, MigrateLeg, RuntimeError};
-use hydra::core::offcode::{Offcode, OffcodeCtx};
+use hydra::core::offcode::{synthetic_object, Offcode, OffcodeCtx};
 use hydra::core::runtime::{Runtime, RuntimeConfig};
+use hydra::link::object::HofObject;
 use hydra::odf::odf::{class_ids, DeviceClassSpec, Guid, OdfDocument};
 use hydra::sim::time::SimTime;
 use proptest::prelude::*;
@@ -335,6 +336,116 @@ fn teardown_closes_endpoints_on_foreign_channels() {
     // Removing the last endpoint retires the connection key too.
     assert!(rt.teardown(a));
     assert!(rt.audit_connections().is_empty());
+}
+
+/// Counts how often its object is built, through a counter shared by
+/// every instance its factory makes. `stateful` Offcodes migrate; the
+/// others are redeployed fresh when their device fails.
+#[derive(Debug)]
+struct Built {
+    guid: Guid,
+    name: String,
+    stateful: bool,
+    builds: Rc<Cell<u32>>,
+}
+
+impl Offcode for Built {
+    fn guid(&self) -> Guid {
+        self.guid
+    }
+    fn bind_name(&self) -> &str {
+        &self.name
+    }
+    fn object_file(&self) -> HofObject {
+        self.builds.set(self.builds.get() + 1);
+        synthetic_object(&self.name, 8 * 1024, 1024)
+    }
+    fn handle_call(&mut self, _ctx: &mut OffcodeCtx, _call: &Call) -> Result<Value, RuntimeError> {
+        Ok(Value::Unit)
+    }
+    fn snapshot(&self) -> Option<Bytes> {
+        self.stateful.then(Bytes::new)
+    }
+    fn restore(&mut self, _state: Bytes) -> Result<(), RuntimeError> {
+        Ok(())
+    }
+}
+
+/// Registers a `Built` Offcode that can run on the NIC or the GPU;
+/// returns its build counter.
+fn register_built(rt: &mut Runtime, guid: Guid, name: &str, stateful: bool) -> Rc<Cell<u32>> {
+    let builds = Rc::new(Cell::new(0u32));
+    let shared = Rc::clone(&builds);
+    let name = name.to_owned();
+    let odf = OdfDocument::new(name.clone(), guid)
+        .with_target(class(class_ids::NETWORK))
+        .with_target(class(class_ids::GPU));
+    rt.register_offcode(odf, move || {
+        Box::new(Built {
+            guid,
+            name: name.clone(),
+            stateful,
+            builds: Rc::clone(&shared),
+        })
+    })
+    .expect("fresh depot");
+    builds
+}
+
+/// The depot builds each Offcode's object once: certification, the
+/// pre-flight gate (verify or certify), link/load, the migration
+/// precheck and reload, and a recovery redeploy all read that one copy.
+#[test]
+fn each_depot_object_is_built_once_per_entry() {
+    for certify_deployments in [false, true] {
+        let mut reg = DeviceRegistry::new();
+        reg.install(DeviceDescriptor::programmable_nic()); // dev1
+        reg.install(DeviceDescriptor::gpu()); // dev2
+        let config = RuntimeConfig {
+            certify_deployments,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = Runtime::new(reg, config);
+        let (mover, fresh) = (Guid(21), Guid(22));
+        let mover_builds = register_built(&mut rt, mover, "test.Mover", true);
+        let fresh_builds = register_built(&mut rt, fresh, "test.Fresh", false);
+        assert_eq!(
+            (mover_builds.get(), fresh_builds.get()),
+            (0, 0),
+            "registration builds nothing"
+        );
+
+        let cert = rt
+            .certify_deployment(mover, SimTime::ZERO)
+            .expect("in depot");
+        assert!(!cert.report.has_errors(), "{:?}", cert.report);
+        let m = rt.create_offcode(mover, SimTime::ZERO).expect("deploys");
+        let f = rt.create_offcode(fresh, SimTime::ZERO).expect("deploys");
+
+        let home = rt.device_of(m).expect("live");
+        let away = if home == DeviceId(1) {
+            DeviceId(2)
+        } else {
+            DeviceId(1)
+        };
+        let m = rt
+            .migrate(m, away, SimTime::from_millis(1))
+            .expect("the other device has room");
+        assert_eq!(rt.device_of(m), Some(away));
+
+        let failed = rt.device_of(f).expect("live");
+        assert!(!failed.is_host(), "the stateless Offcode was offloaded");
+        let report = rt
+            .on_device_failure(failed, SimTime::from_millis(2))
+            .expect("recovers");
+        assert_eq!(report.redeployed, vec![fresh], "redeployed fresh");
+
+        assert_eq!(
+            (mover_builds.get(), fresh_builds.get()),
+            (1, 1),
+            "objects built per entry (certify_deployments = {certify_deployments})"
+        );
+    }
 }
 
 proptest! {
