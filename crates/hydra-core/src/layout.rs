@@ -23,9 +23,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use hydra_ilp::branch::SearchStats;
+use hydra_ilp::branch::{Search, SearchStats};
 use hydra_ilp::model::{Direction, Outcome, Problem, Sense, Solution, VarId};
-use hydra_ilp::{solve_ilp_warm, solve_lp};
 use hydra_odf::odf::{ConstraintKind, Guid, OdfDocument};
 
 use crate::channel::ChannelCost;
@@ -611,25 +610,42 @@ impl LayoutGraph {
             return Ok((Placement(Vec::new()), SearchStats::default()));
         }
         self.validate_objective(objective)?;
-        let pre = hydra_verify::Precheck::narrow(&self.verify_view());
-        if pre.host_only() {
-            let placement = Placement(vec![DeviceId::HOST; self.nodes.len()]);
-            debug_assert!(self.check(&placement).is_ok());
-            return Ok((
-                placement,
-                SearchStats {
-                    presolved: true,
-                    ..SearchStats::default()
-                },
-            ));
+        if let Some(presolved) = self.presolved() {
+            return Ok(presolved);
         }
         let (problem, x) = self.to_ilp(objective)?;
-        let hint_values = hint.map(|p| Self::x_values(&problem, &x, p));
-        let result = solve_ilp_warm(&problem, hint_values.as_deref());
+        self.search_hinted(&mut Search::new(&problem), &x, hint)
+    }
+
+    /// The all-host placement when `hydra-verify`'s narrowing pre-check
+    /// proves it the only feasible one, so no search is needed.
+    fn presolved(&self) -> Option<(Placement, SearchStats)> {
+        if !hydra_verify::Precheck::narrow(&self.verify_view()).host_only() {
+            return None;
+        }
+        let placement = Placement(vec![DeviceId::HOST; self.nodes.len()]);
+        debug_assert!(self.check(&placement).is_ok());
+        let stats = SearchStats {
+            presolved: true,
+            ..SearchStats::default()
+        };
+        Some((placement, stats))
+    }
+
+    /// Searches this graph's ILP (`search` over the problem whose grid is
+    /// `x`) to proven optimality, warm-started from `hint`.
+    fn search_hinted(
+        &self,
+        search: &mut Search<'_>,
+        x: &VarGrid,
+        hint: Option<&Placement>,
+    ) -> Result<(Placement, SearchStats), LayoutError> {
+        let hint_values = hint.map(|p| Self::x_values(search.problem(), x, p));
+        let result = search.solve(hint_values.as_deref());
         let Outcome::Optimal(sol) = result.outcome else {
             return Err(LayoutError::Unsatisfiable);
         };
-        let placement = Self::extract_placement(&x, &sol);
+        let placement = Self::extract_placement(x, &sol);
         debug_assert!(self.check(&placement).is_ok());
         Ok((placement, result.stats))
     }
@@ -692,11 +708,16 @@ impl LayoutGraph {
     ///    candidate — so the result is **always** objective-equal to a
     ///    from-scratch [`LayoutGraph::resolve_ilp`].
     ///
+    /// When the component is the whole graph, the sub-problem *is* the
+    /// full problem, so steps 3 and 4 share one [`Search`]: the bound
+    /// proof replays the sub-solve's root relaxation, and the fallback
+    /// revisits its nodes without re-solving them.
+    ///
     /// The returned [`SearchStats`] count the actual search performed:
     /// `repaired_nodes` is the size of the re-solved component,
-    /// `warm_start_hits` the accepted hints, and `nodes` the LP
-    /// relaxations solved across the sub-solve (and the fallback, when
-    /// taken) — the root LP bound itself is not a search node.
+    /// `warm_start_hits` the accepted hints, and `nodes` the search nodes
+    /// visited across the sub-solve (and the fallback, when taken) — the
+    /// root LP bound itself is not a search node.
     ///
     /// # Errors
     ///
@@ -762,37 +783,14 @@ impl LayoutGraph {
         };
 
         // 3. Exactly re-solve the component with everything else frozen.
+        //    Same problem ⇒ same search: a component covering every node
+        //    has no frozen complement, so its sub-problem is the full
+        //    problem, and the sub-solve, the bound proof and the fallback
+        //    all run on the one `search`.
+        let (problem, x) = self.to_ilp(objective)?;
+        let mut search = Search::new(&problem);
         let mut candidate = prev.clone();
         if !component.is_empty() {
-            let mut sub = LayoutGraph::new();
-            let mut sub_idx = vec![usize::MAX; self.nodes.len()];
-            for &n in &component {
-                sub_idx[n] = sub.add_node(self.nodes[n].clone()).0;
-            }
-            for e in &self.edges {
-                let (a, b) = (sub_idx[e.from.0], sub_idx[e.to.0]);
-                if a != usize::MAX && b != usize::MAX {
-                    sub.add_edge(NodeIdx(a), NodeIdx(b), e.constraint);
-                }
-            }
-            let sub_objective = match objective {
-                Objective::MaximizeOffloading => Objective::MaximizeOffloading,
-                Objective::MaximizeBusUsage { capacities } => {
-                    // Frozen nodes keep the bus share they already hold.
-                    let mut remaining = capacities.clone();
-                    for (n, node) in self.nodes.iter().enumerate() {
-                        let dev = prev.0[n];
-                        if !in_repair[n] && !dev.is_host() {
-                            if let Some(cap) = remaining.get_mut(dev.idx()) {
-                                *cap = (*cap - node.price).max(0.0);
-                            }
-                        }
-                    }
-                    Objective::MaximizeBusUsage {
-                        capacities: remaining,
-                    }
-                }
-            };
             let hint = Placement(
                 component
                     .iter()
@@ -807,7 +805,15 @@ impl LayoutGraph {
                     })
                     .collect(),
             );
-            let (sub_placement, sub_stats) = sub.resolve_ilp_hinted(&sub_objective, Some(&hint))?;
+            let (sub_placement, sub_stats) = if component.len() == self.nodes.len() {
+                match self.presolved() {
+                    Some(presolved) => presolved,
+                    None => self.search_hinted(&mut search, &x, Some(&hint))?,
+                }
+            } else {
+                let (sub, sub_objective) = self.frozen_subgraph(&component, prev, objective);
+                sub.resolve_ilp_hinted(&sub_objective, Some(&hint))?
+            };
             stats.nodes += sub_stats.nodes;
             stats.pruned += sub_stats.pruned;
             stats.presolved = sub_stats.presolved;
@@ -821,12 +827,11 @@ impl LayoutGraph {
         //    problem's root LP relaxation bounds every placement from
         //    above; a candidate meeting the bound is optimal, no search
         //    needed.
-        let (problem, x) = self.to_ilp(objective)?;
         let values = Self::x_values(&problem, &x, &candidate);
         let feasible =
             self.check(&candidate).is_ok() && problem.check_feasible(&values, 1e-6).is_ok();
         if feasible {
-            let bound = match solve_lp(&problem) {
+            let bound = match search.root_relaxation() {
                 Outcome::Optimal(s) => s.objective,
                 Outcome::Infeasible => return Err(LayoutError::Unsatisfiable),
                 Outcome::Unbounded => f64::INFINITY,
@@ -835,7 +840,7 @@ impl LayoutGraph {
                 return Ok((candidate, stats));
             }
         }
-        let result = solve_ilp_warm(&problem, feasible.then_some(values.as_slice()));
+        let result = search.solve(feasible.then_some(values.as_slice()));
         let Outcome::Optimal(sol) = result.outcome else {
             return Err(LayoutError::Unsatisfiable);
         };
@@ -846,6 +851,47 @@ impl LayoutGraph {
         let placement = Self::extract_placement(&x, &sol);
         debug_assert!(self.check(&placement).is_ok());
         Ok((placement, stats))
+    }
+
+    /// The sub-graph a strict-subset repair `component` re-solves, with
+    /// the objective it re-solves under: every other node stays frozen
+    /// at its `prev` device and, under [`Objective::MaximizeBusUsage`],
+    /// keeps the bus share it already holds.
+    fn frozen_subgraph(
+        &self,
+        component: &[usize],
+        prev: &Placement,
+        objective: &Objective,
+    ) -> (LayoutGraph, Objective) {
+        let mut sub = LayoutGraph::new();
+        let mut sub_idx = vec![usize::MAX; self.nodes.len()];
+        for &n in component {
+            sub_idx[n] = sub.add_node(self.nodes[n].clone()).0;
+        }
+        for e in &self.edges {
+            let (a, b) = (sub_idx[e.from.0], sub_idx[e.to.0]);
+            if a != usize::MAX && b != usize::MAX {
+                sub.add_edge(NodeIdx(a), NodeIdx(b), e.constraint);
+            }
+        }
+        let sub_objective = match objective {
+            Objective::MaximizeOffloading => Objective::MaximizeOffloading,
+            Objective::MaximizeBusUsage { capacities } => {
+                let mut remaining = capacities.clone();
+                for (n, node) in self.nodes.iter().enumerate() {
+                    let dev = prev.0[n];
+                    if sub_idx[n] == usize::MAX && !dev.is_host() {
+                        if let Some(cap) = remaining.get_mut(dev.idx()) {
+                            *cap = (*cap - node.price).max(0.0);
+                        }
+                    }
+                }
+                Objective::MaximizeBusUsage {
+                    capacities: remaining,
+                }
+            }
+        };
+        (sub, sub_objective)
     }
 
     /// Greedy heuristic: visit Offcodes in descending price order; place

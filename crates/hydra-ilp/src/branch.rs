@@ -4,16 +4,25 @@
 //! relaxation, branch on the most fractional integer variable, prune by
 //! bound against the incumbent. Layout graphs from §5 translate into a few
 //! dozen binaries, well within reach of exact search.
+//!
+//! A [`Search`] keeps the tree it has explored. A node is a
+//! `(lower, upper)` bound pair per variable over one borrowed
+//! [`Problem`], and its relaxation is solved at most once: a later
+//! [`Search::solve`] (say, with another warm-start hint) or
+//! [`Search::root_relaxation`] replays the memoized relaxations, so it
+//! visits exactly the nodes and returns exactly the answer a fresh search
+//! would.
 
-use crate::model::{Direction, Outcome, Problem, Solution, VarId};
-use crate::simplex::solve_lp;
+use crate::model::{Direction, Outcome, Problem, Solution};
+use crate::simplex::Tableau;
 
 const INT_TOL: f64 = 1e-6;
 
 /// Statistics from one branch-and-bound run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
-    /// LP relaxations solved (nodes visited).
+    /// Nodes visited, each with its LP relaxation (solved, or replayed
+    /// from a [`Search`]'s memo).
     pub nodes: u64,
     /// Nodes pruned by bound.
     pub pruned: u64,
@@ -71,133 +80,249 @@ pub fn solve_ilp(problem: &Problem) -> IlpResult {
 /// fractional hint is simply ignored. The result is always proven
 /// optimal; only the amount of search changes.
 pub fn solve_ilp_warm(problem: &Problem, hint: Option<&[f64]>) -> IlpResult {
-    let mut stats = SearchStats::default();
-    let maximizing = problem.direction() == Direction::Maximize;
-    let mut incumbent: Option<Solution> = None;
-    if let Some(values) = hint {
-        let integral = values.len() == problem.num_vars()
-            && problem
-                .variables()
-                .iter()
-                .zip(values)
-                .all(|(v, &x)| !v.integer || (x - x.round()).abs() <= INT_TOL);
-        if integral && problem.check_feasible(values, INT_TOL).is_ok() {
-            let mut values = values.to_vec();
-            for (j, v) in problem.variables().iter().enumerate() {
-                if v.integer {
-                    values[j] = values[j].round();
-                }
-            }
-            let objective = problem.objective_value(&values);
-            incumbent = Some(Solution { values, objective });
-            stats.warm_start_hits = 1;
+    Search::new(problem).solve(hint)
+}
+
+/// One node of the search tree.
+#[derive(Debug)]
+struct Node {
+    /// Per-variable `(lower, upper)` bounds: the problem's own, tightened
+    /// along the branches from the root.
+    bounds: Vec<(f64, f64)>,
+    /// The LP relaxation over `bounds`, once solved.
+    relaxation: Option<Outcome>,
+    /// The two children, in the order the search pushes them, once the
+    /// node has branched.
+    children: Option<[usize; 2]>,
+}
+
+impl Node {
+    fn new(bounds: Vec<(f64, f64)>) -> Self {
+        Node {
+            bounds,
+            relaxation: None,
+            children: None,
+        }
+    }
+}
+
+/// A reusable branch-and-bound search over one [`Problem`].
+///
+/// Each node's children depend only on its own relaxation, so the tree
+/// is the same in every search; what an incumbent (or hint) changes is
+/// only which nodes are pruned. `Search` therefore keeps every node it
+/// has visited, with its relaxation, and a later [`Search::solve`] or
+/// [`Search::root_relaxation`] runs the simplex only on nodes no earlier
+/// call reached. Results and [`SearchStats`] are bitwise those of a fresh
+/// [`solve_ilp_warm`] / [`solve_lp`](crate::solve_lp) call.
+///
+/// # Examples
+///
+/// ```
+/// use hydra_ilp::branch::Search;
+/// use hydra_ilp::model::{Direction, Problem, Sense};
+///
+/// let mut p = Problem::new(Direction::Maximize);
+/// let x = p.add_binary("x");
+/// let y = p.add_binary("y");
+/// p.set_objective(vec![(x, 1.0), (y, 1.0)]);
+/// p.add_constraint("c", vec![(x, 2.0), (y, 2.0)], Sense::Le, 3.0);
+/// let mut search = Search::new(&p);
+/// let first = search.solve(None);
+/// let solved = search.relaxations_solved();
+/// // The root bound is a memo hit, and so is a re-solve from a hint.
+/// assert!(search.root_relaxation().solution().unwrap().objective > 1.0);
+/// let again = search.solve(Some(&[1.0, 0.0]));
+/// assert_eq!(search.relaxations_solved(), solved);
+/// assert_eq!(again.outcome, first.outcome);
+/// ```
+#[derive(Debug)]
+pub struct Search<'p> {
+    problem: &'p Problem,
+    /// The tree explored so far; `nodes[0]` is the root.
+    nodes: Vec<Node>,
+    tableau: Tableau,
+    relaxations_solved: u64,
+}
+
+impl<'p> Search<'p> {
+    /// A search over `problem` that has visited nothing yet.
+    pub fn new(problem: &'p Problem) -> Self {
+        Search {
+            problem,
+            nodes: vec![Node::new(problem.bounds())],
+            tableau: Tableau::default(),
+            relaxations_solved: 0,
         }
     }
 
-    // DFS over subproblems expressed as bound tightenings.
-    let mut stack: Vec<Problem> = vec![problem.clone()];
-    let mut any_feasible_relaxation = false;
-    let mut unbounded = false;
+    /// The problem being searched.
+    pub fn problem(&self) -> &'p Problem {
+        self.problem
+    }
 
-    while let Some(node) = stack.pop() {
-        stats.nodes += 1;
-        let relaxed = match solve_lp(&node) {
-            Outcome::Infeasible => continue,
-            Outcome::Unbounded => {
-                // The relaxation being unbounded does not prove the ILP is,
-                // but for the problem class here (bounded binaries) it only
-                // happens when continuous vars are genuinely unbounded.
-                unbounded = true;
-                break;
-            }
-            Outcome::Optimal(s) => s,
+    /// How many LP relaxations this search has actually run (memo hits
+    /// excluded).
+    pub fn relaxations_solved(&self) -> u64 {
+        self.relaxations_solved
+    }
+
+    /// The root LP relaxation: [`solve_lp`](crate::solve_lp) of the
+    /// problem, solved at most once per search.
+    pub fn root_relaxation(&mut self) -> &Outcome {
+        self.relaxation(0)
+    }
+
+    /// The relaxation of node `id`, solving it on first use.
+    fn relaxation(&mut self, id: usize) -> &Outcome {
+        let node = &mut self.nodes[id];
+        if node.relaxation.is_none() {
+            node.relaxation = Some(self.tableau.solve(self.problem, &node.bounds));
+            self.relaxations_solved += 1;
+        }
+        node.relaxation.as_ref().expect("solved above")
+    }
+
+    /// The children of node `id` from branching on variable `j` at
+    /// relaxation value `x`, created on first use: `x_j <= floor(x)` and
+    /// `x_j >= ceil(x)`, the side nearer `x` pushed last (explored first).
+    fn children(&mut self, id: usize, j: usize, x: f64) -> [usize; 2] {
+        if let Some(children) = self.nodes[id].children {
+            return children;
+        }
+        let bounds = &self.nodes[id].bounds;
+        let (lower, upper) = bounds[j];
+        let mut down = bounds.clone();
+        down[j] = (lower.max(0.0), upper.min(x.floor()));
+        let mut up = bounds.clone();
+        up[j] = (lower.max(x.ceil()), upper);
+        let (down_id, up_id) = (self.nodes.len(), self.nodes.len() + 1);
+        self.nodes.push(Node::new(down));
+        self.nodes.push(Node::new(up));
+        let children = if x - x.floor() > 0.5 {
+            [down_id, up_id]
+        } else {
+            [up_id, down_id]
         };
-        any_feasible_relaxation = true;
-
-        // Bound: can this node beat the incumbent?
-        if let Some(best) = &incumbent {
-            let no_better = if maximizing {
-                relaxed.objective <= best.objective + INT_TOL
-            } else {
-                relaxed.objective >= best.objective - INT_TOL
-            };
-            if no_better {
-                stats.pruned += 1;
-                continue;
-            }
-        }
-
-        // Find the most fractional integer variable.
-        let mut branch_var: Option<(usize, f64)> = None;
-        for (j, v) in node.variables().iter().enumerate() {
-            if !v.integer {
-                continue;
-            }
-            let x = relaxed.values[j];
-            let frac = (x - x.round()).abs();
-            if frac > INT_TOL {
-                let dist_to_half = (x - x.floor() - 0.5).abs();
-                if branch_var.is_none_or(|(_, d)| dist_to_half < d) {
-                    branch_var = Some((j, dist_to_half));
-                }
-            }
-        }
-
-        match branch_var {
-            None => {
-                // Integral: candidate incumbent.
-                let mut values = relaxed.values.clone();
-                for (j, v) in node.variables().iter().enumerate() {
-                    if v.integer {
-                        values[j] = values[j].round();
-                    }
-                }
-                let objective = problem.objective_value(&values);
-                let better = match &incumbent {
-                    None => true,
-                    Some(best) => {
-                        if maximizing {
-                            objective > best.objective + INT_TOL
-                        } else {
-                            objective < best.objective - INT_TOL
-                        }
-                    }
-                };
-                if better {
-                    incumbent = Some(Solution { values, objective });
-                }
-            }
-            Some((j, _)) => {
-                let x = relaxed.values[j];
-                let var = VarId(j);
-                let mut down = node.clone();
-                down.tighten_bounds(var, 0.0, x.floor());
-                let mut up = node;
-                up.tighten_bounds(var, x.ceil(), f64::INFINITY);
-                // Explore the side nearer the relaxation first.
-                if x - x.floor() > 0.5 {
-                    stack.push(down);
-                    stack.push(up);
-                } else {
-                    stack.push(up);
-                    stack.push(down);
-                }
-            }
-        }
+        self.nodes[id].children = Some(children);
+        children
     }
 
-    let outcome = if unbounded {
-        Outcome::Unbounded
-    } else {
-        // A feasible relaxation does not guarantee an integer point, so an
-        // empty incumbent is a legitimate "integer infeasible" outcome.
-        let _ = any_feasible_relaxation;
-        match incumbent {
-            Some(s) => Outcome::Optimal(s),
-            None => Outcome::Infeasible,
+    /// Searches to proven integer optimality, warm-started from `hint`
+    /// as [`solve_ilp_warm`] describes.
+    pub fn solve(&mut self, hint: Option<&[f64]>) -> IlpResult {
+        let problem = self.problem;
+        let mut stats = SearchStats::default();
+        let maximizing = problem.direction() == Direction::Maximize;
+        let mut incumbent: Option<Solution> = None;
+        if let Some(values) = hint {
+            let integral = values.len() == problem.num_vars()
+                && problem
+                    .variables()
+                    .iter()
+                    .zip(values)
+                    .all(|(v, &x)| !v.integer || (x - x.round()).abs() <= INT_TOL);
+            if integral && problem.check_feasible(values, INT_TOL).is_ok() {
+                incumbent = Some(rounded(problem, values.to_vec()));
+                stats.warm_start_hits = 1;
+            }
         }
-    };
-    IlpResult { outcome, stats }
+
+        // Depth-first over the tree, from the root.
+        let mut stack: Vec<usize> = vec![0];
+        let mut unbounded = false;
+
+        while let Some(id) = stack.pop() {
+            stats.nodes += 1;
+            let relaxed = match self.relaxation(id) {
+                Outcome::Infeasible => continue,
+                Outcome::Unbounded => {
+                    // The relaxation being unbounded does not prove the ILP is,
+                    // but for the problem class here (bounded binaries) it only
+                    // happens when continuous vars are genuinely unbounded.
+                    unbounded = true;
+                    break;
+                }
+                Outcome::Optimal(s) => s,
+            };
+
+            // Bound: can this node beat the incumbent?
+            if let Some(best) = &incumbent {
+                let no_better = if maximizing {
+                    relaxed.objective <= best.objective + INT_TOL
+                } else {
+                    relaxed.objective >= best.objective - INT_TOL
+                };
+                if no_better {
+                    stats.pruned += 1;
+                    continue;
+                }
+            }
+
+            // Find the most fractional integer variable.
+            let mut branch_var: Option<(usize, f64)> = None;
+            for (j, v) in problem.variables().iter().enumerate() {
+                if !v.integer {
+                    continue;
+                }
+                let x = relaxed.values[j];
+                let frac = (x - x.round()).abs();
+                if frac > INT_TOL {
+                    let dist_to_half = (x - x.floor() - 0.5).abs();
+                    if branch_var.is_none_or(|(_, d)| dist_to_half < d) {
+                        branch_var = Some((j, dist_to_half));
+                    }
+                }
+            }
+
+            match branch_var {
+                None => {
+                    // Integral: candidate incumbent.
+                    let candidate = rounded(problem, relaxed.values.clone());
+                    let better = match &incumbent {
+                        None => true,
+                        Some(best) => {
+                            if maximizing {
+                                candidate.objective > best.objective + INT_TOL
+                            } else {
+                                candidate.objective < best.objective - INT_TOL
+                            }
+                        }
+                    };
+                    if better {
+                        incumbent = Some(candidate);
+                    }
+                }
+                Some((j, _)) => {
+                    let x = relaxed.values[j];
+                    stack.extend(self.children(id, j, x));
+                }
+            }
+        }
+
+        let outcome = if unbounded {
+            Outcome::Unbounded
+        } else {
+            // A feasible relaxation does not guarantee an integer point, so an
+            // empty incumbent is a legitimate "integer infeasible" outcome.
+            match incumbent {
+                Some(s) => Outcome::Optimal(s),
+                None => Outcome::Infeasible,
+            }
+        };
+        IlpResult { outcome, stats }
+    }
+}
+
+/// `values` with every integer variable rounded, and its objective.
+fn rounded(problem: &Problem, mut values: Vec<f64>) -> Solution {
+    for (x, v) in values.iter_mut().zip(problem.variables()) {
+        if v.integer {
+            *x = x.round();
+        }
+    }
+    let objective = problem.objective_value(&values);
+    Solution { values, objective }
 }
 
 /// Exhaustively enumerates all assignments of the problem's binary

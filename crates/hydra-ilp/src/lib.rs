@@ -6,7 +6,8 @@
 //! Le/Ge/Eq constraints ([`model`]), a dense two-phase primal simplex with
 //! Bland's anti-cycling rule for the LP relaxation ([`simplex`]), and an
 //! exact branch-and-bound search with most-fractional branching and
-//! bound pruning ([`branch`]), plus a brute-force enumeration oracle used
+//! bound pruning ([`branch`]) that a reusable [`Search`] runs with every
+//! node's relaxation memoized, plus a brute-force enumeration oracle used
 //! by the property tests.
 
 #![forbid(unsafe_code)]
@@ -16,6 +17,6 @@ pub mod branch;
 pub mod model;
 pub mod simplex;
 
-pub use branch::{solve_by_enumeration, solve_ilp, solve_ilp_warm, IlpResult, SearchStats};
+pub use branch::{solve_by_enumeration, solve_ilp, solve_ilp_warm, IlpResult, Search, SearchStats};
 pub use model::{Constraint, Direction, Outcome, Problem, Sense, Solution, VarId, Variable};
 pub use simplex::solve_lp;

@@ -230,15 +230,10 @@ impl Problem {
         Ok(())
     }
 
-    /// Restricts a variable's bounds (used by branch and bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable does not exist.
-    pub(crate) fn tighten_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
-        let v = &mut self.variables[var.0];
-        v.lower = v.lower.max(lower);
-        v.upper = v.upper.min(upper);
+    /// Each variable's `(lower, upper)` bounds, indexed by [`VarId`]:
+    /// the root of a branch-and-bound search, whose nodes tighten them.
+    pub(crate) fn bounds(&self) -> Vec<(f64, f64)> {
+        self.variables.iter().map(|v| (v.lower, v.upper)).collect()
     }
 }
 

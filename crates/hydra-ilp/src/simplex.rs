@@ -5,11 +5,16 @@
 //! and finite bounds. Bounds are folded into explicit constraints — layout
 //! ILPs are small (tens of variables), so the dense tableau with Bland's
 //! anti-cycling rule is simple, exact enough at `f64`, and fast.
+//!
+//! The tableau is one flat row-major `Vec<f64>` in a reusable
+//! `Tableau`, so a branch-and-bound search allocates it once. A pivot
+//! updates only the rows a dense sweep would (entering-column entry
+//! above `EPS`) and, in each, only the pivot row's nonzero columns:
+//! layout tableaus are mostly zeros. Skipping a zero can change only
+//! the sign of a zero entry; every nonzero entry, every pivot choice
+//! and so every vertex is exactly what the dense sweep computes.
 
 use crate::model::{Direction, Outcome, Problem, Sense, Solution};
-
-/// One normalized constraint row: sparse terms, sense, right-hand side.
-type Row = (Vec<(usize, f64)>, Sense, f64);
 
 const EPS: f64 = 1e-9;
 const MAX_ITER: usize = 50_000;
@@ -32,263 +37,331 @@ const MAX_ITER: usize = 50_000;
 /// assert!((sol.objective - 10.0).abs() < 1e-6); // x=2, y=2
 /// ```
 pub fn solve_lp(problem: &Problem) -> Outcome {
-    // Gather constraints: user constraints plus bound constraints.
-    let n = problem.num_vars();
-    let mut rows: Vec<Row> = Vec::new();
-    for c in problem.constraints() {
-        let terms = c.terms.iter().map(|(v, k)| (v.index(), *k)).collect();
-        rows.push((terms, c.sense, c.rhs));
-    }
-    for (j, v) in problem.variables().iter().enumerate() {
-        if v.upper.is_finite() {
-            rows.push((vec![(j, 1.0)], Sense::Le, v.upper));
-        }
-        if v.lower > 0.0 {
-            rows.push((vec![(j, 1.0)], Sense::Ge, v.lower));
-        }
-    }
+    Tableau::default().solve(problem, &problem.bounds())
+}
 
-    // Objective as a dense vector, negated for minimization.
-    let mut c = vec![0.0f64; n];
-    for (v, k) in problem.objective() {
-        c[v.index()] += *k;
-    }
-    let sign = match problem.direction() {
-        Direction::Maximize => 1.0,
-        Direction::Minimize => -1.0,
-    };
-    for cj in &mut c {
-        *cj *= sign;
-    }
-
-    match simplex_maximize(n, &rows, &c) {
-        RawOutcome::Optimal { values, objective } => Outcome::Optimal(Solution {
-            values,
-            objective: objective * sign,
-        }),
-        RawOutcome::Infeasible => Outcome::Infeasible,
-        RawOutcome::Unbounded => Outcome::Unbounded,
+/// A constraint row's sense and sign once its right-hand side is made
+/// non-negative: a negative `rhs` flips `Le`/`Ge` and negates the row.
+fn normalized(sense: Sense, rhs: f64) -> (Sense, bool) {
+    if rhs < 0.0 {
+        let flipped = match sense {
+            Sense::Le => Sense::Ge,
+            Sense::Ge => Sense::Le,
+            Sense::Eq => Sense::Eq,
+        };
+        (flipped, true)
+    } else {
+        (sense, false)
     }
 }
 
+/// The rows the LP over `bounds` folds each variable's bounds into, in
+/// order after the constraints: `x_j <= upper` when finite, then
+/// `x_j >= lower` when positive.
+fn bound_rows(bounds: &[(f64, f64)]) -> impl Iterator<Item = (usize, Sense, f64)> + '_ {
+    bounds.iter().enumerate().flat_map(|(j, &(lower, upper))| {
+        let le = upper.is_finite().then_some((j, Sense::Le, upper));
+        let ge = (lower > 0.0).then_some((j, Sense::Ge, lower));
+        le.into_iter().chain(ge)
+    })
+}
+
+/// A reusable simplex workspace: the flat tableau, basis and scratch
+/// rows, kept across solves.
+#[derive(Debug, Default)]
+pub(crate) struct Tableau {
+    /// `m` rows of `width` entries, row-major; the last column is the rhs.
+    t: Vec<f64>,
+    /// Entries per row: the `ncols` structural, slack and artificial
+    /// columns plus the rhs.
+    width: usize,
+    /// The basic column of each row.
+    basis: Vec<usize>,
+    /// Whether each column is an artificial.
+    artificial: Vec<bool>,
+    /// The current phase's objective over all columns.
+    cost: Vec<f64>,
+    /// The reduced-cost row, objective value in the rhs slot.
+    zrow: Vec<f64>,
+    /// The entering column's `(row, value)` entries above `EPS` in
+    /// magnitude: the rows a pivot on it updates.
+    column: Vec<(usize, f64)>,
+    /// The pivot row's nonzero `(column, value)` entries.
+    pivot_nz: Vec<(usize, f64)>,
+}
+
 enum RawOutcome {
-    Optimal { values: Vec<f64>, objective: f64 },
+    Optimal,
     Infeasible,
     Unbounded,
 }
 
-/// Core tableau simplex: maximize c'x s.t. rows, x >= 0.
-fn simplex_maximize(n: usize, rows: &[Row], c: &[f64]) -> RawOutcome {
-    let m = rows.len();
-    // Normalize rows to rhs >= 0 up front so the slack/artificial column
-    // counts match what the fill loop will actually allocate.
-    let rows: Vec<Row> = rows
-        .iter()
-        .map(|(terms, sense, rhs)| {
-            if *rhs < 0.0 {
-                let s = match sense {
-                    Sense::Le => Sense::Ge,
-                    Sense::Ge => Sense::Le,
-                    Sense::Eq => Sense::Eq,
-                };
-                (terms.iter().map(|(j, k)| (*j, -k)).collect(), s, -rhs)
-            } else {
-                (terms.clone(), *sense, *rhs)
-            }
-        })
-        .collect();
-    // Column layout: [0, n) structural; then one slack/surplus per
-    // inequality; then one artificial per Ge/Eq row; last column rhs.
-    let mut n_slack = 0;
-    let mut n_art = 0;
-    for (_, sense, _) in &rows {
-        match sense {
-            Sense::Le | Sense::Ge => n_slack += 1,
-            Sense::Eq => {}
-        }
-        match sense {
-            Sense::Ge | Sense::Eq => n_art += 1,
-            Sense::Le => {}
-        }
-    }
-    let ncols = n + n_slack + n_art;
-    let rhs_col = ncols;
-    let mut t = vec![vec![0.0f64; ncols + 1]; m];
-    let mut basis = vec![usize::MAX; m];
-    let mut slack_idx = n;
-    let mut art_idx = n + n_slack;
-    let mut artificial_cols: Vec<usize> = Vec::new();
+impl Tableau {
+    /// Solves the LP relaxation of `problem` with its variable bounds
+    /// replaced by `bounds` (one `(lower, upper)` pair per variable).
+    pub(crate) fn solve(&mut self, problem: &Problem, bounds: &[(f64, f64)]) -> Outcome {
+        let n = problem.num_vars();
+        debug_assert_eq!(bounds.len(), n);
 
-    for (i, (terms, sense, rhs)) in rows.iter().enumerate() {
-        let (sense, rhs) = (*sense, *rhs);
-        for (j, k) in terms {
-            t[i][*j] += *k;
+        // Objective as a dense vector, negated for minimization.
+        let mut c = vec![0.0f64; n];
+        for (v, k) in problem.objective() {
+            c[v.index()] += *k;
         }
-        t[i][rhs_col] = rhs;
-        match sense {
-            Sense::Le => {
-                t[i][slack_idx] = 1.0;
-                basis[i] = slack_idx;
-                slack_idx += 1;
-            }
-            Sense::Ge => {
-                t[i][slack_idx] = -1.0;
-                slack_idx += 1;
-                t[i][art_idx] = 1.0;
-                basis[i] = art_idx;
-                artificial_cols.push(art_idx);
-                art_idx += 1;
-            }
-            Sense::Eq => {
-                t[i][art_idx] = 1.0;
-                basis[i] = art_idx;
-                artificial_cols.push(art_idx);
-                art_idx += 1;
-            }
+        let sign = match problem.direction() {
+            Direction::Maximize => 1.0,
+            Direction::Minimize => -1.0,
+        };
+        for cj in &mut c {
+            *cj *= sign;
         }
-    }
 
-    // Phase 1: maximize -(sum of artificials).
-    if !artificial_cols.is_empty() {
-        let mut c1 = vec![0.0f64; ncols];
-        for &a in &artificial_cols {
-            c1[a] = -1.0;
-        }
-        let mut zrow = build_zrow(&t, &basis, &c1, ncols);
-        if !pivot_to_optimality(&mut t, &mut basis, &mut zrow, ncols) {
-            // Phase 1 cannot be unbounded (objective bounded by 0); treat
-            // as numerical failure -> infeasible.
-            return RawOutcome::Infeasible;
-        }
-        if zrow[rhs_col] < -EPS {
-            return RawOutcome::Infeasible;
-        }
-        // Drive artificials out of the basis.
-        for i in 0..m {
-            if artificial_cols.contains(&basis[i]) {
-                let mut pivoted = false;
-                for j in 0..n + n_slack {
-                    if t[i][j].abs() > EPS {
-                        pivot(&mut t, &mut basis, &mut zrow, i, j, ncols);
-                        pivoted = true;
-                        break;
+        self.load(problem, bounds);
+        match self.maximize(n, &c) {
+            RawOutcome::Optimal => {
+                let rhs = self.width - 1;
+                let mut values = vec![0.0f64; n];
+                for (i, &b) in self.basis.iter().enumerate() {
+                    if b < n {
+                        values[b] = self.t[i * self.width + rhs];
                     }
                 }
-                if !pivoted {
-                    // Redundant row: zero it (keep artificial basic at 0).
-                    t[i][..=ncols].fill(0.0);
+                let objective = values.iter().zip(c.iter()).map(|(x, k)| x * k).sum::<f64>();
+                Outcome::Optimal(Solution {
+                    values,
+                    objective: objective * sign,
+                })
+            }
+            RawOutcome::Infeasible => Outcome::Infeasible,
+            RawOutcome::Unbounded => Outcome::Unbounded,
+        }
+    }
+
+    /// Fills the phase-1 tableau: the constraints, then the bound rows,
+    /// each normalized to a non-negative rhs. Column layout: `[0, n)`
+    /// structural; then one slack/surplus per inequality; then one
+    /// artificial per `Ge`/`Eq` row; last the rhs.
+    fn load(&mut self, problem: &Problem, bounds: &[(f64, f64)]) {
+        let n = problem.num_vars();
+        let senses = problem
+            .constraints()
+            .iter()
+            .map(|c| (c.sense, c.rhs))
+            .chain(bound_rows(bounds).map(|(_, sense, rhs)| (sense, rhs)))
+            .map(|(sense, rhs)| normalized(sense, rhs).0);
+        let (mut m, mut n_slack, mut n_art) = (0, 0, 0);
+        for sense in senses {
+            m += 1;
+            n_slack += usize::from(sense != Sense::Eq);
+            n_art += usize::from(sense != Sense::Le);
+        }
+        let ncols = n + n_slack + n_art;
+        self.width = ncols + 1;
+        self.t.clear();
+        self.t.resize(m * self.width, 0.0);
+        self.basis.clear();
+        self.basis.resize(m, usize::MAX);
+        self.artificial.clear();
+        self.artificial.resize(ncols, false);
+
+        let mut next = [n, n + n_slack];
+        for (i, c) in problem.constraints().iter().enumerate() {
+            let terms = c.terms.iter().map(|(v, k)| (v.index(), *k));
+            self.fill_row(i, &mut next, terms, c.sense, c.rhs);
+        }
+        let offset = problem.num_constraints();
+        for (i, (j, sense, rhs)) in bound_rows(bounds).enumerate() {
+            self.fill_row(offset + i, &mut next, [(j, 1.0)], sense, rhs);
+        }
+    }
+
+    /// Fills row `i` with `terms sense rhs`, normalized, taking its slack
+    /// and artificial columns from `next` (the next free of each).
+    fn fill_row(
+        &mut self,
+        i: usize,
+        next: &mut [usize; 2],
+        terms: impl IntoIterator<Item = (usize, f64)>,
+        sense: Sense,
+        rhs: f64,
+    ) {
+        let (sense, flip) = normalized(sense, rhs);
+        let w = self.width;
+        let row = &mut self.t[i * w..(i + 1) * w];
+        for (j, k) in terms {
+            row[j] += if flip { -k } else { k };
+        }
+        row[w - 1] = if flip { -rhs } else { rhs };
+        let [slack, art] = next;
+        match sense {
+            Sense::Le => {
+                row[*slack] = 1.0;
+                self.basis[i] = *slack;
+                *slack += 1;
+            }
+            Sense::Ge => {
+                row[*slack] = -1.0;
+                *slack += 1;
+                row[*art] = 1.0;
+                self.basis[i] = *art;
+                self.artificial[*art] = true;
+                *art += 1;
+            }
+            Sense::Eq => {
+                row[*art] = 1.0;
+                self.basis[i] = *art;
+                self.artificial[*art] = true;
+                *art += 1;
+            }
+        }
+    }
+
+    /// Core tableau simplex on the loaded tableau: maximize `c'x` over
+    /// the `n` structural columns, `x >= 0`.
+    fn maximize(&mut self, n: usize, c: &[f64]) -> RawOutcome {
+        let w = self.width;
+        let ncols = w - 1;
+        let m = self.basis.len();
+
+        // Phase 1: maximize -(sum of artificials).
+        if self.artificial.contains(&true) {
+            self.cost.clear();
+            self.cost
+                .extend(self.artificial.iter().map(|&a| if a { -1.0 } else { 0.0 }));
+            self.build_zrow();
+            if !self.pivot_to_optimality() {
+                // Phase 1 cannot be unbounded (objective bounded by 0); treat
+                // as numerical failure -> infeasible.
+                return RawOutcome::Infeasible;
+            }
+            if self.zrow[ncols] < -EPS {
+                return RawOutcome::Infeasible;
+            }
+            // Drive artificials out of the basis.
+            let n_real = self.artificial.iter().position(|&a| a).unwrap_or(ncols);
+            for i in 0..m {
+                if self.artificial[self.basis[i]] {
+                    let row = &self.t[i * w..i * w + n_real];
+                    match row.iter().position(|v| v.abs() > EPS) {
+                        Some(j) => {
+                            self.gather(j);
+                            self.pivot(i, j);
+                        }
+                        // Redundant row: zero it (keep artificial basic at 0).
+                        None => self.t[i * w..(i + 1) * w].fill(0.0),
+                    }
+                }
+            }
+            // Forbid artificials from re-entering: clear their columns.
+            for (j, _) in self.artificial.iter().enumerate().filter(|(_, &a)| a) {
+                for row in self.t.chunks_exact_mut(w) {
+                    row[j] = 0.0;
                 }
             }
         }
-        // Forbid artificials from re-entering: clear their columns.
-        for &a in &artificial_cols {
-            for row in &mut t {
-                row[a] = 0.0;
-            }
+
+        // Phase 2: original objective.
+        self.cost.clear();
+        self.cost.resize(ncols, 0.0);
+        self.cost[..n].copy_from_slice(&c[..n]);
+        self.build_zrow();
+        if !self.pivot_to_optimality() {
+            return RawOutcome::Unbounded;
         }
+        RawOutcome::Optimal
     }
 
-    // Phase 2: original objective.
-    let mut c2 = vec![0.0f64; ncols];
-    c2[..n].copy_from_slice(&c[..n]);
-    let mut zrow = build_zrow(&t, &basis, &c2, ncols);
-    if !pivot_to_optimality(&mut t, &mut basis, &mut zrow, ncols) {
-        return RawOutcome::Unbounded;
-    }
-
-    let mut values = vec![0.0f64; n];
-    for (i, &b) in basis.iter().enumerate() {
-        if b < n {
-            values[b] = t[i][rhs_col];
-        }
-    }
-    let objective = values.iter().zip(c.iter()).map(|(x, k)| x * k).sum::<f64>();
-    RawOutcome::Optimal { values, objective }
-}
-
-/// Builds the reduced-cost row ζ_j = c_B·B⁻¹A_j − c_j and the objective
-/// value in the rhs slot.
-fn build_zrow(t: &[Vec<f64>], basis: &[usize], c: &[f64], ncols: usize) -> Vec<f64> {
-    let mut z = vec![0.0f64; ncols + 1];
-    for (zj, cj) in z.iter_mut().zip(c.iter()) {
-        *zj = -cj;
-    }
-    for (i, &b) in basis.iter().enumerate() {
-        let cb = if b < ncols { c[b] } else { 0.0 };
-        if cb != 0.0 {
-            for j in 0..=ncols {
-                z[j] += cb * t[i][j];
-            }
-        }
-    }
-    z
-}
-
-/// Pivots until all reduced costs are ≥ −EPS. Returns false if unbounded
-/// (or iteration limit hit).
-fn pivot_to_optimality(
-    t: &mut [Vec<f64>],
-    basis: &mut [usize],
-    zrow: &mut [f64],
-    ncols: usize,
-) -> bool {
-    let rhs_col = ncols;
-    for _ in 0..MAX_ITER {
-        // Bland's rule: entering = smallest index with negative reduced cost.
-        let Some(enter) = (0..ncols).find(|&j| zrow[j] < -EPS) else {
-            return true;
-        };
-        // Ratio test with Bland tie-break on smallest basis index.
-        let mut leave: Option<usize> = None;
-        let mut best = f64::INFINITY;
-        for (i, row) in t.iter().enumerate() {
-            if row[enter] > EPS {
-                let ratio = row[rhs_col] / row[enter];
-                let better = ratio < best - EPS
-                    || (ratio < best + EPS && leave.is_none_or(|l| basis[i] < basis[l]));
-                if better {
-                    best = ratio;
-                    leave = Some(i);
+    /// Builds the reduced-cost row ζ_j = c_B·B⁻¹A_j − c_j and the
+    /// objective value in the rhs slot.
+    fn build_zrow(&mut self) {
+        let w = self.width;
+        self.zrow.clear();
+        self.zrow.extend(self.cost.iter().map(|cj| -cj));
+        self.zrow.push(0.0);
+        for (row, &b) in self.t.chunks_exact(w).zip(&self.basis) {
+            let cb = self.cost.get(b).copied().unwrap_or(0.0);
+            if cb != 0.0 {
+                for (zj, tj) in self.zrow.iter_mut().zip(row) {
+                    *zj += cb * tj;
                 }
             }
         }
-        let Some(leave) = leave else {
-            return false; // unbounded
-        };
-        pivot(t, basis, zrow, leave, enter, ncols);
     }
-    false
-}
 
-fn pivot(
-    t: &mut [Vec<f64>],
-    basis: &mut [usize],
-    zrow: &mut [f64],
-    row: usize,
-    col: usize,
-    ncols: usize,
-) {
-    let p = t[row][col];
-    debug_assert!(p.abs() > EPS, "pivot on ~zero element");
-    for v in t[row].iter_mut().take(ncols + 1) {
-        *v /= p;
+    /// Pivots until all reduced costs are ≥ −EPS. Returns false if
+    /// unbounded (or the iteration limit is hit).
+    fn pivot_to_optimality(&mut self) -> bool {
+        let w = self.width;
+        let ncols = w - 1;
+        for _ in 0..MAX_ITER {
+            // Bland's rule: entering = smallest index with negative reduced cost.
+            let Some(enter) = self.zrow[..ncols].iter().position(|&z| z < -EPS) else {
+                return true;
+            };
+            // Ratio test with Bland tie-break on smallest basis index.
+            self.gather(enter);
+            let mut leave: Option<usize> = None;
+            let mut best = f64::INFINITY;
+            for &(i, a) in &self.column {
+                if a > EPS {
+                    let ratio = self.t[i * w + ncols] / a;
+                    let better = ratio < best - EPS
+                        || (ratio < best + EPS
+                            && leave.is_none_or(|l| self.basis[i] < self.basis[l]));
+                    if better {
+                        best = ratio;
+                        leave = Some(i);
+                    }
+                }
+            }
+            let Some(leave) = leave else {
+                return false; // unbounded
+            };
+            self.pivot(leave, enter);
+        }
+        false
     }
-    let pivot_row = t[row].clone();
-    for (i, r) in t.iter_mut().enumerate() {
-        if i != row && r[col].abs() > EPS {
-            let f = r[col];
-            for (v, pv) in r.iter_mut().zip(pivot_row.iter()).take(ncols + 1) {
-                *v -= f * pv;
+
+    /// Gathers column `col`'s entries above `EPS` in magnitude, in row
+    /// order, for the ratio test and the pivot that follows it.
+    fn gather(&mut self, col: usize) {
+        self.column.clear();
+        for (i, row) in self.t.chunks_exact(self.width).enumerate() {
+            if row[col].abs() > EPS {
+                self.column.push((i, row[col]));
             }
         }
     }
-    if zrow[col].abs() > EPS {
-        let f = zrow[col];
-        for (zj, tj) in zrow.iter_mut().zip(t[row].iter()).take(ncols + 1) {
-            *zj -= f * tj;
+
+    /// Pivots column `col` into the basis at `row`; [`Tableau::gather`]
+    /// must have gathered `col` since the last pivot.
+    fn pivot(&mut self, row: usize, col: usize) {
+        let w = self.width;
+        let p = self.t[row * w + col];
+        debug_assert!(p.abs() > EPS, "pivot on ~zero element");
+        self.pivot_nz.clear();
+        for (j, v) in self.t[row * w..(row + 1) * w].iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v /= p;
+                self.pivot_nz.push((j, *v));
+            }
         }
+        for &(i, f) in &self.column {
+            if i != row {
+                let r = &mut self.t[i * w..(i + 1) * w];
+                for &(j, pv) in &self.pivot_nz {
+                    r[j] -= f * pv;
+                }
+            }
+        }
+        let f = self.zrow[col];
+        if f.abs() > EPS {
+            for &(j, pv) in &self.pivot_nz {
+                self.zrow[j] -= f * pv;
+            }
+        }
+        self.basis[row] = col;
     }
-    basis[row] = col;
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! greedy's on any feasible instance, and the branch-and-bound search
 //! statistics stay sane.
 
-use hydra::core::device::DeviceId;
-use hydra::core::layout::{LayoutGraph, LayoutNode, NodeIdx, Objective};
-use hydra::odf::odf::{ConstraintKind, Guid};
+use hydra::core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
+use hydra::core::layout::{GraphDelta, LayoutGraph, LayoutNode, NodeIdx, Objective};
+use hydra::odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
+use hydra::sim::rng::DetRng;
 use proptest::prelude::*;
 
 const DEVICES: usize = 4; // host + 3 programmable devices
@@ -185,4 +186,118 @@ proptest! {
             );
         }
     }
+}
+
+/// Host plus two of every programmable device class, so most Offcodes
+/// have tied optima (either twin of a class serves equally well).
+fn twin_registry() -> DeviceRegistry {
+    let mut reg = DeviceRegistry::new();
+    for make in [
+        DeviceDescriptor::programmable_nic,
+        DeviceDescriptor::smart_disk,
+        DeviceDescriptor::gpu,
+    ] {
+        reg.install(make());
+        reg.install(make());
+    }
+    reg
+}
+
+/// A seeded application: 2..=8 Offcodes with random target classes, each
+/// importing an earlier one (or nothing) under a random constraint, so
+/// the graphs are forests — whole-graph trees and split components both.
+fn pin_graph(rng: &mut DetRng, reg: &DeviceRegistry) -> LayoutGraph {
+    let n = 2 + rng.index(7);
+    let mut odfs = Vec::with_capacity(n);
+    for i in 0..n {
+        let mut odf = OdfDocument::new(format!("oc{i}"), Guid(i as u64 + 1));
+        for id in [class_ids::NETWORK, class_ids::STORAGE, class_ids::GPU] {
+            if rng.chance(0.5) {
+                odf = odf.with_target(DeviceClassSpec {
+                    id,
+                    name: format!("class-{id}"),
+                    bus: None,
+                    mac: None,
+                    vendor: None,
+                });
+            }
+        }
+        if i > 0 && rng.chance(0.85) {
+            odf = odf.with_import(Import {
+                file: String::new(),
+                bind_name: String::new(),
+                guid: Guid(rng.index(i) as u64 + 1),
+                constraint: constraint_from(rng.index(4) as u8),
+                priority: 0,
+            });
+        }
+        odfs.push(odf);
+    }
+    let mut g = LayoutGraph::from_odfs(&odfs, reg).expect("imports name earlier Offcodes");
+    for i in 0..n {
+        g.set_price(NodeIdx(i), 1.0 + rng.index(4) as f64);
+    }
+    g
+}
+
+/// FNV-1a, folded over the canonical text of each result.
+fn fnv1a(hash: &mut u64, text: &str) {
+    for b in text.bytes() {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Pins *which* tied optimum the exact solver returns, and how much
+/// search it takes. The random-graph oracles above and in
+/// `layout_repair.rs` compare objective values only, so a solver change
+/// that picks the other twin NIC, or visits a different number of
+/// nodes, would pass them; it fails this digest. Over 50 seeded
+/// applications on a registry with twin NICs, disks and GPUs, the digest
+/// folds the placement and [`SearchStats`](hydra::ilp::SearchStats) of a
+/// from-scratch `resolve_ilp_with_stats` and of a `repair` after masking
+/// one device.
+#[test]
+fn tied_optima_and_search_effort_are_pinned() {
+    let reg = twin_registry();
+    let devices = reg.len();
+    let mut rng = DetRng::new(0x071e_b4ea);
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for trial in 0..50 {
+        let mut g = pin_graph(&mut rng, &reg);
+        let objective = if rng.chance(0.5) {
+            Objective::MaximizeOffloading
+        } else {
+            Objective::MaximizeBusUsage {
+                capacities: (0..devices).map(|_| 2.0 + rng.index(6) as f64).collect(),
+            }
+        };
+        let (prev, stats) = g
+            .resolve_ilp_with_stats(&objective)
+            .unwrap_or_else(|e| panic!("trial {trial}: solve: {e}"));
+        fnv1a(&mut digest, &format!("{trial} solve {prev} {stats:?}\n"));
+
+        // Mask a device the layout uses when there is one, so the repair
+        // has evicted nodes to re-place.
+        let used: Vec<DeviceId> = prev.0.iter().copied().filter(|d| !d.is_host()).collect();
+        let failed = if used.is_empty() {
+            DeviceId(1 + rng.index(devices - 1) as u32)
+        } else {
+            *rng.choose(&used)
+        };
+        g.mask_device(failed).expect("a device, not the host");
+        let (repaired, stats) = g
+            .repair(&prev, &GraphDelta::MaskDevice(failed), &objective)
+            .unwrap_or_else(|e| panic!("trial {trial}: repair: {e}"));
+        g.check(&repaired)
+            .unwrap_or_else(|e| panic!("trial {trial}: repaired infeasible: {e}"));
+        fnv1a(
+            &mut digest,
+            &format!("{trial} repair {failed} {repaired} {stats:?}\n"),
+        );
+    }
+    assert_eq!(
+        digest, 0x1c11_8424_2b75_20e8,
+        "tie-break digest moved: the solver now returns other tied optima or searches differently"
+    );
 }
