@@ -8,6 +8,7 @@
 //! actually touches on the host.
 
 use std::fmt;
+use std::ops::{Range, RangeInclusive};
 
 /// Whether an access reads or writes the line (writes mark it dirty; a
 /// dirty eviction is counted as a write-back).
@@ -56,11 +57,16 @@ impl CacheConfig {
 
     /// Validates the geometry.
     ///
+    /// Sets are indexed by address bits, as in hardware: the set index is
+    /// the line number's low bits and the tag the bits above them. That
+    /// needs a power-of-two line size *and* a power-of-two set count.
+    ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: sizes must be
-    /// non-zero, the line size a power of two, and the capacity an exact
-    /// multiple of `line_bytes * ways`.
+    /// non-zero, the line size a power of two, the capacity an exact
+    /// multiple of `line_bytes * ways`, and the resulting set count a power
+    /// of two.
     pub fn validate(&self) -> Result<(), String> {
         if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
             return Err(format!(
@@ -76,6 +82,12 @@ impl CacheConfig {
                 "size_bytes {} must be a positive multiple of line_bytes*ways = {}",
                 self.size_bytes,
                 self.line_bytes * self.ways
+            ));
+        }
+        if !self.sets().is_power_of_two() {
+            return Err(format!(
+                "set count {} (size_bytes / (line_bytes*ways)) must be a power of two",
+                self.sets()
             ));
         }
         Ok(())
@@ -130,6 +142,10 @@ impl CacheStats {
 
 /// A set-associative LRU cache model.
 ///
+/// The lines live in one flat `sets × ways` array, set-major, and an
+/// address is split into line number, set index and tag with shifts and
+/// a mask (hence [`CacheConfig::validate`]'s power-of-two rule).
+///
 /// # Examples
 ///
 /// ```
@@ -142,7 +158,14 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// `sets × ways` lines; set `s` occupies `[s * ways, (s + 1) * ways)`.
+    lines: Vec<Line>,
+    /// log2 of the line size: byte address → line number.
+    line_shift: u32,
+    /// log2 of the set count: line number → tag.
+    set_shift: u32,
+    /// `sets - 1`: line number → set index.
+    set_mask: u64,
     stamp: u64,
     stats: CacheStats,
 }
@@ -157,10 +180,13 @@ impl Cache {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid cache config: {e}"));
-        let sets = vec![vec![EMPTY_LINE; config.ways]; config.sets()];
+        let sets = config.sets();
         Cache {
             config,
-            sets,
+            lines: vec![EMPTY_LINE; sets * config.ways],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -181,44 +207,62 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn index_of(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+    /// The ways of the set that line number `line` maps to, and its tag.
+    fn set_of(&self, line: u64) -> (Range<usize>, u64) {
+        let base = (line & self.set_mask) as usize * self.config.ways;
+        (base..base + self.config.ways, line >> self.set_shift)
+    }
+
+    /// The line numbers covering `[addr, addr + len)`; `len` is non-zero.
+    fn lines_of(&self, addr: u64, len: usize) -> RangeInclusive<u64> {
+        (addr >> self.line_shift)..=((addr + len as u64 - 1) >> self.line_shift)
     }
 
     /// Performs one access at byte address `addr`.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
+        self.access_line(addr >> self.line_shift, kind)
+    }
+
+    /// One access to line number `line`. A single pass over the set finds
+    /// the hit, the first invalid way and the least-recently-used way; a
+    /// miss fills the first invalid way, else evicts the LRU one.
+    #[inline]
+    fn access_line(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
         self.stamp += 1;
         let stamp = self.stamp;
-        let (set_idx, tag) = self.index_of(addr);
-        let set = &mut self.sets[set_idx];
+        let (ways, tag) = self.set_of(line);
+        let set = &mut self.lines[ways];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = stamp;
-            if kind == AccessKind::Write {
-                line.dirty = true;
+        let mut invalid = None;
+        let mut lru = 0;
+        let mut lru_stamp = u64::MAX;
+        for (i, l) in set.iter_mut().enumerate() {
+            if !l.valid {
+                if invalid.is_none() {
+                    invalid = Some(i);
+                }
+            } else if l.tag == tag {
+                l.lru = stamp;
+                if kind == AccessKind::Write {
+                    l.dirty = true;
+                }
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            } else if l.lru < lru_stamp {
+                lru_stamp = l.lru;
+                lru = i;
             }
-            self.stats.hits += 1;
-            return AccessOutcome::Hit;
         }
 
         self.stats.misses += 1;
-        // Choose a victim: an invalid way if any, else the LRU way.
-        let victim = match set.iter().position(|l| !l.valid) {
+        let victim = match invalid {
             Some(i) => i,
             None => {
-                let (i, _) = set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.lru)
-                    .expect("ways > 0 by construction");
                 self.stats.evictions += 1;
-                if set[i].dirty {
+                if set[lru].dirty {
                     self.stats.write_backs += 1;
                 }
-                i
+                lru
             }
         };
         set[victim] = Line {
@@ -236,12 +280,9 @@ impl Cache {
         if len == 0 {
             return 0;
         }
-        let line = self.config.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + len as u64 - 1) / line;
         let mut misses = 0;
-        for l in first..=last {
-            if self.access(l * line, kind) == AccessOutcome::Miss {
+        for line in self.lines_of(addr, len) {
+            if self.access_line(line, kind) == AccessOutcome::Miss {
                 misses += 1;
             }
         }
@@ -250,8 +291,8 @@ impl Cache {
 
     /// True if the line containing `addr` is present.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index_of(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (ways, tag) = self.set_of(addr >> self.line_shift);
+        self.lines[ways].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Invalidates every line whose address falls in `[addr, addr + len)`,
@@ -261,13 +302,10 @@ impl Cache {
         if len == 0 {
             return 0;
         }
-        let line = self.config.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + len as u64 - 1) / line;
         let mut invalidated = 0;
-        for l in first..=last {
-            let (set_idx, tag) = self.index_of(l * line);
-            if let Some(entry) = self.sets[set_idx]
+        for line in self.lines_of(addr, len) {
+            let (ways, tag) = self.set_of(line);
+            if let Some(entry) = self.lines[ways]
                 .iter_mut()
                 .find(|e| e.valid && e.tag == tag)
             {
@@ -283,22 +321,17 @@ impl Cache {
 
     /// Invalidates every line, counting write-backs of dirty lines.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.valid && line.dirty {
-                    self.stats.write_backs += 1;
-                }
-                *line = EMPTY_LINE;
+        for line in &mut self.lines {
+            if line.valid && line.dirty {
+                self.stats.write_backs += 1;
             }
+            *line = EMPTY_LINE;
         }
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 
@@ -444,6 +477,26 @@ mod tests {
             line_bytes: 64,
             ways: 2,
         });
+    }
+
+    #[test]
+    fn set_count_must_be_a_power_of_two() {
+        // 384 B / (64 B * 2 ways) = 3 sets: every size rule but the
+        // set-count one holds.
+        let cfg = CacheConfig {
+            size_bytes: 384,
+            line_bytes: 64,
+            ways: 2,
+        };
+        assert_eq!(cfg.sets(), 3);
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("set count 3"), "{err}");
+        assert!(CacheConfig {
+            size_bytes: 512,
+            ..cfg
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]

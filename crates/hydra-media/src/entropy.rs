@@ -5,7 +5,7 @@
 //! end-of-block marker — the same scheme (minus Huffman tables) real MPEG
 //! uses.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 use crate::transform::ZIGZAG;
 
@@ -33,17 +33,24 @@ impl std::fmt::Display for EntropyError {
 
 impl std::error::Error for EntropyError {}
 
-/// Writes an unsigned LEB128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+/// Writes `v` as an unsigned LEB128 varint into `out` at `at`, returning
+/// the position just past it.
+#[inline]
+fn write_varint(out: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[at] = (v & 0x7f) as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+        at += 1;
     }
+    out[at] = v as u8;
+    at + 1
+}
+
+/// Writes an unsigned LEB128 varint.
+pub fn put_varint(buf: &mut BytesMut, v: u64) {
+    let mut out = [0u8; 10];
+    let n = write_varint(&mut out, 0, v);
+    buf.extend_from_slice(&out[..n]);
 }
 
 /// Reads an unsigned LEB128 varint.
@@ -80,24 +87,42 @@ pub fn zz_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// The most bytes one block can code to: 64 `(run, level)` pairs of a
+/// one-byte run (< 64) and an at most five-byte level (a zigzagged `i32`
+/// fits 32 bits), plus the one-byte end-of-block marker.
+const MAX_BLOCK_BYTES: usize = 64 * (1 + 5) + 1;
+
 /// Encodes a quantized 8×8 block into `buf`. Returns the number of
 /// non-zero coefficients (which the decode-cost model charges for).
+///
+/// A bit mask of the non-zero coefficients in scan order drives the
+/// loop, so each zero run is one `trailing_zeros` rather than a branch
+/// per coefficient. Runs and the end-of-block marker (64) are below 128,
+/// so each is a one-byte varint. The symbols are staged in a stack
+/// buffer and appended with one copy.
 pub fn encode_block(buf: &mut BytesMut, block: &[i32; 64]) -> u32 {
-    let mut run = 0u32;
-    let mut nonzero = 0u32;
-    for &idx in &ZIGZAG {
-        let c = block[idx];
-        if c == 0 {
-            run += 1;
-        } else {
-            put_varint(buf, u64::from(run));
-            put_varint(buf, zz_encode(i64::from(c)));
-            run = 0;
-            nonzero += 1;
-        }
+    let mut mask = 0u64;
+    for (k, &idx) in ZIGZAG.iter().enumerate() {
+        mask |= u64::from(block[idx] != 0) << k;
+    }
+    let nonzero = mask.count_ones();
+    let mut out = [0u8; MAX_BLOCK_BYTES];
+    let mut n = 0;
+    let mut next = 0;
+    while mask != 0 {
+        let k = mask.trailing_zeros();
+        mask &= mask - 1;
+        out[n] = (k - next) as u8;
+        n = write_varint(
+            &mut out,
+            n + 1,
+            zz_encode(i64::from(block[ZIGZAG[k as usize]])),
+        );
+        next = k + 1;
     }
     // End of block: a run that reaches past the last coefficient.
-    put_varint(buf, 64);
+    out[n] = 64;
+    buf.extend_from_slice(&out[..=n]);
     nonzero
 }
 

@@ -6,6 +6,15 @@
 //! P-frames genuinely compress and the codec's rate behaviour resembles
 //! real MPEG on real content.
 
+/// Panics unless both dimensions are positive multiples of 8 (the codec's
+/// block size).
+fn check_dimensions(width: usize, height: usize) {
+    assert!(
+        width > 0 && height > 0 && width.is_multiple_of(8) && height.is_multiple_of(8),
+        "frame dimensions must be positive multiples of 8"
+    );
+}
+
 /// One uncompressed frame.
 ///
 /// # Examples
@@ -31,10 +40,7 @@ impl RawFrame {
     /// Panics if either dimension is zero or not a multiple of 8 (the
     /// codec's block size).
     pub fn filled(width: usize, height: usize, value: u8) -> Self {
-        assert!(
-            width > 0 && height > 0 && width.is_multiple_of(8) && height.is_multiple_of(8),
-            "frame dimensions must be positive multiples of 8"
-        );
+        check_dimensions(width, height);
         RawFrame {
             width,
             height,
@@ -50,9 +56,12 @@ impl RawFrame {
     /// invalid.
     pub fn from_pixels(width: usize, height: usize, pixels: Vec<u8>) -> Self {
         assert_eq!(pixels.len(), width * height, "pixel count mismatch");
-        let mut f = Self::filled(width, height, 0);
-        f.pixels = pixels;
-        f
+        check_dimensions(width, height);
+        RawFrame {
+            width,
+            height,
+            pixels,
+        }
     }
 
     /// Frame width in pixels.
@@ -166,6 +175,21 @@ pub fn psnr(a: &RawFrame, b: &RawFrame) -> f64 {
     }
 }
 
+/// Sets `row[x] = value` for every `x` with `(x - cx)² + dy² <= r²`,
+/// which is exactly the span `|x - cx| <= isqrt(r² - dy²)`.
+fn paint_disc_row(row: &mut [u8], cx: i64, dy: i64, r: i64, value: u8) {
+    let room = r * r - dy * dy;
+    if room < 0 {
+        return;
+    }
+    let half = room.isqrt();
+    let lo = (cx - half).max(0);
+    let hi = (cx + half).min(row.len() as i64 - 1);
+    if lo <= hi {
+        row[lo as usize..=hi as usize].fill(value);
+    }
+}
+
 /// A deterministic synthetic video source.
 ///
 /// # Examples
@@ -196,8 +220,41 @@ impl SyntheticVideo {
     pub fn frame(&self, index: u64) -> RawFrame {
         let w = self.width as i64;
         let h = self.height as i64;
-        let mut pixels = Vec::with_capacity(self.width * self.height);
         // Disc centres orbit the frame.
+        let t = index as f64 * 0.12;
+        let cx1 = (w as f64 / 2.0 + (w as f64 / 3.0) * t.cos()) as i64;
+        let cy1 = (h as f64 / 2.0 + (h as f64 / 3.0) * t.sin()) as i64;
+        let cx2 = (w as f64 / 2.0 + (w as f64 / 4.0) * (1.7 * t).sin()) as i64;
+        let cy2 = (h as f64 / 2.0 + (h as f64 / 4.0) * (1.3 * t).cos()) as i64;
+        let r1 = (w.min(h) / 6).max(2);
+        let r2 = (w.min(h) / 8).max(2);
+        // The background gradient, split into its column and row terms.
+        let column: Vec<i64> = (0..w).map(|x| (x * 192) / w).collect();
+        let mut pixels = vec![0u8; self.width * self.height];
+        for (y, out) in (0..h).zip(pixels.chunks_exact_mut(self.width)) {
+            // Smooth background gradient, slowly drifting.
+            let row = (y * 40) / h + (index % 16) as i64;
+            for (p, &col) in out.iter_mut().zip(&column) {
+                *p = (col + row).clamp(0, 255) as u8;
+            }
+            // The discs, in order: the second covers the first.
+            paint_disc_row(out, cx1, y - cy1, r1, 230);
+            paint_disc_row(out, cx2, y - cy2, r2, 30);
+        }
+        RawFrame::from_pixels(self.width, self.height, pixels)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-pixel definition that [`SyntheticVideo::frame`] renders
+    /// row by row: its oracle.
+    fn frame_by_pixel(width: usize, height: usize, index: u64) -> Vec<u8> {
+        let w = width as i64;
+        let h = height as i64;
+        let mut pixels = Vec::with_capacity(width * height);
         let t = index as f64 * 0.12;
         let cx1 = (w as f64 / 2.0 + (w as f64 / 3.0) * t.cos()) as i64;
         let cy1 = (h as f64 / 2.0 + (h as f64 / 3.0) * t.sin()) as i64;
@@ -207,7 +264,6 @@ impl SyntheticVideo {
         let r2 = (w.min(h) / 8).max(2);
         for y in 0..h {
             for x in 0..w {
-                // Smooth background gradient, slowly drifting.
                 let bg = (x * 192) / w + (y * 40) / h + (index % 16) as i64;
                 let mut v = bg.clamp(0, 255);
                 let d1 = (x - cx1).pow(2) + (y - cy1).pow(2);
@@ -221,13 +277,22 @@ impl SyntheticVideo {
                 pixels.push(v as u8);
             }
         }
-        RawFrame::from_pixels(self.width, self.height, pixels)
+        pixels
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn frame_matches_per_pixel_definition() {
+        for (w, h) in [(8, 8), (16, 8), (64, 32), (176, 144), (40, 160)] {
+            let video = SyntheticVideo::new(w, h);
+            for index in [0, 1, 7, 16, 40, 99, 1000] {
+                assert_eq!(
+                    video.frame(index).pixels(),
+                    &frame_by_pixel(w, h, index)[..],
+                    "{w}x{h} frame {index}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn get_set_round_trip() {

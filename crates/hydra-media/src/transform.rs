@@ -129,17 +129,26 @@ const fn build_zigzag() -> [usize; 64] {
 }
 
 /// Quantizes transform coefficients in place: symmetric division by `q`
-/// with rounding toward nearest.
+/// with rounding toward nearest, `sign(c) * ((|c| + q/2) / q)`.
+///
+/// The division is an exact reciprocal multiply: with `m = ceil(2^48 / q)`
+/// and `n = |c| + q/2 < 2^32`, `floor(n * m / 2^48) == floor(n / q)` for
+/// every `q` in `1..=u16::MAX`, because `m * q - 2^48 < q <= 2^16` keeps the
+/// error term `n * (m * q - 2^48) / (q * 2^48)` below `1 / q`. The product
+/// needs up to 80 bits, hence `u128`. Working in 64 bits also means `|c|` near
+/// `i32::MAX` (or `c == i32::MIN`) no longer overflows.
 ///
 /// # Panics
 ///
 /// Panics if `q` is zero.
 pub fn quantize(block: &mut [i32; 64], q: u16) {
     assert!(q > 0, "quantizer step must be positive");
-    let q = i32::from(q);
+    let half = u64::from(q / 2);
+    let m = u128::from((1u64 << 48).div_ceil(u64::from(q)));
     for c in block.iter_mut() {
-        let sign = if *c < 0 { -1 } else { 1 };
-        *c = sign * ((c.abs() + q / 2) / q);
+        let n = u64::from(c.unsigned_abs()) + half;
+        let mag = ((u128::from(n) * m) >> 48) as i64;
+        *c = (if *c < 0 { -mag } else { mag }) as i32;
     }
 }
 

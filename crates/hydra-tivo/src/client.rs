@@ -21,7 +21,7 @@ use hydra_devices::disk::SmartDiskModel;
 use hydra_devices::gpu::GpuModel;
 use hydra_devices::host::HostModel;
 use hydra_devices::nic::NicModel;
-use hydra_hw::cache::AccessKind;
+use hydra_hw::cache::{AccessKind, CacheStats};
 use hydra_hw::cpu::Cycles;
 use hydra_hw::irq::IrqDecision;
 use hydra_hw::mem::Region;
@@ -132,6 +132,8 @@ pub struct ClientRun {
     pub bytes_stored: u64,
     /// Host-bus transactions over the run (footnote 2's currency).
     pub bus_transactions: u64,
+    /// The host L2's counters at the end of the run.
+    pub l2: CacheStats,
 }
 
 /// Calibration constants for the user-space client's kernel paths; see
@@ -156,15 +158,21 @@ struct StreamSource {
     next: usize,
 }
 
+/// The stream the server loops, in decode order: 50 frames of
+/// [`SyntheticVideo`] at the client's geometry, coded IBBP at quantizer 6.
+pub fn stream_frames(cfg: &ClientConfig) -> Vec<EncodedFrame> {
+    let video = SyntheticVideo::new(cfg.width, cfg.height);
+    let raw: Vec<_> = (0..50).map(|i| video.frame(i)).collect();
+    Encoder::new(CodecConfig {
+        quantizer: 6,
+        gop: GopConfig::ibbp(),
+    })
+    .encode_sequence(&raw)
+}
+
 impl StreamSource {
     fn new(cfg: &ClientConfig) -> Self {
-        let video = SyntheticVideo::new(cfg.width, cfg.height);
-        let raw: Vec<_> = (0..50).map(|i| video.frame(i)).collect();
-        let frames = Encoder::new(CodecConfig {
-            quantizer: 6,
-            gop: GopConfig::ibbp(),
-        })
-        .encode_sequence(&raw);
+        let frames = stream_frames(cfg);
         let mut chunker = Chunker::new(cfg.packet_bytes);
         let chunks = frames.iter().flat_map(|f| chunker.chunk_frame(f)).collect();
         StreamSource {
@@ -174,26 +182,14 @@ impl StreamSource {
         }
     }
 
-    /// The next arriving chunk, looping forever; also reports the frame
+    /// The next arriving chunk's length, looping forever, and the frame
     /// that *completes* with this chunk, if any.
-    fn next_chunk(&mut self) -> (usize, Option<usize>) {
-        let idx = self.next;
+    fn next_chunk(&mut self) -> (usize, Option<&EncodedFrame>) {
+        let chunk = &self.chunks[self.next];
         self.next = (self.next + 1) % self.chunks.len();
-        let chunk = &self.chunks[idx];
-        let completes = if chunk.offset as usize + chunk.data.len() == chunk.total_len as usize {
-            Some(chunk.frame_id as usize % self.frames.len())
-        } else {
-            None
-        };
-        (idx, completes)
-    }
-
-    fn chunk_len(&self, idx: usize) -> usize {
-        self.chunks[idx].data.len()
-    }
-
-    fn frame(&self, idx: usize) -> &EncodedFrame {
-        &self.frames[idx]
+        let completes = (chunk.offset as usize + chunk.data.len() == chunk.total_len as usize)
+            .then(|| &self.frames[chunk.frame_id as usize % self.frames.len()]);
+        (chunk.data.len(), completes)
     }
 }
 
@@ -203,7 +199,6 @@ struct World {
     gpu: GpuModel,
     disk: SmartDiskModel,
     disk_nas: NasServer,
-    source: StreamSource,
     cfg: ClientConfig,
     // Host buffers (user-space path).
     rx_bufs: Vec<Region>,
@@ -236,7 +231,6 @@ impl World {
         let jitter_rng = hydra_sim::rng::DetRng::new(cfg.seed).split(0xA221);
         let mut host = HostModel::paper_host(cfg.seed ^ 0xC11E);
         host.bus = hydra_hw::bus::Bus::new(cfg.bus);
-        let source = StreamSource::new(&cfg);
         let rx_bufs = (0..32)
             .map(|i| host.space.alloc(&format!("rx{i}"), cfg.packet_bytes))
             .collect();
@@ -255,7 +249,6 @@ impl World {
             gpu: GpuModel::new(),
             disk,
             disk_nas,
-            source,
             cfg,
             rx_bufs,
             rx_next: 0,
@@ -319,10 +312,9 @@ impl World {
 fn user_space_packet(
     world: &mut World,
     arrival: SimTime,
-    chunk_idx: usize,
-    completes: Option<usize>,
+    len: usize,
+    completes: Option<&EncodedFrame>,
 ) {
-    let len = world.source.chunk_len(chunk_idx);
     // NIC receive + DMA into the kernel ring.
     let rx = world.nic.rx_process(arrival, len);
     let kbuf = world.rx_bufs[world.rx_next];
@@ -375,9 +367,8 @@ fn user_space_packet(
     world.host.mem.touch(meta, AccessKind::Write);
     let mut t = out.end;
     // If a frame completed: software decode + blit to the GPU.
-    if let Some(fidx) = completes {
-        let frame = world.source.frame(fidx).clone();
-        let cycles = DecodeCostModel::software().cycles(&frame);
+    if let Some(frame) = completes {
+        let cycles = DecodeCostModel::software().cycles(frame);
         // The decoder only reconstructs coded blocks; skipped blocks stay
         // in place in the reference, so the memory traffic scales with
         // the coded fraction of the frame.
@@ -407,10 +398,9 @@ fn user_space_packet(
 fn offloaded_packet(
     world: &mut World,
     arrival: SimTime,
-    chunk_idx: usize,
-    completes: Option<usize>,
+    len: usize,
+    completes: Option<&EncodedFrame>,
 ) {
-    let len = world.source.chunk_len(chunk_idx);
     // NIC Streamer Offcode: classify and forward to both peers.
     let rx = world.nic.rx_process(arrival, len);
     let work = world.nic.offcode_work(rx.end, len, Cycles::new(400));
@@ -422,9 +412,8 @@ fn offloaded_packet(
     // Smart disk stores asynchronously via its own NFS path.
     world.disk_store(to_disk.end, len);
     // GPU-side Decoder Offcode: hardware decode when a frame completes.
-    if let Some(fidx) = completes {
-        let frame = world.source.frame(fidx).clone();
-        world.gpu.hw_decode(to_gpu.end, &frame);
+    if let Some(frame) = completes {
+        world.gpu.hw_decode(to_gpu.end, frame);
         world.gpu.display();
         world.frames_decoded += 1;
     }
@@ -438,6 +427,8 @@ pub fn run_client(cfg: ClientConfig) -> ClientRun {
     let sample_period = cfg.sample_period;
     let period = cfg.period;
     let end = SimTime::ZERO + duration;
+    // The idle client receives no stream, so it never encodes one.
+    let source = (kind != ClientKind::Idle).then(|| StreamSource::new(&cfg));
     let mut sim = Sim::new(World::new(cfg));
 
     sim.every(SimTime::ZERO, SimDuration::from_millis(1), move |sim| {
@@ -451,19 +442,19 @@ pub fn run_client(cfg: ClientConfig) -> ClientRun {
         now < end
     });
 
-    if kind != ClientKind::Idle {
+    if let Some(mut source) = source {
         sim.every(SimTime::ZERO + period, period, move |sim| {
             let now = sim.now();
             // Arrival jitter from the (offloaded) server: tens of µs.
             let jitter = sim.model_mut().jitter_rng.next_below(60);
             let arrival = now + SimDuration::from_micros(jitter);
-            let (chunk_idx, completes) = sim.model_mut().source.next_chunk();
+            let (len, completes) = source.next_chunk();
             match kind {
                 ClientKind::UserSpace => {
-                    user_space_packet(sim.model_mut(), arrival, chunk_idx, completes);
+                    user_space_packet(sim.model_mut(), arrival, len, completes);
                 }
                 ClientKind::Offloaded => {
-                    offloaded_packet(sim.model_mut(), arrival, chunk_idx, completes);
+                    offloaded_packet(sim.model_mut(), arrival, len, completes);
                 }
                 ClientKind::Idle => unreachable!("idle schedules no stream"),
             }
@@ -481,6 +472,7 @@ pub fn run_client(cfg: ClientConfig) -> ClientRun {
         frames_decoded: world.frames_decoded,
         bytes_stored: world.bytes_stored,
         bus_transactions: world.host.bus.transactions(),
+        l2: world.host.mem.cache().stats(),
     }
 }
 
@@ -548,13 +540,14 @@ mod tests {
         let kind = cfg.kind;
         let end = SimTime::ZERO + cfg.duration;
         // Re-run inline so we can inspect the world.
+        let mut source = StreamSource::new(&cfg);
         let mut sim = Sim::new(World::new(cfg));
         let period = SimDuration::from_millis(5);
         sim.every(SimTime::ZERO + period, period, move |sim| {
             let now = sim.now();
-            let (c, f) = sim.model_mut().source.next_chunk();
+            let (len, f) = source.next_chunk();
             match kind {
-                ClientKind::Offloaded => offloaded_packet(sim.model_mut(), now, c, f),
+                ClientKind::Offloaded => offloaded_packet(sim.model_mut(), now, len, f),
                 _ => unreachable!(),
             }
             now < end

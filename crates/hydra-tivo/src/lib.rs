@@ -31,7 +31,7 @@ pub use certify::{
     certify_service_table, certify_set, demo_certify_odfs, observe_declared, stats_certify_odfs,
     stats_observation, stats_overlay, tivo_certify_odfs, Observation, ObservedChannel,
 };
-pub use client::{run_client, ClientConfig, ClientKind, ClientRun};
+pub use client::{run_client, stream_frames, ClientConfig, ClientKind, ClientRun};
 pub use components::{register_tivo_client, tivo_client_odfs, tivo_server_odfs, TivoComponent};
 pub use demo::demo_deployment;
 pub use faults::{fault_demo_odfs, fault_demo_plan, run_fault_demo};

@@ -21,7 +21,7 @@
 
 use hydra_devices::host::HostModel;
 use hydra_devices::nic::NicModel;
-use hydra_hw::cache::AccessKind;
+use hydra_hw::cache::{AccessKind, CacheStats};
 use hydra_hw::cpu::Cycles;
 use hydra_hw::mem::Region;
 use hydra_net::link::{Link, LinkSpec};
@@ -113,6 +113,8 @@ pub struct ServerRun {
     pub l2_miss_rate: Samples,
     /// Packets that reached the client.
     pub packets_delivered: u64,
+    /// The host L2's counters at the end of the run.
+    pub l2: CacheStats,
 }
 
 /// Calibration constants for the user-space kernel path. These stand in
@@ -418,6 +420,7 @@ pub fn run_server(cfg: ServerConfig) -> ServerRun {
         cpu_util: world.cpu_util,
         l2_miss_rate: world.l2_rate,
         packets_delivered: world.meter.received(),
+        l2: world.host.mem.cache().stats(),
     }
 }
 

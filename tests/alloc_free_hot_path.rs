@@ -1,5 +1,5 @@
-//! Zero heap allocations per message on the channel and device hot
-//! paths.
+//! Zero heap allocations per message on the channel, device, host-memory
+//! and codec hot paths.
 //!
 //! A counting global allocator tallies every allocation made on the
 //! current thread. After a warm-up that grows every ring, queue and
@@ -8,7 +8,10 @@
 //! cost-adaptive channel), `Channel::recv` and device busy-time charges
 //! on the demo runtime must allocate nothing:
 //! every recorder update on these paths goes through a pre-resolved
-//! handle, and every trace event carries an interned label.
+//! handle, and every trace event carries an interned label. So must the
+//! host model's background tick, CPU copy, buffer touch and DMA
+//! invalidation (the L2 model's whole surface), and `encode_block` into a
+//! buffer reserved up front.
 //!
 //! The count is per thread, so the tests in this binary can run in
 //! parallel without seeing each other's allocations.
@@ -16,11 +19,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use hydra_core::channel::{AdaptivePolicy, BatchSendOutcome, ChannelConfig, RetryPolicy};
 use hydra_core::device::DeviceId;
+use hydra_devices::host::HostModel;
 use hydra_devices::nic::NicModel;
 use hydra_devices::DeviceTracer;
+use hydra_hw::cache::AccessKind;
+use hydra_media::entropy::encode_block;
 use hydra_sim::time::{SimDuration, SimTime};
 use hydra_tivo::demo::demo_deployment;
 
@@ -163,4 +169,60 @@ fn device_busy_charges_allocate_nothing() {
     assert_eq!(allocs, 0, "device busy-time charges allocated");
     let snap = rt.recorder().snapshot();
     assert!(snap.counter("device.busy_ns", "device-2").unwrap_or(0) >= 1_100 * 500);
+}
+
+#[test]
+fn host_memory_paths_allocate_nothing() {
+    let rt = demo_deployment();
+    let mut host = HostModel::paper_host(7);
+    host.set_recorder(rt.recorder().clone());
+    let src = host.space.alloc("src", 16 * 1024);
+    let dst = host.space.alloc("dst", 16 * 1024);
+    let buf = host.space.alloc("buf", 8 * 1024);
+    let mut step = |i: u64| {
+        let now = SimTime::from_millis(i);
+        host.background_tick(now);
+        host.cpu_copy(now, src, dst, src.len());
+        host.mem.touch(buf, AccessKind::Write);
+        host.mem.dma_transfer(dst);
+    };
+    for i in 0..100 {
+        step(i);
+    }
+    let allocs = allocations(|| {
+        for i in 100..2_100 {
+            step(i);
+        }
+    });
+    assert_eq!(allocs, 0, "host tick, copy, touch or DMA allocated");
+    let l2 = host.mem.cache().stats();
+    assert!(
+        l2.evictions > 0 && l2.write_backs > 0,
+        "daemon walks churned the L2"
+    );
+}
+
+#[test]
+fn encode_block_into_reserved_buffer_allocates_nothing() {
+    // A dense block whose levels span one- to five-byte varints.
+    let mut block = [0i32; 64];
+    for (i, c) in block.iter_mut().enumerate() {
+        *c = if i % 3 == 0 {
+            0
+        } else {
+            (i as i32 - 32) << (i % 29)
+        };
+    }
+    let per_block = block.iter().filter(|&&c| c != 0).count() as u32;
+    let blocks = 1_000;
+    let mut out = BytesMut::with_capacity(blocks * 400);
+    let mut nonzero = 0;
+    let allocs = allocations(|| {
+        for _ in 0..blocks {
+            nonzero += encode_block(&mut out, &block);
+        }
+    });
+    assert_eq!(allocs, 0, "encode_block allocated");
+    assert_eq!(nonzero, blocks as u32 * per_block);
+    assert!(out.len() > blocks * 64);
 }
