@@ -17,12 +17,11 @@
 //! JSON — diagnostics plus the bound certificate — byte-identical
 //! across runs over the same inputs.
 
-use std::fs;
-
 use hydra_tivo::certify::{certify_service_table, certify_set};
+use hydra_verify::diag::escape;
 use hydra_verify::{Certification, CertifyInput, Severity, VerifyInput};
 
-use crate::lint::{parse_deployment_file, testbed_table};
+use crate::lint::{check_deployment_file, testbed_table};
 
 /// One certified deployment: a name (built-in set or file path) and the
 /// six-pass certification for it.
@@ -57,24 +56,13 @@ fn certify_odfs(
 /// failures become `HV009` diagnostics in a `parse` pass, never a
 /// panic; whatever parsed is still certified.
 pub fn certify_file(path: &str) -> CertifyResult {
-    let (odfs, parse_diags) = match fs::read_to_string(path) {
-        Ok(text) => parse_deployment_file(&text),
-        Err(e) => (
-            Vec::new(),
-            vec![hydra_verify::Diagnostic::new(
-                hydra_verify::HvCode::ParseError,
-                hydra_verify::Loc::Set,
-                format!("cannot read file: {e}"),
-            )],
-        ),
-    };
-    let mut certification = certify_odfs(&odfs, None);
-    if !parse_diags.is_empty() {
-        certification.report.absorb("parse", 1, parse_diags);
-    }
     CertifyResult {
         name: path.to_owned(),
-        certification,
+        certification: check_deployment_file(
+            path,
+            |odfs| certify_odfs(odfs, None),
+            |c| &mut c.report,
+        ),
     }
 }
 
@@ -132,8 +120,8 @@ pub fn render_json(results: &[CertifyResult]) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"summary\":\"{}\",\"report\":{},\"certificate\":{}}}",
-            json_escape(&r.name),
-            json_escape(&r.certification.report.summary()),
+            escape(&r.name),
+            escape(&r.certification.report.summary()),
             r.certification.report.to_json(),
             r.certification.certificate.to_json()
         ));
@@ -172,21 +160,6 @@ pub fn render_human(results: &[CertifyResult]) -> String {
                 "device {} ({}): utilization <= {} permille\n",
                 d.index, d.name, d.permille
             ));
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out

@@ -50,7 +50,7 @@ fn usage_error(err: &mut dyn Write, message: &str) -> io::Result<Run> {
 }
 
 /// Every selector the binary understands, with its one-line description.
-pub(crate) const SELECTORS: &[(&str, &str)] = &[
+const SELECTORS: &[(&str, &str)] = &[
     ("fig1", "the GHz/Gbps TCP processing model (Figure 1)"),
     ("fig9", "server jitter CDFs + Table 2 (alias: tab2)"),
     ("tab2", "alias for fig9"),

@@ -122,25 +122,3 @@ pub const ARTIFACTS: &[Artifact] = &[
     )
     .failing_with(&["HV050"]),
 ];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every row reaches a `run` selector; the full round trip of each
-    /// row lives in the root `artifact_gate` and `report_manifest` tests.
-    #[test]
-    fn every_manifest_row_dispatches_and_unknown_names_do_not() {
-        for row in ARTIFACTS {
-            let command = row.argv[0];
-            assert!(
-                cli::SELECTORS.iter().any(|(name, _)| *name == command),
-                "{command}: run() has no selector for the row"
-            );
-        }
-        let (mut out, mut err) = (Vec::new(), Vec::new());
-        let unknown = run(&["bench", "no-such-bench"], &mut out, &mut err).expect("buffers");
-        let err = String::from_utf8(err).expect("utf-8");
-        assert!(!unknown.ok && out.is_empty() && err.contains("unknown bench selector"));
-    }
-}

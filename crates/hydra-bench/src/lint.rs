@@ -17,6 +17,7 @@ use std::fs;
 use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
 use hydra_odf::odf::OdfDocument;
 use hydra_odf::xml;
+use hydra_verify::diag::escape;
 use hydra_verify::{Diagnostic, HvCode, Loc, Report, Severity, VerifyInput};
 
 /// One linted deployment: a name (built-in target or file path) and the
@@ -54,7 +55,7 @@ fn verify_set(odfs: &[OdfDocument]) -> Report {
 /// Parses a lint input file: either a single `<offcode>` document or a
 /// `<deployment>` element wrapping several of them. Documents that fail
 /// to parse become `HV009` diagnostics; the rest are still verified.
-pub(crate) fn parse_deployment_file(text: &str) -> (Vec<OdfDocument>, Vec<Diagnostic>) {
+fn parse_deployment_file(text: &str) -> (Vec<OdfDocument>, Vec<Diagnostic>) {
     let mut odfs = Vec::new();
     let mut diags = Vec::new();
     match xml::parse(text) {
@@ -96,9 +97,16 @@ pub(crate) fn parse_deployment_file(text: &str) -> (Vec<OdfDocument>, Vec<Diagno
     (odfs, diags)
 }
 
-/// Lints one file from disk. Unreadable files and parse failures are
-/// reported as `HV009` diagnostics in a `parse` pass, never a panic.
-pub fn lint_file(path: &str) -> LintResult {
+/// Reads and parses the deployment file at `path`, runs `check` on
+/// whatever parsed, and folds an unreadable file or parse failures into
+/// the checked result's report (reached through `report`) as `HV009`
+/// diagnostics in a `parse` pass — never a panic. Shared by `lint` and
+/// `certify`.
+pub(crate) fn check_deployment_file<T>(
+    path: &str,
+    check: impl FnOnce(&[OdfDocument]) -> T,
+    report: impl FnOnce(&mut T) -> &mut Report,
+) -> T {
     let (odfs, parse_diags) = match fs::read_to_string(path) {
         Ok(text) => parse_deployment_file(&text),
         Err(e) => (
@@ -110,13 +118,19 @@ pub fn lint_file(path: &str) -> LintResult {
             )],
         ),
     };
-    let mut report = verify_set(&odfs);
+    let mut checked = check(&odfs);
     if !parse_diags.is_empty() {
-        report.absorb("parse", 1, parse_diags);
+        report(&mut checked).absorb("parse", 1, parse_diags);
     }
+    checked
+}
+
+/// Lints one file from disk. Unreadable files and parse failures are
+/// reported as `HV009` diagnostics in a `parse` pass, never a panic.
+pub fn lint_file(path: &str) -> LintResult {
     LintResult {
         name: path.to_owned(),
-        report,
+        report: check_deployment_file(path, verify_set, |r| r),
     }
 }
 
@@ -163,8 +177,8 @@ pub fn render_json(results: &[LintResult]) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"summary\":\"{}\",\"report\":{}}}",
-            json_escape(&r.name),
-            json_escape(&r.report.summary()),
+            escape(&r.name),
+            escape(&r.report.summary()),
             r.report.to_json()
         ));
     }
@@ -187,21 +201,6 @@ pub fn render_human(results: &[LintResult]) -> String {
     for r in results {
         out.push_str(&format!("== {} ==\n", r.name));
         out.push_str(&r.report.render_human());
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

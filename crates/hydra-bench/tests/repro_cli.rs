@@ -195,3 +195,30 @@ fn faults_rejects_extra_arguments_with_usage() {
         assert!(out.stdout.is_empty(), "nothing on stdout on failure");
     }
 }
+
+/// Plans whose stall windows reach past the end of simulated time, or
+/// whose wedged ring slots sum past `usize::MAX`, run to completion
+/// instead of overflowing.
+#[test]
+fn faults_survives_plans_at_the_limits_of_its_integers() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let plans = [
+        "at 18446744073709551615ns device 1 stall 1s",
+        "at 1ms device 1 stall 18446744073709551615ns",
+        "at 1ms device 1 ring-exhaustion 18446744073709551615\n\
+         at 2ms device 1 ring-exhaustion 18446744073709551615",
+    ];
+    for (i, event) in plans.into_iter().enumerate() {
+        let path = dir.join(format!("hostile_{i}.faults"));
+        std::fs::write(&path, format!("seed 1\n{event}\n")).expect("plan writes");
+        let out = repro(&["faults", path.to_str().expect("UTF-8 path")]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{event}: {err}");
+        let json = String::from_utf8(out.stdout).expect("UTF-8");
+        assert!(
+            json.starts_with('{') && json.trim_end().ends_with('}'),
+            "{event}: {json}"
+        );
+        assert!(json.contains("\"schedule\""), "{event}: {json}");
+    }
+}

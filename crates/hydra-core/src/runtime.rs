@@ -56,9 +56,6 @@ pub struct RuntimeConfig {
     pub solver: SolverKind,
     /// Offcode loading strategy (§4.2).
     pub load_strategy: LoadStrategy,
-    /// Flight-recorder capacity in trace events; older events are evicted
-    /// (and counted) once the ring is full.
-    pub flight_capacity: usize,
     /// Run the static verifier (`hydra-verify`) as a pre-flight gate in
     /// [`Runtime::create_offcode`] and reject deployments with
     /// error-severity diagnostics before anything is linked. On by
@@ -86,7 +83,6 @@ impl Default for RuntimeConfig {
             objective: Objective::MaximizeOffloading,
             solver: SolverKind::Ilp,
             load_strategy: LoadStrategy::HostSideLink,
-            flight_capacity: hydra_obs::trace::DEFAULT_FLIGHT_CAPACITY,
             verify_deployments: true,
             certify_deployments: false,
             health: HealthPolicy::default(),
@@ -258,7 +254,6 @@ impl Runtime {
             .map(|(_, d)| DeviceMemoryAllocator::new(0x1_0000, d.offcode_memory))
             .collect();
         let recorder = Recorder::new();
-        recorder.set_flight_capacity(config.flight_capacity);
         let mut executive = ChannelExecutive::with_default_providers();
         executive.set_recorder(recorder.clone());
         let health = HealthMonitor::new(config.health, allocators.len());
@@ -645,22 +640,6 @@ impl Runtime {
         }
     }
 
-    /// Convenience: `create_offcode` by bind name.
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::create_offcode`]; also fails if the name is unknown.
-    pub fn create_offcode_by_name(
-        &mut self,
-        bind_name: &str,
-        now: SimTime,
-    ) -> Result<OffcodeId, RuntimeError> {
-        let guid = self
-            .lookup_bind_name(bind_name)
-            .ok_or_else(|| RuntimeError::Rejected(format!("unknown bind name '{bind_name}'")))?;
-        self.create_offcode(guid, now)
-    }
-
     /// The not-yet-deployed transitive import closure of `guid`, root
     /// first, plus the closure's ODFs with imports narrowed to the set
     /// (imports of already-deployed Offcodes were satisfied at their own
@@ -776,24 +755,6 @@ impl Runtime {
             "",
             report.count(hydra_verify::Severity::Warning) as u64,
         );
-    }
-
-    /// Statically verifies the deployment closure of `guid` without
-    /// deploying anything. Runs the full certification (all six passes,
-    /// including flow bounds and ring-race analysis) and returns its
-    /// report — a superset of what the default pre-flight gate inside
-    /// [`Runtime::create_offcode`] acts on.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if an Offcode in the closure is missing from the depot;
-    /// verifier findings are returned in the report, not as errors.
-    pub fn verify_deployment(
-        &self,
-        guid: Guid,
-        now: SimTime,
-    ) -> Result<hydra_verify::Report, RuntimeError> {
-        Ok(self.certify_deployment(guid, now)?.report)
     }
 
     /// Certifies the deployment closure of `guid` without deploying
@@ -1885,7 +1846,10 @@ mod tests {
             });
         rt.register_offcode(a, || Counter::boxed(1, "a")).unwrap();
         rt.register_offcode(b, || Counter::boxed(1, "b")).unwrap();
-        let report = rt.verify_deployment(Guid(1), SimTime::ZERO).unwrap();
+        let report = rt
+            .certify_deployment(Guid(1), SimTime::ZERO)
+            .unwrap()
+            .report;
         assert!(report.has_errors());
         assert!(report
             .errors()
@@ -1910,7 +1874,10 @@ mod tests {
             || Counter::boxed(1, "ok"),
         )
         .unwrap();
-        let report = rt.verify_deployment(Guid(1), SimTime::ZERO).unwrap();
+        let report = rt
+            .certify_deployment(Guid(1), SimTime::ZERO)
+            .unwrap()
+            .report;
         assert!(!report.has_errors());
         assert!(rt.create_offcode(Guid(1), SimTime::ZERO).is_ok());
     }
@@ -2044,13 +2011,8 @@ mod tests {
 
     #[test]
     fn trace_export_spans_devices_and_respects_flight_capacity() {
-        let mut rt = Runtime::new(
-            full_registry(),
-            RuntimeConfig {
-                flight_capacity: 8,
-                ..RuntimeConfig::default()
-            },
-        );
+        let mut rt = Runtime::new(full_registry(), RuntimeConfig::default());
+        rt.recorder().set_flight_capacity(8);
         assert_eq!(rt.recorder().flight_capacity(), 8);
         rt.register_offcode(
             OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),

@@ -16,7 +16,7 @@ use hydra_net::link::{Link, LinkSpec};
 use hydra_net::nfs::{FileHandle, NasServer, NfsError, NfsRequest, NfsResponse};
 use hydra_obs::{Recorder, TraceCtx};
 use hydra_sim::fault::FaultInjector;
-use hydra_sim::time::{SimDuration, SimTime};
+use hydra_sim::time::SimTime;
 
 use crate::trace::{busy_if, hop_if, DeviceTracer, LINK_BUSY_NS};
 
@@ -427,17 +427,12 @@ impl SmartDiskModel {
     pub fn backing_size(&self, nas: &NasServer) -> Option<u64> {
         self.backing.and_then(|fh| nas.file_size(fh))
     }
-
-    /// Typical per-block end-to-end latency (controller + NAS round trip),
-    /// useful for pacing decisions.
-    pub fn nominal_block_latency(&self) -> SimDuration {
-        SimDuration::from_micros(200)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_sim::time::SimDuration;
 
     #[test]
     fn write_then_read_round_trips() {

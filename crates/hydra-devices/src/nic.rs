@@ -264,42 +264,6 @@ impl NicModel {
         (r, ctx)
     }
 
-    /// [`NicModel::dma_to_host`] extending a causal chain: records a
-    /// `nic.dma` hop when the descriptor-ring transfer completes.
-    pub fn dma_to_host_traced(
-        &mut self,
-        now: SimTime,
-        bus: &mut Bus,
-        region: Region,
-        ctx: TraceCtx,
-    ) -> (BusXfer, IrqDecision, TraceCtx) {
-        let bytes = region.len() as u64;
-        let (xfer, decision) = self.dma_to_host(now, bus, region);
-        let ctx = hop_if(&self.tracer, ctx, "nic.dma", "to-host", xfer.end, bytes);
-        (xfer, decision, ctx)
-    }
-
-    /// [`NicModel::dma_to_host_batch`] extending a causal chain: one
-    /// `nic.dma_batch` hop for the whole vectored completion.
-    pub fn dma_to_host_batch_traced(
-        &mut self,
-        now: SimTime,
-        bus: &mut Bus,
-        regions: &[Region],
-        ctx: TraceCtx,
-    ) -> Option<(BusXfer, IrqDecision, TraceCtx)> {
-        let (xfer, decision) = self.dma_to_host_batch(now, bus, regions)?;
-        let ctx = hop_if(
-            &self.tracer,
-            ctx,
-            "nic.dma_batch",
-            "to-host",
-            xfer.end,
-            xfer.bytes as u64,
-        );
-        Some((xfer, decision, ctx))
-    }
-
     /// [`NicModel::forward_to_peer`] extending a causal chain: records a
     /// `nic.forward` hop when the last bus transaction lands at the peer.
     pub fn forward_to_peer_traced(

@@ -56,13 +56,6 @@ impl DeviceTracer {
         self.pid
     }
 
-    /// The device's metric label: `host` for pid 0, else `device-N` —
-    /// the same names the Chrome trace export gives the process rows,
-    /// so Perfetto counter tracks attach to the right process.
-    pub fn device_label(&self) -> &str {
-        &self.label
-    }
-
     /// Charges `dur` of busy time to this device's
     /// [`DEVICE_BUSY_NS`] utilization counter.
     pub fn busy(&self, dur: SimDuration) {

@@ -257,7 +257,6 @@ pub struct NasServer {
     files: HashMap<FileHandle, Vec<u8>>,
     paths: HashMap<String, FileHandle>,
     next_handle: u64,
-    requests: u64,
 }
 
 impl Default for NasServer {
@@ -274,7 +273,6 @@ impl NasServer {
             files: HashMap::new(),
             paths: HashMap::new(),
             next_handle: 1,
-            requests: 0,
         }
     }
 
@@ -287,11 +285,6 @@ impl NasServer {
         fh
     }
 
-    /// Total requests served.
-    pub fn requests_served(&self) -> u64 {
-        self.requests
-    }
-
     /// Current size of the file behind `fh`, if it exists.
     pub fn file_size(&self, fh: FileHandle) -> Option<u64> {
         self.files.get(&fh).map(|f| f.len() as u64)
@@ -299,7 +292,6 @@ impl NasServer {
 
     /// Handles one request, returning the response and the service time.
     pub fn handle(&mut self, req: &NfsRequest) -> (NfsResponse, SimDuration) {
-        self.requests += 1;
         let mut data_bytes = 0usize;
         let resp = match req {
             NfsRequest::Lookup { path } => match self.paths.get(path) {

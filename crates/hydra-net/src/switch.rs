@@ -67,7 +67,6 @@ pub struct SwitchStats {
 #[derive(Debug, Clone)]
 pub struct Switch {
     ports: Vec<Link>,
-    stations: Vec<MacAddr>,
     mac_table: HashMap<MacAddr, PortId>,
     queue_capacity: usize,
     /// Pending departures per port, pruned lazily: (departure instant).
@@ -91,7 +90,6 @@ impl Switch {
         );
         Switch {
             ports: Vec::new(),
-            stations: Vec::new(),
             mac_table: HashMap::new(),
             queue_capacity,
             in_flight: Vec::new(),
@@ -105,19 +103,9 @@ impl Switch {
     pub fn add_port(&mut self, station: MacAddr) -> PortId {
         let id = PortId(self.ports.len());
         self.ports.push(Link::new(self.spec_template));
-        self.stations.push(station);
         self.mac_table.insert(station, id);
         self.in_flight.push(Vec::new());
         id
-    }
-
-    /// The station attached to `port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port does not exist.
-    pub fn station_at(&self, port: PortId) -> MacAddr {
-        self.stations[port.0]
     }
 
     /// Counters.

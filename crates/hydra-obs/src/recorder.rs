@@ -402,11 +402,6 @@ impl Recorder {
         self.with(|r| r.flight.capacity())
     }
 
-    /// Events evicted from the flight recorder so far.
-    pub fn trace_events_dropped(&self) -> u64 {
-        self.with(|r| r.flight.dropped())
-    }
-
     /// Starts a new causal trace with a root *send* event, returning the
     /// [`TraceCtx`] to stamp onto the in-flight message. `label` is a
     /// `&str` or a [`TraceLabel`] from [`Recorder::trace_label`], as in

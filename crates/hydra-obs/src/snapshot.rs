@@ -402,7 +402,8 @@ impl MetricsSnapshot {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// A JSON string literal for `s`, quotes included.
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -554,11 +554,6 @@ impl<M> Sim<M> {
         }
     }
 
-    /// Which scheduler this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.sched.kind()
-    }
-
     /// The scheduler's self-profile (resize counts, occupancy
     /// high-water, current geometry) — see [`SchedStats`].
     pub fn sched_stats(&self) -> SchedStats {
@@ -692,12 +687,6 @@ impl<M> Sim<M> {
                 }
             }
         }
-    }
-
-    /// Runs for a relative span of simulated time (see [`Sim::run_until`]).
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now.saturating_add(span);
-        self.run_until(deadline);
     }
 
     /// Schedules a periodic action starting at `start` with the given

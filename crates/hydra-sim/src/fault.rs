@@ -274,7 +274,10 @@ impl FaultPlan {
                     } else {
                         rng.next_below(jitter_bound + 1)
                     });
-                    stalls.push((e.at, e.at + duration + jitter));
+                    // A hostile plan may place the window at the end of
+                    // time; the stall then simply never ends.
+                    let end = e.at.saturating_add(duration).saturating_add(jitter);
+                    stalls.push((e.at, end));
                 }
                 FaultKind::LossBurst { frames } => {
                     bursts.push((e.at, frames));
@@ -398,14 +401,14 @@ impl FaultInjector {
     }
 
     /// How many descriptor-ring slots are wedged at `now` (summed over
-    /// all ring-exhaustion events that have struck).
+    /// all ring-exhaustion events that have struck, saturating: no ring
+    /// has `usize::MAX` slots to lose).
     #[must_use]
     pub fn wedged_slots(&self, now: SimTime) -> usize {
         self.rings
             .iter()
             .filter(|&&(start, _)| start <= now)
-            .map(|&(_, slots)| slots)
-            .sum()
+            .fold(0, |sum, &(_, slots)| sum.saturating_add(slots))
     }
 
     /// Whether any fault at all is active or pending — lets hot paths
@@ -500,6 +503,30 @@ mod tests {
             .expect("parses")
             .injector(1);
         assert_eq!(other.crash_time(), a.crash_time());
+    }
+
+    #[test]
+    fn stall_windows_saturate_at_the_end_of_time() {
+        let at_end = FaultPlan::parse("seed 1\nat 18446744073709551615ns device 1 stall 1s\n")
+            .expect("parses")
+            .injector(1);
+        assert!(at_end.stall_penalty(SimTime::MAX).is_zero(), "empty window");
+        let endless = FaultPlan::parse("seed 1\nat 1ms device 1 stall 18446744073709551615ns\n")
+            .expect("parses")
+            .injector(1);
+        assert_eq!(
+            endless.stall_penalty(SimTime::from_millis(2)),
+            SimTime::MAX.duration_since(SimTime::from_millis(2)),
+            "the window runs to the end of time"
+        );
+    }
+
+    #[test]
+    fn wedged_slots_saturate() {
+        let plan = "seed 1\nat 1ms device 1 ring-exhaustion 18446744073709551615\n\
+                    at 2ms device 1 ring-exhaustion 18446744073709551615\n";
+        let inj = FaultPlan::parse(plan).expect("parses").injector(1);
+        assert_eq!(inj.wedged_slots(SimTime::from_millis(2)), usize::MAX);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{
     BinaryHeapScheduler, CalendarQueue, EventId, SchedEntry, SchedStats, Scheduler, SchedulerKind,

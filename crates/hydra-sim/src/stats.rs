@@ -7,7 +7,7 @@
 //! [`Histogram`] for binned distributions, and [`TimeWeighted`] for
 //! utilization-style gauges integrated over simulated time.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An exact sample set with summary statistics.
 ///
@@ -378,95 +378,6 @@ impl TimeWeighted {
     }
 }
 
-/// A monotonically increasing event counter with rate queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// The current count.
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-
-    /// Events per second over the window `[start, now]`.
-    ///
-    /// Returns 0 for an empty window.
-    pub fn rate(&self, start: SimTime, now: SimTime) -> f64 {
-        let span = now.saturating_duration_since(start);
-        if span.is_zero() {
-            0.0
-        } else {
-            self.count as f64 / span.as_secs_f64()
-        }
-    }
-}
-
-/// Periodic sampler helper: converts a stream of `(time, value)` samples
-/// taken every `period` into a [`Samples`] set, mirroring the paper's
-/// "samples were taken every 5 seconds" methodology.
-#[derive(Debug, Clone)]
-pub struct PeriodicSampler {
-    period: SimDuration,
-    next_due: SimTime,
-    samples: Samples,
-}
-
-impl PeriodicSampler {
-    /// Creates a sampler that first fires at `start + period`.
-    pub fn new(start: SimTime, period: SimDuration) -> Self {
-        PeriodicSampler {
-            period,
-            next_due: start + period,
-            samples: Samples::new(),
-        }
-    }
-
-    /// True if a sample is due at `now`.
-    pub fn due(&self, now: SimTime) -> bool {
-        now >= self.next_due
-    }
-
-    /// Records `value` if due; advances the schedule. Returns whether a
-    /// sample was taken.
-    pub fn offer(&mut self, now: SimTime, value: f64) -> bool {
-        if !self.due(now) {
-            return false;
-        }
-        self.samples.record(value);
-        while self.next_due <= now {
-            self.next_due += self.period;
-        }
-        true
-    }
-
-    /// The samples collected so far.
-    pub fn samples(&self) -> &Samples {
-        &self.samples
-    }
-
-    /// Consumes the sampler, returning its samples.
-    pub fn into_samples(self) -> Samples {
-        self.samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,32 +470,5 @@ mod tests {
         let mut g = TimeWeighted::new(SimTime::ZERO, 1.0);
         g.reset(SimTime::from_secs(10));
         assert!((g.mean_until(SimTime::from_secs(20)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.add(500);
-        assert_eq!(c.rate(SimTime::ZERO, SimTime::from_secs(5)), 100.0);
-        assert_eq!(c.rate(SimTime::ZERO, SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn periodic_sampler_respects_period() {
-        let mut s = PeriodicSampler::new(SimTime::ZERO, SimDuration::from_secs(5));
-        assert!(!s.offer(SimTime::from_secs(4), 1.0));
-        assert!(s.offer(SimTime::from_secs(5), 2.0));
-        assert!(!s.offer(SimTime::from_secs(9), 3.0));
-        assert!(s.offer(SimTime::from_secs(10), 4.0));
-        assert_eq!(s.samples().values(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn periodic_sampler_skips_missed_slots() {
-        let mut s = PeriodicSampler::new(SimTime::ZERO, SimDuration::from_secs(5));
-        assert!(s.offer(SimTime::from_secs(17), 1.0));
-        // Next due should be 20s, not 10s.
-        assert!(!s.offer(SimTime::from_secs(19), 2.0));
-        assert!(s.offer(SimTime::from_secs(20), 3.0));
     }
 }

@@ -73,13 +73,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Renders the instant as fractional microseconds (`"12.345"`) using
-    /// pure integer arithmetic — the unit the Chrome trace-event format's
-    /// `ts` field expects, rendered deterministically (no floating point).
-    pub fn as_micros_display(self) -> String {
-        format!("{}.{:03}", self.0 / 1_000, self.0 % 1_000)
-    }
-
     /// Returns the instant as (truncated) milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000

@@ -453,8 +453,9 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn escape(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control chars),
+/// without the surrounding quotes.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
