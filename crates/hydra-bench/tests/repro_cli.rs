@@ -222,3 +222,21 @@ fn faults_survives_plans_at_the_limits_of_its_integers() {
         assert!(json.contains("\"schedule\""), "{event}: {json}");
     }
 }
+
+/// A document nested far past the XML parser's depth bound is an
+/// `HV009` parse error for `lint` and `certify`, not a stack overflow.
+#[test]
+fn deeply_nested_xml_is_a_parse_error_not_an_abort() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("nested_100000.xml");
+    let levels = 100_000;
+    std::fs::write(&path, "<a>".repeat(levels) + &"</a>".repeat(levels)).expect("file writes");
+    for cmd in ["lint", "certify"] {
+        let out = repro(&[cmd, path.to_str().expect("UTF-8 path")]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(err.contains("HV009"), "{cmd}: {err}");
+        let json = String::from_utf8(out.stdout).expect("UTF-8");
+        assert!(json.contains("HV009"), "{cmd}: {json}");
+        assert!(json.contains("deeper than"), "{cmd}: {json}");
+    }
+}

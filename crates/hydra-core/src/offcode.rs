@@ -192,12 +192,8 @@ pub fn synthetic_object(bind_name: &str, code_bytes: usize, data_bytes: usize) -
     // Deterministic pseudo-code derived from the name, so different
     // Offcodes produce different images.
     let seed: u64 = bind_name.bytes().map(u64::from).sum();
-    let text: Vec<u8> = (0..code_bytes)
-        .map(|i| ((i as u64).wrapping_mul(31).wrapping_add(seed) % 251) as u8)
-        .collect();
-    let data: Vec<u8> = (0..data_bytes)
-        .map(|i| ((i as u64).wrapping_mul(17).wrapping_add(seed) % 251) as u8)
-        .collect();
+    let text = periodic_bytes(code_bytes, 31, seed);
+    let data = periodic_bytes(data_bytes, 17, seed);
     let mut obj = HofObject::new(bind_name)
         .with_section(Section::text(text))
         .with_section(Section::data(data))
@@ -231,6 +227,26 @@ pub fn synthetic_object(bind_name: &str, code_bytes: usize, data_bytes: usize) -
             });
     }
     obj
+}
+
+/// The period of [`periodic_bytes`]: byte `i` depends only on `i mod 251`.
+const BYTE_PERIOD: usize = 251;
+
+/// `len` bytes where byte `i` is `(i·step + seed) mod 251`.
+///
+/// Since `(i + 251)·step ≡ i·step (mod 251)`, the sequence repeats every
+/// 251 bytes: one period is computed with the formula and the rest is
+/// copied, instead of a multiply and a division per byte.
+fn periodic_bytes(len: usize, step: u64, seed: u64) -> Vec<u8> {
+    let period: Vec<u8> = (0..len.min(BYTE_PERIOD) as u64)
+        .map(|i| (i.wrapping_mul(step).wrapping_add(seed) % BYTE_PERIOD as u64) as u8)
+        .collect();
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let take = (len - out.len()).min(period.len());
+        out.extend_from_slice(&period[..take]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -299,6 +315,43 @@ mod tests {
         // Different names produce different images.
         let other = synthetic_object("tivo.Decoder", 4096, 512);
         assert_ne!(obj.sections[0].bytes, other.sections[0].bytes);
+    }
+
+    /// The per-byte formula the one-period build replaces.
+    fn per_byte(len: usize, step: u64, seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((i as u64).wrapping_mul(step).wrapping_add(seed) % 251) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn one_period_build_equals_the_per_byte_formula() {
+        let long = "x".repeat(10_000);
+        let names = [
+            "",
+            "a",
+            "tivo.Streamer",
+            long.as_str(),
+            "dévice.Überträger",
+            "設備.ストリーム",
+            "\u{10FFFF}\u{1F600}",
+        ];
+        for name in names {
+            let seed: u64 = name.bytes().map(u64::from).sum();
+            for len in [0, 1, 250, 251, 252, 1024, 8192] {
+                let obj = synthetic_object(name, len, len);
+                assert_eq!(
+                    obj.sections[0].bytes,
+                    per_byte(len, 31, seed),
+                    "{name:?} text {len}"
+                );
+                assert_eq!(
+                    obj.sections[1].bytes,
+                    per_byte(len, 17, seed),
+                    "{name:?} data {len}"
+                );
+            }
+        }
     }
 
     #[test]

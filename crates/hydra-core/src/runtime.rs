@@ -15,7 +15,7 @@
 //! descriptor (the runtime hands them back from [`Runtime::invoke`] and
 //! [`Runtime::pump`]).
 
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 
 use bytes::Bytes;
@@ -118,6 +118,29 @@ impl DepotEntry {
     }
 }
 
+/// The verdicts of the last [`Runtime::certify_deployment`], which
+/// [`Runtime::create_offcode`]'s gate reuses for the same root and
+/// closure while nothing its passes read has changed.
+///
+/// The passes read the closure's ODFs and depot objects, the device
+/// table, the runtime config and (for the quantitative passes) the
+/// executive's provider table. The devices and config are fixed at
+/// [`Runtime::new`]; every depot insert and deployed-set change bumps
+/// [`Runtime::generation`]; the provider table, reachable through
+/// [`Runtime::executive_mut`], is compared by value.
+#[derive(Debug)]
+struct GateVerdict {
+    root: Guid,
+    order: Vec<Guid>,
+    generation: u64,
+    services: hydra_verify::ServiceTable,
+    /// The four structural passes' report (the gate's verdict when only
+    /// `verify_deployments` is on).
+    structural: hydra_verify::Report,
+    /// The full six-pass report (the verdict under `certify_deployments`).
+    certified: hydra_verify::Report,
+}
+
 impl std::fmt::Debug for DepotEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DepotEntry")
@@ -186,6 +209,11 @@ pub struct Runtime {
     /// retires a slot without recycling it.
     instances: Vec<Option<Instance>>,
     deployed_by_guid: HashMap<Guid, OffcodeId>,
+    /// Bumped by every change to `depot` or `deployed_by_guid`, the
+    /// mutable inputs of a deployment closure's verification.
+    generation: u64,
+    /// The last certification's verdicts (see [`GateVerdict`]).
+    gate: RefCell<Option<GateVerdict>>,
     allocators: Vec<DeviceMemoryAllocator>,
     /// Receiver bindings per channel, indexed by [`ChannelId::idx`].
     connections: Vec<Option<Vec<(usize, OffcodeId)>>>,
@@ -268,6 +296,8 @@ impl Runtime {
             bind_names: HashMap::new(),
             instances: vec![None], // ids start at 1; slot 0 stays empty
             deployed_by_guid: HashMap::new(),
+            generation: 0,
+            gate: RefCell::new(None),
             device_work: vec![Cycles::ZERO; allocators.len()],
             allocators,
             connections: Vec::new(),
@@ -494,6 +524,7 @@ impl Runtime {
                 object: OnceCell::new(),
             },
         );
+        self.generation += 1;
         Ok(())
     }
 
@@ -559,12 +590,19 @@ impl Runtime {
             .span("deploy.closure", &root_label, now, order.len() as u64);
 
         // 2. Static pre-flight verification (on by default): reject
-        // provably broken deployments before anything is linked.
+        // provably broken deployments before anything is linked. A
+        // certification of this very closure reads the same inputs, so
+        // its verdict stands in for running the passes again.
         if self.config.verify_deployments {
-            let report = if self.config.certify_deployments {
-                self.run_certifier(guid, &order, &odfs, now).report
-            } else {
-                self.run_verifier(guid, &order, &odfs, now)
+            let report = match self.cached_gate(guid, &order) {
+                Some(report) => {
+                    self.record_verify_report(guid, now, &report);
+                    report
+                }
+                None if self.config.certify_deployments => {
+                    self.run_certifier(guid, &order, &odfs, now).report
+                }
+                None => self.run_verifier(guid, &order, &odfs, now),
             };
             if report.has_errors() {
                 let rendered: Vec<String> = report.errors().map(ToString::to_string).collect();
@@ -715,7 +753,7 @@ impl Runtime {
             .map(|g| u64::from(self.depot[g].object().load_size()))
             .collect();
         let roots = [root];
-        let cert = hydra_verify::certify(&hydra_verify::CertifyInput {
+        let input = hydra_verify::CertifyInput {
             verify: hydra_verify::VerifyInput {
                 odfs,
                 devices: &table,
@@ -724,9 +762,35 @@ impl Runtime {
             },
             services: &services,
             overlay: None,
-        });
+        };
+        let structural = hydra_verify::structural(&input.verify);
+        let structural_report = structural.report.clone();
+        let cert = hydra_verify::certify_structural(structural, &input);
         self.record_verify_report(root, now, &cert.report);
+        *self.gate.borrow_mut() = Some(GateVerdict {
+            root,
+            order: order.to_vec(),
+            generation: self.generation,
+            services,
+            structural: structural_report,
+            certified: cert.report.clone(),
+        });
         cert
+    }
+
+    /// The gate's verdict on `root`'s closure `order` from the last
+    /// certification, if it certified this closure and none of the
+    /// passes' inputs has changed since (see [`GateVerdict`]).
+    fn cached_gate(&self, root: Guid, order: &[Guid]) -> Option<hydra_verify::Report> {
+        let gate = self.gate.borrow();
+        let verdict = gate.as_ref()?;
+        if verdict.root != root || verdict.generation != self.generation || verdict.order != order {
+            return None;
+        }
+        if !self.config.certify_deployments {
+            return Some(verdict.structural.clone());
+        }
+        (verdict.services == self.executive.service_table()).then(|| verdict.certified.clone())
     }
 
     /// Feeds a verification/certification report's pass statistics into
@@ -920,6 +984,7 @@ impl Runtime {
             plan,
         }));
         self.deployed_by_guid.insert(guid, id);
+        self.generation += 1;
         Ok(id)
     }
 
@@ -1536,6 +1601,7 @@ impl Runtime {
             return false;
         };
         self.deployed_by_guid.remove(&inst.guid);
+        self.generation += 1;
         let _ = self.resources.release(inst.resource);
         self.executive.destroy(inst.oob);
         if let Some(slot) = self.connections.get_mut(inst.oob.idx()) {
@@ -2044,5 +2110,199 @@ mod tests {
         assert!(rt
             .register_offcode(OdfDocument::new("b", Guid(1)), || Counter::boxed(1, "b"))
             .is_err());
+    }
+
+    /// `create_offcode`'s gate reusing the last certification.
+    mod gate {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn register(
+            rt: &mut Runtime,
+            guid: u64,
+            target: u32,
+            imports: &[(u64, ConstraintKind)],
+        ) -> Result<(), RuntimeError> {
+            let name = format!("g.N{guid}");
+            let mut odf = OdfDocument::new(name.clone(), Guid(guid)).with_target(class(target));
+            for &(to, constraint) in imports {
+                odf = odf.with_import(Import {
+                    file: String::new(),
+                    bind_name: format!("g.N{to}"),
+                    guid: Guid(to),
+                    constraint,
+                    priority: 0,
+                });
+            }
+            rt.register_offcode(odf, move || Counter::boxed(guid, &name))
+        }
+
+        /// Guid 1 Pull-imports 2; 3 stands alone.
+        fn with_set(config: RuntimeConfig) -> Runtime {
+            let mut rt = Runtime::new(full_registry(), config);
+            let nic = class_ids::NETWORK;
+            register(&mut rt, 1, nic, &[(2, ConstraintKind::Pull)]).unwrap();
+            register(&mut rt, 2, nic, &[]).unwrap();
+            register(&mut rt, 3, nic, &[]).unwrap();
+            rt
+        }
+
+        /// Whether the gate would reuse a verdict for `root`'s closure now.
+        fn hit(rt: &Runtime, root: u64) -> bool {
+            let (order, _) = rt.deployment_closure(Guid(root)).unwrap();
+            rt.cached_gate(Guid(root), &order).is_some()
+        }
+
+        fn certify(rt: &Runtime, root: u64) {
+            rt.certify_deployment(Guid(root), SimTime::ZERO).unwrap();
+        }
+
+        #[test]
+        fn certification_serves_the_next_gate_with_fresh_counters() {
+            let mut cached = with_set(RuntimeConfig::default());
+            let mut fresh = with_set(RuntimeConfig::default());
+            for rt in [&mut cached, &mut fresh] {
+                certify(rt, 1);
+            }
+            assert!(hit(&cached, 1));
+            assert!(!hit(&cached, 3), "another root's closure is not served");
+            fresh.gate.replace(None);
+            let a = cached.create_offcode(Guid(1), SimTime::ZERO).unwrap();
+            let b = fresh.create_offcode(Guid(1), SimTime::ZERO).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(cached.metrics_snapshot(), fresh.metrics_snapshot());
+        }
+
+        #[test]
+        fn register_invalidates_the_gate() {
+            let mut rt = with_set(RuntimeConfig::default());
+            certify(&rt, 1);
+            assert!(hit(&rt, 1));
+            register(&mut rt, 4, class_ids::NETWORK, &[]).unwrap();
+            assert!(!hit(&rt, 1));
+        }
+
+        #[test]
+        fn deploy_invalidates_the_gate() {
+            let mut rt = with_set(RuntimeConfig::default());
+            certify(&rt, 1);
+            assert!(hit(&rt, 1));
+            rt.create_offcode(Guid(3), SimTime::ZERO).unwrap();
+            assert!(!hit(&rt, 1));
+        }
+
+        #[test]
+        fn teardown_invalidates_the_gate() {
+            let mut rt = with_set(RuntimeConfig::default());
+            let id = rt.create_offcode(Guid(3), SimTime::ZERO).unwrap();
+            certify(&rt, 1);
+            assert!(hit(&rt, 1));
+            assert!(rt.teardown(id));
+            assert!(!hit(&rt, 1));
+        }
+
+        #[test]
+        fn provider_change_invalidates_only_the_certifying_gate() {
+            let certifying = RuntimeConfig {
+                certify_deployments: true,
+                ..RuntimeConfig::default()
+            };
+            let mut rt = with_set(certifying);
+            certify(&rt, 1);
+            assert!(hit(&rt, 1));
+            crate::providers::install_extras(rt.executive_mut());
+            assert!(!hit(&rt, 1));
+            // The structural passes never read the provider table.
+            let mut rt = with_set(RuntimeConfig::default());
+            certify(&rt, 1);
+            crate::providers::install_extras(rt.executive_mut());
+            assert!(hit(&rt, 1));
+        }
+
+        /// Registers Offcode `guid` of a random five-Offcode set: it may
+        /// import any other with a random constraint and runs on a
+        /// random device class, so closures overlap and some verdicts
+        /// carry errors.
+        fn random_set(rt: &mut Runtime, bits: u64, guid: u64) -> Result<(), RuntimeError> {
+            let mut b = bits.rotate_left(guid as u32 * 13);
+            let mut imports = Vec::new();
+            for to in (1..=5).filter(|&to| to != guid) {
+                let kind = match b & 15 {
+                    0 => Some(ConstraintKind::Pull),
+                    1 => Some(ConstraintKind::Gang),
+                    2 => Some(ConstraintKind::AsymGang),
+                    3 => Some(ConstraintKind::Link),
+                    _ => None,
+                };
+                b >>= 4;
+                imports.extend(kind.map(|k| (to, k)));
+            }
+            let target = [class_ids::NETWORK, class_ids::STORAGE, class_ids::GPU][(b % 3) as usize];
+            register(rt, guid, target, &imports)
+        }
+
+        /// Applies one encoded operation; `fresh` empties the gate before
+        /// every `create_offcode`. Returns the operation's outcome.
+        fn apply(rt: &mut Runtime, bits: u64, op: u32, fresh: bool) -> String {
+            let guid = u64::from(op / 8 % 5) + 1;
+            let now = SimTime::ZERO;
+            let create = |rt: &mut Runtime| {
+                if fresh {
+                    rt.gate.replace(None);
+                }
+                format!("{:?}", rt.create_offcode(Guid(guid), now))
+            };
+            match op % 8 {
+                0 => format!("{:?}", random_set(rt, bits, guid)),
+                1 => format!("{:?}", rt.certify_deployment(Guid(guid), now)),
+                2 => create(rt),
+                3 | 4 => {
+                    let c = format!("{:?}", rt.certify_deployment(Guid(guid), now));
+                    c + &create(rt)
+                }
+                5 => format!("{:?}", rt.get_offcode(Guid(guid)).map(|id| rt.teardown(id))),
+                6 => {
+                    crate::providers::install_extras(rt.executive_mut());
+                    String::new()
+                }
+                _ => {
+                    let target = DeviceId(op / 40 % 4);
+                    let moved = rt
+                        .get_offcode(Guid(guid))
+                        .map(|id| rt.migrate(id, target, now));
+                    format!("{moved:?}")
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn cached_gate_matches_a_fresh_gate(
+                bits in any::<u64>(),
+                ops in proptest::collection::vec(any::<u32>(), 1..40),
+                certifying in any::<bool>(),
+            ) {
+                let config = RuntimeConfig {
+                    certify_deployments: certifying,
+                    ..RuntimeConfig::default()
+                };
+                let mut cached = Runtime::new(full_registry(), config.clone());
+                let mut fresh = Runtime::new(full_registry(), config);
+                for guid in 1..=5 {
+                    if bits >> (58 + guid) & 1 == 1 || bits & 3 != 0 {
+                        random_set(&mut cached, bits, guid).unwrap();
+                        random_set(&mut fresh, bits, guid).unwrap();
+                    }
+                }
+                for &op in &ops {
+                    let a = apply(&mut cached, bits, op, false);
+                    let b = apply(&mut fresh, bits, op, true);
+                    prop_assert_eq!(&a, &b, "op {}", op);
+                    prop_assert_eq!(cached.metrics_snapshot(), fresh.metrics_snapshot());
+                }
+            }
+        }
     }
 }

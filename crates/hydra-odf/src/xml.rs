@@ -5,7 +5,11 @@
 //! attributes (quoted *or* unquoted — the paper's own ODF sample writes
 //! `type=Pull pri=0`), text, comments, processing instructions, and the
 //! five predefined entities. It is a strict well-formedness parser with
-//! positioned errors, not a streaming one: ODF files are small.
+//! positioned errors that builds the whole tree in one pass over the
+//! input's bytes: names, attribute values and text runs are copied out
+//! as slices, and a line/column is computed only when an error is
+//! raised. Elements may nest at most [`MAX_DEPTH`] deep; open elements
+//! are kept on a heap stack, so no input can exhaust the call stack.
 
 use std::fmt;
 
@@ -172,11 +176,19 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest element nesting [`parse`] accepts; the root element is at
+/// depth 1. An ODF nests at most 4 deep, 5 inside a `<deployment>`
+/// wrapper. The bound keeps a hostile document from building a tree
+/// whose recursive drop, comparison or serialization would overflow the
+/// stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete document, returning the root element.
 ///
 /// # Errors
 ///
-/// Returns a positioned [`XmlError`] on any well-formedness violation.
+/// Returns a positioned [`XmlError`] on any well-formedness violation,
+/// and on elements nested deeper than [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -187,9 +199,9 @@ fn escape(s: &str) -> String {
 /// assert_eq!(root.child("b").unwrap().text(), "hi");
 /// ```
 pub fn parse(input: &str) -> Result<Element, XmlError> {
-    let mut p = Parser::new(input);
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_prolog()?;
-    let root = p.parse_element()?;
+    let root = p.parse_root()?;
     p.skip_misc();
     if !p.at_end() {
         return Err(p.error("content after document root"));
@@ -197,81 +209,113 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
     Ok(root)
 }
 
+/// A cursor over the document's bytes. `pos` always sits on a character
+/// boundary: the parser only steps over whole characters, and the bytes
+/// it scans for (`<`, `&`, `>`, quotes, `-->`, `?>`) are ASCII, which
+/// never occurs inside a multi-byte UTF-8 sequence.
 struct Parser<'a> {
-    chars: Vec<char>,
-    pos: usize,
     src: &'a str,
+    pos: usize,
+}
+
+/// An element whose start tag has been read.
+struct Open {
+    element: Element,
+    /// Character data since the last child element, not yet a node.
+    text: String,
+}
+
+impl Open {
+    fn new(element: Element) -> Self {
+        Open {
+            element,
+            text: String::new(),
+        }
+    }
+
+    fn flush_text(&mut self) {
+        if !self.text.is_empty() {
+            let text = std::mem::take(&mut self.text);
+            self.element.children.push(Node::Text(text));
+        }
+    }
+}
+
+fn is_name_start(c: char) -> bool {
+    c.is_alphabetic() || c == '_' || c == ':'
+}
+
+fn is_name_char(c: char) -> bool {
+    is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.'
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            chars: src.chars().collect(),
-            pos: 0,
-            src,
-        }
+    fn rest(&self) -> &'a [u8] {
+        &self.src.as_bytes()[self.pos..]
     }
 
-    fn current_pos(&self) -> Pos {
-        let mut line = 1;
-        let mut col = 1;
-        for &c in &self.chars[..self.pos.min(self.chars.len())] {
-            if c == '\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-        }
-        Pos { line, col }
-    }
-
+    /// An error at the cursor, whose line and column (in characters)
+    /// are counted only now.
     fn error(&self, message: &str) -> XmlError {
-        let _ = self.src;
+        let before = &self.src[..self.pos];
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+        let pos = Pos {
+            line: 1 + before.bytes().filter(|&b| b == b'\n').count() as u32,
+            col: 1 + before[line_start..].chars().count() as u32,
+        };
         XmlError {
-            pos: self.current_pos(),
+            pos,
             message: message.to_owned(),
         }
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, ahead: usize) -> Option<char> {
-        self.chars.get(self.pos + ahead).copied()
+        match *self.rest().first()? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.src[self.pos..].chars().next(),
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        Some(c)
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
+        self.pos >= self.src.len()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        s.chars()
-            .enumerate()
-            .all(|(i, c)| self.peek_at(i) == Some(c))
+        self.rest().starts_with(s.as_bytes())
     }
 
     fn eat(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            self.pos += s.chars().count();
-            true
-        } else {
-            false
+        let ate = self.starts_with(s);
+        if ate {
+            self.pos += s.len();
+        }
+        ate
+    }
+
+    /// Moves past the next occurrence of `end`, or to the end of input
+    /// (returning `false`) when there is none.
+    fn skip_past(&mut self, end: &str) -> bool {
+        match self.src[self.pos..].find(end) {
+            Some(i) => {
+                self.pos += i + end.len();
+                true
+            }
+            None => {
+                self.pos = self.src.len();
+                false
+            }
         }
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
     }
 
@@ -279,14 +323,10 @@ impl<'a> Parser<'a> {
         if !self.eat("<!--") {
             return Ok(false);
         }
-        loop {
-            if self.at_end() {
-                return Err(self.error("unterminated comment"));
-            }
-            if self.eat("-->") {
-                return Ok(true);
-            }
-            self.pos += 1;
+        if self.skip_past("-->") {
+            Ok(true)
+        } else {
+            Err(self.error("unterminated comment"))
         }
     }
 
@@ -294,14 +334,10 @@ impl<'a> Parser<'a> {
         if !self.eat("<?") {
             return Ok(false);
         }
-        loop {
-            if self.at_end() {
-                return Err(self.error("unterminated processing instruction"));
-            }
-            if self.eat("?>") {
-                return Ok(true);
-            }
-            self.pos += 1;
+        if self.skip_past("?>") {
+            Ok(true)
+        } else {
+            Err(self.error("unterminated processing instruction"))
         }
     }
 
@@ -309,12 +345,11 @@ impl<'a> Parser<'a> {
         if !self.starts_with("<!DOCTYPE") {
             return Ok(false);
         }
-        while let Some(c) = self.bump() {
-            if c == '>' {
-                return Ok(true);
-            }
+        if self.skip_past(">") {
+            Ok(true)
+        } else {
+            Err(self.error("unterminated DOCTYPE"))
         }
-        Err(self.error("unterminated DOCTYPE"))
     }
 
     fn skip_prolog(&mut self) -> Result<(), XmlError> {
@@ -327,6 +362,9 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skips whitespace, comments and processing instructions after the
+    /// root. An unterminated trailing comment or PI runs to the end of
+    /// input and is accepted.
     fn skip_misc(&mut self) {
         loop {
             self.skip_ws();
@@ -337,101 +375,96 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn is_name_start(c: char) -> bool {
-        c.is_alphabetic() || c == '_' || c == ':'
-    }
-
-    fn is_name_char(c: char) -> bool {
-        Self::is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.'
-    }
-
-    fn parse_name(&mut self) -> Result<String, XmlError> {
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
+        let start = self.pos;
         match self.peek() {
-            Some(c) if Self::is_name_start(c) => {}
+            Some(c) if is_name_start(c) => {}
             _ => return Err(self.error("expected a name")),
         }
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
-            if Self::is_name_char(c) {
-                name.push(c);
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(c) = self.peek().filter(|&c| is_name_char(c)) {
+            self.pos += c.len_utf8();
         }
-        Ok(name)
+        Ok(&self.src[start..self.pos])
     }
 
+    /// Decodes the entity or character reference after a consumed `&`.
     fn parse_entity(&mut self) -> Result<char, XmlError> {
-        // Caller consumed '&'.
-        let mut ent = String::new();
+        let start = self.pos;
         loop {
+            let len = self.pos - start;
             match self.bump() {
                 Some(';') => break,
-                Some(c) if ent.len() < 10 => ent.push(c),
+                Some(_) if len < 10 => {}
                 _ => return Err(self.error("unterminated entity reference")),
             }
         }
-        match ent.as_str() {
+        match &self.src[start..self.pos - 1] {
             "lt" => Ok('<'),
             "gt" => Ok('>'),
             "amp" => Ok('&'),
             "quot" => Ok('"'),
             "apos" => Ok('\''),
             other => {
-                if let Some(hex) = other.strip_prefix("#x") {
-                    u32::from_str_radix(hex, 16)
-                        .ok()
-                        .and_then(char::from_u32)
-                        .ok_or_else(|| self.error("invalid character reference"))
+                let code = if let Some(hex) = other.strip_prefix("#x") {
+                    u32::from_str_radix(hex, 16).ok()
                 } else if let Some(dec) = other.strip_prefix('#') {
-                    dec.parse::<u32>()
-                        .ok()
-                        .and_then(char::from_u32)
-                        .ok_or_else(|| self.error("invalid character reference"))
+                    dec.parse::<u32>().ok()
                 } else {
-                    Err(self.error(&format!("unknown entity &{other};")))
-                }
+                    return Err(self.error(&format!("unknown entity &{other};")));
+                };
+                code.and_then(char::from_u32)
+                    .ok_or_else(|| self.error("invalid character reference"))
             }
         }
     }
 
     fn parse_attr_value(&mut self) -> Result<String, XmlError> {
-        let mut value = String::new();
         match self.peek() {
             Some(quote @ ('"' | '\'')) => {
                 self.pos += 1;
+                let quote = quote as u8;
+                let mut value = String::new();
                 loop {
-                    match self.bump() {
-                        None => return Err(self.error("unterminated attribute value")),
-                        Some(c) if c == quote => break,
-                        Some('&') => value.push(self.parse_entity()?),
-                        Some('<') => return Err(self.error("'<' in attribute value")),
-                        Some(c) => value.push(c),
+                    let run = self
+                        .rest()
+                        .iter()
+                        .position(|&b| b == quote || b == b'&' || b == b'<');
+                    let Some(run) = run else {
+                        self.pos = self.src.len();
+                        return Err(self.error("unterminated attribute value"));
+                    };
+                    value.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run + 1;
+                    match self.src.as_bytes()[self.pos - 1] {
+                        b'&' => value.push(self.parse_entity()?),
+                        b'<' => return Err(self.error("'<' in attribute value")),
+                        _ => return Ok(value),
                     }
                 }
             }
             // Unquoted value (non-standard but used by the paper's ODF).
             Some(c) if !c.is_whitespace() && c != '>' && c != '/' => {
-                while let Some(c) = self.peek() {
-                    if c.is_whitespace() || c == '>' || c == '/' {
-                        break;
-                    }
-                    value.push(c);
-                    self.pos += 1;
+                let start = self.pos;
+                while let Some(c) = self
+                    .peek()
+                    .filter(|&c| !c.is_whitespace() && c != '>' && c != '/')
+                {
+                    self.pos += c.len_utf8();
                 }
+                Ok(self.src[start..self.pos].to_owned())
             }
-            _ => return Err(self.error("expected attribute value")),
+            _ => Err(self.error("expected attribute value")),
         }
-        Ok(value)
     }
 
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
+    /// Reads a start tag from its `<` through `>` or `/>`, returning the
+    /// element and whether it is still open (`>`).
+    fn parse_start_tag(&mut self) -> Result<(Element, bool), XmlError> {
         if !self.eat("<") {
             return Err(self.error("expected '<'"));
         }
-        let name = self.parse_name()?;
-        let mut attributes = Vec::new();
+        let name = self.parse_name()?.to_owned();
+        let mut attributes: Vec<(String, String)> = Vec::new();
         loop {
             self.skip_ws();
             match self.peek() {
@@ -440,19 +473,25 @@ impl<'a> Parser<'a> {
                     if !self.eat(">") {
                         return Err(self.error("expected '>' after '/'"));
                     }
-                    return Ok(Element {
+                    let element = Element {
                         name,
                         attributes,
                         children: Vec::new(),
-                    });
+                    };
+                    return Ok((element, false));
                 }
                 Some('>') => {
                     self.pos += 1;
-                    break;
+                    let element = Element {
+                        name,
+                        attributes,
+                        children: Vec::new(),
+                    };
+                    return Ok((element, true));
                 }
-                Some(c) if Self::is_name_start(c) => {
+                Some(c) if is_name_start(c) => {
                     let key = self.parse_name()?;
-                    if attributes.iter().any(|(k, _)| *k == key) {
+                    if attributes.iter().any(|(k, _)| k == key) {
                         return Err(self.error(&format!("duplicate attribute '{key}'")));
                     }
                     self.skip_ws();
@@ -461,58 +500,82 @@ impl<'a> Parser<'a> {
                     }
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
-                    attributes.push((key, value));
+                    attributes.push((key.to_owned(), value));
                 }
                 _ => return Err(self.error("malformed start tag")),
             }
         }
+    }
 
-        let mut children = Vec::new();
-        let mut text = String::new();
+    /// Parses the root element and everything inside it. Open elements
+    /// live on an explicit stack, so nesting costs heap, not call depth.
+    fn parse_root(&mut self) -> Result<Element, XmlError> {
+        let (root, open) = self.parse_start_tag()?;
+        if !open {
+            return Ok(root);
+        }
+        let mut current = Open::new(root);
+        let mut ancestors: Vec<Open> = Vec::new();
         loop {
-            if self.at_end() {
+            let Some(&next) = self.rest().first() else {
+                let name = &current.element.name;
                 return Err(self.error(&format!("unclosed element <{name}>")));
-            }
-            if self.starts_with("</") {
-                if !text.is_empty() {
-                    children.push(Node::Text(std::mem::take(&mut text)));
+            };
+            match next {
+                b'&' => {
+                    self.pos += 1;
+                    let c = self.parse_entity()?;
+                    current.text.push(c);
                 }
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != name {
-                    return Err(
-                        self.error(&format!("mismatched close tag </{close}> for <{name}>"))
-                    );
+                b'<' if self.starts_with("</") => {
+                    current.flush_text();
+                    self.pos += 2;
+                    let close = self.parse_name()?;
+                    let name = &current.element.name;
+                    if close != name {
+                        return Err(
+                            self.error(&format!("mismatched close tag </{close}> for <{name}>"))
+                        );
+                    }
+                    self.skip_ws();
+                    if !self.eat(">") {
+                        return Err(self.error("expected '>' in close tag"));
+                    }
+                    let Some(parent) = ancestors.pop() else {
+                        return Ok(current.element);
+                    };
+                    let done = std::mem::replace(&mut current, parent);
+                    current.element.children.push(Node::Element(done.element));
                 }
-                self.skip_ws();
-                if !self.eat(">") {
-                    return Err(self.error("expected '>' in close tag"));
+                b'<' if self.starts_with("<!--") => {
+                    self.skip_comment()?;
                 }
-                return Ok(Element {
-                    name,
-                    attributes,
-                    children,
-                });
-            }
-            if self.starts_with("<!--") {
-                self.skip_comment()?;
-                continue;
-            }
-            if self.starts_with("<?") {
-                self.skip_pi()?;
-                continue;
-            }
-            if self.starts_with("<") {
-                if !text.is_empty() {
-                    children.push(Node::Text(std::mem::take(&mut text)));
+                b'<' if self.starts_with("<?") => {
+                    self.skip_pi()?;
                 }
-                children.push(Node::Element(self.parse_element()?));
-                continue;
-            }
-            match self.bump() {
-                Some('&') => text.push(self.parse_entity()?),
-                Some(c) => text.push(c),
-                None => unreachable!("at_end checked above"),
+                b'<' => {
+                    current.flush_text();
+                    // The child sits one below `current`, at depth
+                    // `ancestors.len() + 2`.
+                    if ancestors.len() + 2 > MAX_DEPTH {
+                        return Err(self.error(&format!("elements nested deeper than {MAX_DEPTH}")));
+                    }
+                    let (child, open) = self.parse_start_tag()?;
+                    if open {
+                        ancestors.push(std::mem::replace(&mut current, Open::new(child)));
+                    } else {
+                        current.element.children.push(Node::Element(child));
+                    }
+                }
+                _ => {
+                    let run = self
+                        .rest()
+                        .iter()
+                        .position(|&b| b == b'<' || b == b'&')
+                        .unwrap_or(self.src.len() - self.pos);
+                    current.text.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
+                }
             }
         }
     }

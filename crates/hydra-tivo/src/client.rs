@@ -479,6 +479,7 @@ pub fn run_client(cfg: ClientConfig) -> ClientRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn short(kind: ClientKind, secs: u64) -> ClientRun {
         let mut cfg = ClientConfig::paper(kind, 7);
@@ -486,9 +487,20 @@ mod tests {
         run_client(cfg)
     }
 
+    /// The 30 s run of `kind`, run once and shared by every test that
+    /// reads it.
+    fn run30(kind: ClientKind) -> &'static ClientRun {
+        static RUNS: [OnceLock<ClientRun>; 3] = [const { OnceLock::new() }; 3];
+        let i = ClientKind::all()
+            .iter()
+            .position(|&k| k == kind)
+            .expect("every kind is listed");
+        RUNS[i].get_or_init(|| short(kind, 30))
+    }
+
     #[test]
     fn idle_client_matches_baseline() {
-        let run = short(ClientKind::Idle, 30);
+        let run = run30(ClientKind::Idle);
         let u = run.cpu_util.summary().mean;
         assert!((u - 0.029).abs() < 0.012, "idle utilization {u}");
         assert_eq!(run.packets, 0);
@@ -496,9 +508,9 @@ mod tests {
 
     #[test]
     fn cpu_ordering_matches_table_4() {
-        let idle = short(ClientKind::Idle, 30).cpu_util.summary().mean;
-        let user = short(ClientKind::UserSpace, 30).cpu_util.summary().mean;
-        let off = short(ClientKind::Offloaded, 30).cpu_util.summary().mean;
+        let idle = run30(ClientKind::Idle).cpu_util.summary().mean;
+        let user = run30(ClientKind::UserSpace).cpu_util.summary().mean;
+        let off = run30(ClientKind::Offloaded).cpu_util.summary().mean;
         assert!(user > idle + 0.02, "user {user} vs idle {idle}");
         assert!(
             (off - idle).abs() < 0.004,
@@ -508,9 +520,9 @@ mod tests {
 
     #[test]
     fn l2_user_space_penalty_near_12_percent() {
-        let idle = short(ClientKind::Idle, 30).l2_miss_rate.summary().mean;
-        let user = short(ClientKind::UserSpace, 30).l2_miss_rate.summary().mean;
-        let off = short(ClientKind::Offloaded, 30).l2_miss_rate.summary().mean;
+        let idle = run30(ClientKind::Idle).l2_miss_rate.summary().mean;
+        let user = run30(ClientKind::UserSpace).l2_miss_rate.summary().mean;
+        let off = run30(ClientKind::Offloaded).l2_miss_rate.summary().mean;
         let n_user = user / idle;
         let n_off = off / idle;
         assert!(

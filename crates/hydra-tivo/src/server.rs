@@ -427,6 +427,7 @@ pub fn run_server(cfg: ServerConfig) -> ServerRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn short(kind: ServerKind, secs: u64) -> ServerRun {
         let mut cfg = ServerConfig::paper(kind, 42);
@@ -434,9 +435,20 @@ mod tests {
         run_server(cfg)
     }
 
+    /// The 30 s run of `kind`, run once and shared by every test that
+    /// reads it.
+    fn run30(kind: ServerKind) -> &'static ServerRun {
+        static RUNS: [OnceLock<ServerRun>; 4] = [const { OnceLock::new() }; 4];
+        let i = ServerKind::all()
+            .iter()
+            .position(|&k| k == kind)
+            .expect("every kind is listed");
+        RUNS[i].get_or_init(|| short(kind, 30))
+    }
+
     #[test]
     fn idle_server_floor_matches_paper() {
-        let run = short(ServerKind::Idle, 30);
+        let run = run30(ServerKind::Idle);
         let u = run.cpu_util.summary().mean;
         assert!((u - 0.029).abs() < 0.012, "idle utilization {u}");
         assert_eq!(run.packets_delivered, 0);
@@ -444,9 +456,9 @@ mod tests {
 
     #[test]
     fn jitter_ordering_matches_figure_9() {
-        let simple = short(ServerKind::Simple, 30);
-        let sendfile = short(ServerKind::Sendfile, 30);
-        let offloaded = short(ServerKind::Offloaded, 30);
+        let simple = run30(ServerKind::Simple);
+        let sendfile = run30(ServerKind::Sendfile);
+        let offloaded = run30(ServerKind::Offloaded);
         let s = simple.jitter_ms.summary();
         let f = sendfile.jitter_ms.summary();
         let o = offloaded.jitter_ms.summary();
@@ -475,10 +487,10 @@ mod tests {
 
     #[test]
     fn cpu_ordering_matches_table_3() {
-        let idle = short(ServerKind::Idle, 30).cpu_util.summary().mean;
-        let simple = short(ServerKind::Simple, 30).cpu_util.summary().mean;
-        let sendfile = short(ServerKind::Sendfile, 30).cpu_util.summary().mean;
-        let offloaded = short(ServerKind::Offloaded, 30).cpu_util.summary().mean;
+        let idle = run30(ServerKind::Idle).cpu_util.summary().mean;
+        let simple = run30(ServerKind::Simple).cpu_util.summary().mean;
+        let sendfile = run30(ServerKind::Sendfile).cpu_util.summary().mean;
+        let offloaded = run30(ServerKind::Offloaded).cpu_util.summary().mean;
         assert!(simple > sendfile, "simple {simple} vs sendfile {sendfile}");
         assert!(
             sendfile > idle + 0.005,
@@ -492,10 +504,10 @@ mod tests {
 
     #[test]
     fn l2_ordering_matches_figure_10() {
-        let idle = short(ServerKind::Idle, 30).l2_miss_rate.summary().mean;
-        let simple = short(ServerKind::Simple, 30).l2_miss_rate.summary().mean;
-        let sendfile = short(ServerKind::Sendfile, 30).l2_miss_rate.summary().mean;
-        let offloaded = short(ServerKind::Offloaded, 30).l2_miss_rate.summary().mean;
+        let idle = run30(ServerKind::Idle).l2_miss_rate.summary().mean;
+        let simple = run30(ServerKind::Simple).l2_miss_rate.summary().mean;
+        let sendfile = run30(ServerKind::Sendfile).l2_miss_rate.summary().mean;
+        let offloaded = run30(ServerKind::Offloaded).l2_miss_rate.summary().mean;
         let n_simple = simple / idle;
         let n_sendfile = sendfile / idle;
         let n_offloaded = offloaded / idle;
@@ -515,7 +527,7 @@ mod tests {
 
     #[test]
     fn offloaded_throughput_matches_bitrate() {
-        let run = short(ServerKind::Offloaded, 30);
+        let run = run30(ServerKind::Offloaded);
         // 5 ms pacing for 30 s = ~6000 packets.
         assert!(
             (5900..=6001).contains(&(run.packets_delivered as i64)),
@@ -528,8 +540,8 @@ mod tests {
     fn user_space_servers_drift_slower() {
         // The paper's simple server averages 7 ms between packets — it
         // delivers fewer packets than the offloaded one in the same time.
-        let simple = short(ServerKind::Simple, 30);
-        let offloaded = short(ServerKind::Offloaded, 30);
+        let simple = run30(ServerKind::Simple);
+        let offloaded = run30(ServerKind::Offloaded);
         assert!(simple.packets_delivered < offloaded.packets_delivered * 8 / 10);
     }
 

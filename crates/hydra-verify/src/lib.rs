@@ -65,10 +65,22 @@ pub struct VerifyInput<'a> {
     pub roots: Option<&'a [Guid]>,
 }
 
-/// Runs every verifier pass over the deployment and returns the combined
-/// report. Never panics on malformed sets: imports that do not resolve
-/// are reported by the manifest pass and skipped by the graph passes.
-pub fn verify(input: &VerifyInput<'_>) -> Report {
+/// The outcome of the four structural passes, plus the graph view and
+/// feasibility fixpoint they built, which certification's quantitative
+/// passes reuse.
+#[derive(Debug)]
+pub struct Structural {
+    /// The manifest, constraints, capacity and channels findings.
+    pub report: Report,
+    /// The deployment's constraint graph.
+    pub view: GraphView,
+    /// The narrowed per-node feasible device sets.
+    pub pre: Precheck,
+}
+
+/// Runs the four structural passes (manifest, constraints, capacity,
+/// channels) in order: the shared front of [`verify`] and [`certify`].
+pub fn structural(input: &VerifyInput<'_>) -> Structural {
     let mut report = Report::default();
 
     let (diags, work) = manifest::run(input.odfs, input.devices);
@@ -86,7 +98,14 @@ pub fn verify(input: &VerifyInput<'_>) -> Report {
     let (diags, work) = channels::run(&view, input.roots);
     report.absorb("channels", work, diags);
 
-    report
+    Structural { report, view, pre }
+}
+
+/// Runs every verifier pass over the deployment and returns the combined
+/// report. Never panics on malformed sets: imports that do not resolve
+/// are reported by the manifest pass and skipped by the graph passes.
+pub fn verify(input: &VerifyInput<'_>) -> Report {
+    structural(input).report
 }
 
 /// Everything quantitative certification needs beyond [`VerifyInput`].
@@ -119,26 +138,18 @@ pub struct Certification {
 /// pass (ring-sharing race detection: HV050–HV051), returning the
 /// combined report and the bound certificate.
 pub fn certify(input: &CertifyInput<'_>) -> Certification {
-    let mut report = Report::default();
+    certify_structural(structural(&input.verify), input)
+}
 
-    let (diags, work) = manifest::run(input.verify.odfs, input.verify.devices);
-    report.absorb("manifest", work, diags);
-
-    let view = GraphView::from_odfs(
-        input.verify.odfs,
-        input.verify.devices,
-        input.verify.demands,
-    );
-    let pre = Precheck::narrow(&view);
-
-    let (diags, work) = constraints::run(&view, &pre);
-    report.absorb("constraints", work + pre.rounds, diags);
-
-    let (diags, work) = capacity::run(&view, input.verify.devices);
-    report.absorb("capacity", work, diags);
-
-    let (diags, work) = channels::run(&view, input.verify.roots);
-    report.absorb("channels", work, diags);
+/// Finishes a certification from the structural passes' outcome on
+/// `input.verify`: runs the flow and rings passes over its graph view and
+/// fixpoint and appends their findings to its report.
+pub fn certify_structural(structural: Structural, input: &CertifyInput<'_>) -> Certification {
+    let Structural {
+        mut report,
+        view,
+        pre,
+    } = structural;
 
     let (diags, work, certificate) = flow::run(
         &view,
