@@ -240,3 +240,31 @@ fn deeply_nested_xml_is_a_parse_error_not_an_abort() {
         assert!(json.contains("deeper than"), "{cmd}: {json}");
     }
 }
+
+/// A clean deployment followed by a comment or PI that never closes is
+/// an `HV009` parse error for `lint` and `certify`, not "clean".
+#[test]
+fn unterminated_trailing_comment_or_pi_is_a_parse_error() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../fixtures/certify/ring_write_race.xml"
+    );
+    let clean = std::fs::read_to_string(fixture).expect("fixture reads");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (i, tail) in ["<!-- never closed", "<?pi never closed"]
+        .into_iter()
+        .enumerate()
+    {
+        let path = dir.join(format!("unterminated_tail_{i}.xml"));
+        std::fs::write(&path, format!("{clean}\n{tail}")).expect("file writes");
+        for cmd in ["lint", "certify"] {
+            let out = repro(&[cmd, path.to_str().expect("UTF-8 path")]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {tail}: {err}");
+            assert!(err.contains("HV009"), "{cmd} {tail}: {err}");
+            let json = String::from_utf8(out.stdout).expect("UTF-8");
+            assert!(json.contains("HV009"), "{cmd} {tail}: {json}");
+            assert!(json.contains("unterminated"), "{cmd} {tail}: {json}");
+        }
+    }
+}

@@ -8,7 +8,7 @@
 //! actually touches on the host.
 
 use std::fmt;
-use std::ops::{Range, RangeInclusive};
+use std::ops::RangeInclusive;
 
 /// Whether an access reads or writes the line (writes mark it dirty; a
 /// dirty eviction is counted as a write-back).
@@ -94,20 +94,16 @@ impl CacheConfig {
     }
 }
 
+/// One occupied way: which line it holds, and whether it was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
-    valid: bool,
     dirty: bool,
-    /// Monotonic stamp of last touch; larger is more recent.
-    lru: u64,
 }
 
 const EMPTY_LINE: Line = Line {
     tag: 0,
-    valid: false,
     dirty: false,
-    lru: 0,
 };
 
 /// Access counters of a [`Cache`].
@@ -146,6 +142,14 @@ impl CacheStats {
 /// address is split into line number, set index and tag with shifts and
 /// a mask (hence [`CacheConfig::validate`]'s power-of-two rule).
 ///
+/// Each set keeps its occupied ways in recency order, most recent first,
+/// followed by its empty ways. A hit moves its line to the front; a miss
+/// shifts the set down one way, evicting the last line only if every way
+/// was occupied, and puts the new line at the front. The last occupied
+/// way is therefore always the least recently used line, which is the
+/// victim a per-line timestamp would pick: every access gets a distinct
+/// time, so a set's lines are totally ordered by recency.
+///
 /// # Examples
 ///
 /// ```
@@ -158,15 +162,17 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets × ways` lines; set `s` occupies `[s * ways, (s + 1) * ways)`.
+    /// `sets × ways` lines; set `s` occupies `[s * ways, (s + 1) * ways)`,
+    /// most recently used first.
     lines: Vec<Line>,
+    /// Occupied ways per set: the first `occupied[s]` ways of set `s`.
+    occupied: Vec<usize>,
     /// log2 of the line size: byte address → line number.
     line_shift: u32,
     /// log2 of the set count: line number → tag.
     set_shift: u32,
     /// `sets - 1`: line number → set index.
     set_mask: u64,
-    stamp: u64,
     stats: CacheStats,
 }
 
@@ -184,10 +190,10 @@ impl Cache {
         Cache {
             config,
             lines: vec![EMPTY_LINE; sets * config.ways],
+            occupied: vec![0; sets],
             line_shift: config.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
-            stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -207,10 +213,15 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// The ways of the set that line number `line` maps to, and its tag.
-    fn set_of(&self, line: u64) -> (Range<usize>, u64) {
-        let base = (line & self.set_mask) as usize * self.config.ways;
-        (base..base + self.config.ways, line >> self.set_shift)
+    /// The set that line number `line` maps to, and its tag.
+    fn set_of(&self, line: u64) -> (usize, u64) {
+        ((line & self.set_mask) as usize, line >> self.set_shift)
+    }
+
+    /// The occupied ways of set `set`, most recently used first.
+    fn resident(&self, set: usize) -> &[Line] {
+        let base = set * self.config.ways;
+        &self.lines[base..base + self.occupied[set]]
     }
 
     /// The line numbers covering `[addr, addr + len)`; `len` is non-zero.
@@ -218,58 +229,51 @@ impl Cache {
         (addr >> self.line_shift)..=((addr + len as u64 - 1) >> self.line_shift)
     }
 
+    /// log2 of the line size: a byte address shifted right by this is
+    /// its line number.
+    pub(crate) fn line_shift(&self) -> u32 {
+        self.line_shift
+    }
+
     /// Performs one access at byte address `addr`.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         self.access_line(addr >> self.line_shift, kind)
     }
 
-    /// One access to line number `line`. A single pass over the set finds
-    /// the hit, the first invalid way and the least-recently-used way; a
-    /// miss fills the first invalid way, else evicts the LRU one.
+    /// One access to line number `line`. A hit moves the line to the
+    /// front of its set; a miss shifts the set down one way, evicting the
+    /// last line if the set was full, and fills the front way.
     #[inline]
     fn access_line(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let (ways, tag) = self.set_of(line);
-        let set = &mut self.lines[ways];
+        let ways = self.config.ways;
+        let (set_idx, tag) = self.set_of(line);
+        let occupied = self.occupied[set_idx];
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
 
-        let mut invalid = None;
-        let mut lru = 0;
-        let mut lru_stamp = u64::MAX;
-        for (i, l) in set.iter_mut().enumerate() {
-            if !l.valid {
-                if invalid.is_none() {
-                    invalid = Some(i);
-                }
-            } else if l.tag == tag {
-                l.lru = stamp;
-                if kind == AccessKind::Write {
-                    l.dirty = true;
-                }
-                self.stats.hits += 1;
-                return AccessOutcome::Hit;
-            } else if l.lru < lru_stamp {
-                lru_stamp = l.lru;
-                lru = i;
-            }
+        if let Some(i) = set[..occupied].iter().position(|l| l.tag == tag) {
+            let mut hit = set[i];
+            hit.dirty |= kind == AccessKind::Write;
+            set.copy_within(..i, 1);
+            set[0] = hit;
+            self.stats.hits += 1;
+            return AccessOutcome::Hit;
         }
 
         self.stats.misses += 1;
-        let victim = match invalid {
-            Some(i) => i,
-            None => {
-                self.stats.evictions += 1;
-                if set[lru].dirty {
-                    self.stats.write_backs += 1;
-                }
-                lru
+        let kept = if occupied == ways {
+            self.stats.evictions += 1;
+            if set[ways - 1].dirty {
+                self.stats.write_backs += 1;
             }
+            ways - 1
+        } else {
+            self.occupied[set_idx] += 1;
+            occupied
         };
-        set[victim] = Line {
+        set.copy_within(..kept, 1);
+        set[0] = Line {
             tag,
-            valid: true,
             dirty: kind == AccessKind::Write,
-            lru: stamp,
         };
         AccessOutcome::Miss
     }
@@ -291,8 +295,8 @@ impl Cache {
 
     /// True if the line containing `addr` is present.
     pub fn contains(&self, addr: u64) -> bool {
-        let (ways, tag) = self.set_of(addr >> self.line_shift);
-        self.lines[ways].iter().any(|l| l.valid && l.tag == tag)
+        let (set_idx, tag) = self.set_of(addr >> self.line_shift);
+        self.resident(set_idx).iter().any(|l| l.tag == tag)
     }
 
     /// Invalidates every line whose address falls in `[addr, addr + len)`,
@@ -302,36 +306,39 @@ impl Cache {
         if len == 0 {
             return 0;
         }
+        let ways = self.config.ways;
         let mut invalidated = 0;
         for line in self.lines_of(addr, len) {
-            let (ways, tag) = self.set_of(line);
-            if let Some(entry) = self.lines[ways]
-                .iter_mut()
-                .find(|e| e.valid && e.tag == tag)
-            {
-                if entry.dirty {
-                    self.stats.write_backs += 1;
-                }
-                *entry = EMPTY_LINE;
-                invalidated += 1;
+            let (set_idx, tag) = self.set_of(line);
+            let Some(i) = self.resident(set_idx).iter().position(|l| l.tag == tag) else {
+                continue;
+            };
+            let base = set_idx * ways;
+            if self.lines[base + i].dirty {
+                self.stats.write_backs += 1;
             }
+            // Close the gap, keeping the recency order of the rest.
+            let occupied = self.occupied[set_idx];
+            self.lines
+                .copy_within(base + i + 1..base + occupied, base + i);
+            self.occupied[set_idx] = occupied - 1;
+            invalidated += 1;
         }
         invalidated
     }
 
     /// Invalidates every line, counting write-backs of dirty lines.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            if line.valid && line.dirty {
-                self.stats.write_backs += 1;
-            }
-            *line = EMPTY_LINE;
+        for set_idx in 0..self.occupied.len() {
+            let dirty = self.resident(set_idx).iter().filter(|l| l.dirty).count();
+            self.stats.write_backs += dirty as u64;
+            self.occupied[set_idx] = 0;
         }
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.occupied.iter().sum()
     }
 }
 

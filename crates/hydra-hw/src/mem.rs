@@ -192,8 +192,8 @@ impl MemorySystem {
             return SimDuration::ZERO;
         }
         self.bytes_touched += len as u64;
-        let line = self.cache.config().line_bytes as u64;
-        let lines = (addr + len as u64 - 1) / line - addr / line + 1;
+        let shift = self.cache.line_shift();
+        let lines = ((addr + len as u64 - 1) >> shift) - (addr >> shift) + 1;
         let misses = self.cache.touch_range(addr, len, kind);
         self.latency.l2_hit * lines + self.latency.dram * misses
     }
@@ -278,6 +278,24 @@ mod tests {
         let warm = m.touch(r, AccessKind::Read);
         assert_eq!(warm, SimDuration::from_nanos(100));
         assert_eq!(m.bytes_touched(), 1280);
+    }
+
+    #[test]
+    fn touch_counts_lines_as_the_division_form_does() {
+        let line = 64u64;
+        for addr in [0u64, 1, 63, 64, 65, 127, 4095, 4097, 0x4000_0000 + 17] {
+            for len in [1usize, 2, 63, 64, 65, 127, 128, 129, 1500, 4096] {
+                let mut m = mem();
+                let spent = m.touch_at(addr, len, AccessKind::Read);
+                let misses = m.cache().stats().misses;
+                let lines = (addr + len as u64 - 1) / line - addr / line + 1;
+                let want = SimDuration::from_nanos(10 * lines + 100 * misses);
+                assert_eq!(spent, want, "touch_at({addr:#x}, {len})");
+                // Warm: every line hits and costs one `l2_hit`.
+                let warm = m.touch_at(addr, len, AccessKind::Read);
+                assert_eq!(warm, SimDuration::from_nanos(10 * lines), "warm {addr:#x}");
+            }
+        }
     }
 
     #[test]

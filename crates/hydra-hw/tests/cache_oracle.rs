@@ -1,11 +1,15 @@
-//! Differential oracle for the flat, shift-indexed [`Cache`].
+//! Differential oracle for the flat, recency-ordered [`Cache`].
 //!
 //! [`RefCache`] is the original nested-`Vec` LRU model, kept verbatim
-//! (per-set `Vec`s, division-based indexing, separate hit / invalid-way /
-//! LRU-way scans). Random power-of-two geometries run random mixes of
-//! `access`, `touch_range`, `invalidate_range`, `flush` and `reset_stats`
-//! through both; after every operation each outcome, the counters,
-//! `contains` on the touched addresses and `resident_lines` must agree.
+//! (per-set `Vec`s, division-based indexing, a per-line `valid` flag and
+//! timestamp, separate hit / invalid-way / LRU-way scans). Random
+//! power-of-two geometries run random mixes of `access`, `touch_range`,
+//! `invalidate_range`, `flush` and `reset_stats` through both; after every
+//! operation each outcome, the counters, `contains` on the touched
+//! addresses and `resident_lines` must agree. One run stays at the top of
+//! the address space with 1- and 2-byte lines, where a tag uses every bit
+//! of the address, so no bit of a tag is free to mark a line dirty or a
+//! way empty.
 
 use hydra_hw::cache::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats};
 use proptest::prelude::*;
@@ -165,10 +169,18 @@ impl RefCache {
 
 /// Decodes one random word into an operation and runs it on both models,
 /// returning the address it probed so `contains` can be compared there.
-fn step(word: u64, span: u64, fast: &mut Cache, reference: &mut RefCache) -> u64 {
+///
+/// With `top` set, every address lies in the `span` bytes that end at
+/// `u64::MAX` (bit 63 set) or in the `span` bytes that end at
+/// `i64::MAX` (bit 63 clear), and no range reaches `u64::MAX`.
+fn step(word: u64, span: u64, top: bool, fast: &mut Cache, reference: &mut RefCache) -> u64 {
     // Mostly a window a few times the capacity, so sets fill, conflict
     // and evict; sometimes a far address, so tags use the high bits.
-    let addr = if word.is_multiple_of(16) {
+    let addr = if top {
+        // Half the time with bit 63 cleared, so that two tags can differ
+        // only in their top bit.
+        (u64::MAX - (word >> 8) % span) ^ ((word & 1) << 63)
+    } else if word.is_multiple_of(16) {
         (word >> 8) | (1 << 60)
     } else {
         (word >> 8) % span
@@ -178,7 +190,11 @@ fn step(word: u64, span: u64, fast: &mut Cache, reference: &mut RefCache) -> u64
     } else {
         AccessKind::Write
     };
-    let len = ((word >> 32) % (span / 4 + 2)) as usize;
+    let mut len = ((word >> 32) % (span / 4 + 2)) as usize;
+    if top {
+        // Both models compute `addr + len`, so stop a range one byte short.
+        len = len.min((u64::MAX - addr) as usize);
+    }
     match (word >> 5) % 16 {
         0..=7 => assert_eq!(
             fast.access(addr, kind),
@@ -227,7 +243,7 @@ proptest! {
         let mut reference = RefCache::new(config);
         let span = config.size_bytes as u64 * 4;
         for (i, &word) in ops.iter().enumerate() {
-            let addr = step(word, span, &mut fast, &mut reference);
+            let addr = step(word, span, false, &mut fast, &mut reference);
             prop_assert_eq!(fast.stats(), reference.stats(), "stats after op {}", i);
             prop_assert_eq!(
                 fast.contains(addr),
@@ -243,9 +259,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn top_of_address_space_matches_reference(
+        line_log in 0u32..2,
+        set_log in 0u32..7,
+        ways in 1usize..10,
+        ops in proptest::collection::vec(any::<u64>(), 1..400),
+    ) {
+        let config = CacheConfig {
+            size_bytes: (1usize << (line_log + set_log)) * ways,
+            line_bytes: 1 << line_log,
+            ways,
+        };
+        let mut fast = Cache::new(config);
+        let mut reference = RefCache::new(config);
+        for addr in [u64::MAX, 1 << 63, u64::MAX >> 1, u64::MAX - 1, u64::MAX] {
+            prop_assert_eq!(
+                fast.access(addr, AccessKind::Write),
+                reference.access(addr, AccessKind::Write),
+                "access({:#x})", addr
+            );
+            prop_assert_eq!(fast.contains(addr), reference.contains(addr));
+        }
+        let span = config.size_bytes as u64 * 4;
+        for (i, &word) in ops.iter().enumerate() {
+            let addr = step(word, span, true, &mut fast, &mut reference);
+            prop_assert_eq!(fast.stats(), reference.stats(), "stats after op {}", i);
+            for probe in [addr, addr ^ (1 << 63), u64::MAX, u64::MAX >> 1, 1 << 63] {
+                prop_assert_eq!(
+                    fast.contains(probe),
+                    reference.contains(probe),
+                    "contains({:#x}) after op {}", probe, i
+                );
+            }
+            prop_assert_eq!(
+                fast.resident_lines(),
+                reference.resident_lines(),
+                "resident lines after op {}", i
+            );
+        }
+    }
+}
+
 /// The paper's L2 under a long daemon-style walk: 64 KiB reads at
 /// scattered page-aligned bases over 16 MiB, interleaved with small
 /// dirty buffers and DMA invalidations, as the host model issues them.
+/// Every third walk writes, so walk lines are evicted dirty too.
 #[test]
 fn paper_l2_walks_match_reference() {
     let config = CacheConfig::paper_l2();
@@ -257,9 +319,14 @@ fn paper_l2_walks_match_reference() {
         x ^= x >> 7;
         x ^= x << 17;
         let walk = (0x4000_0000 + x % (1 << 24)) & !0x3F;
+        let kind = if i % 3 == 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
         assert_eq!(
-            fast.touch_range(walk, 64 * 1024, AccessKind::Read),
-            reference.touch_range(walk, 64 * 1024, AccessKind::Read)
+            fast.touch_range(walk, 64 * 1024, kind),
+            reference.touch_range(walk, 64 * 1024, kind)
         );
         let buf = 0x1000 + (i % 32) * 4096;
         assert_eq!(

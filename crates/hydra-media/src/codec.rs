@@ -174,16 +174,19 @@ fn encode_intra_frame(frame: &RawFrame, q: u16, display_index: u64) -> (EncodedF
 }
 
 /// Encodes a predicted frame against `predictor` (P: previous anchor;
-/// B: anchor average). Returns the frame and its reconstruction.
+/// B: anchor average). Returns the frame and, for a P frame, its
+/// reconstruction. Nothing is predicted from a B frame, so a B frame's
+/// blocks are never dequantized, inverse-transformed or written back.
 fn encode_predicted_frame(
     kind: FrameKind,
     frame: &RawFrame,
     predictor: &RawFrame,
     q: u16,
     display_index: u64,
-) -> (EncodedFrame, RawFrame) {
+) -> (EncodedFrame, Option<RawFrame>) {
     let mut buf = BytesMut::new();
-    let mut recon = RawFrame::filled(frame.width(), frame.height(), 0);
+    let mut recon =
+        (kind == FrameKind::P).then(|| RawFrame::filled(frame.width(), frame.height(), 0));
     let mut cur = [0i32; 64];
     let mut pred = [0i32; 64];
     let mut nonzero = 0u32;
@@ -200,7 +203,9 @@ fn encode_predicted_frame(
             }
             if all_zero {
                 buf.put_u8(0); // skip flag
-                recon.write_block(bx, by, &pred);
+                if let Some(recon) = &mut recon {
+                    recon.write_block(bx, by, &pred);
+                }
                 continue;
             }
             buf.put_u8(1);
@@ -208,6 +213,9 @@ fn encode_predicted_frame(
             quantize(&mut residual, q);
             nonzero += encode_block(&mut buf, &residual);
             coded += 1;
+            let Some(recon) = &mut recon else {
+                continue;
+            };
             dequantize(&mut residual, q);
             inverse(&mut residual);
             let mut rec = [0i32; 64];
@@ -320,7 +328,8 @@ impl Encoder {
             } else {
                 anchors_since_i += 1;
                 let (_, prev) = prev_anchor.as_ref().expect("P requires an anchor");
-                encode_predicted_frame(FrameKind::P, frame, prev, q, pos as u64)
+                let (p, recon) = encode_predicted_frame(FrameKind::P, frame, prev, q, pos as u64);
+                (p, recon.expect("a P frame is reconstructed"))
             };
             out.push(encoded);
             // B frames between the previous anchor and this one, in display

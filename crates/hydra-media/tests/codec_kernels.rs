@@ -9,11 +9,20 @@
 //!   symbol-at-a-time `put_varint` encoder it replaced, byte for byte,
 //!   including five-byte levels. The reference keeps its own copy of the
 //!   byte-at-a-time LEB128 writer, so it shares no code with the kernel.
+//! * `Encoder::encode_sequence`, which reconstructs only the anchors,
+//!   against the encoder it replaced, which reconstructed every frame
+//!   (B frames included) and threw the B reconstructions away. The
+//!   reference is kept verbatim in [`reference`], built from the crate's
+//!   public kernels only, and both must emit the same frames field for
+//!   field over random geometries, quantizers, GOPs and sources.
 
 use bytes::{BufMut, BytesMut};
+use hydra_media::codec::{CodecConfig, Encoder, GopConfig};
 use hydra_media::entropy::{encode_block, put_varint, zz_encode};
+use hydra_media::frame::{RawFrame, SyntheticVideo};
 use hydra_media::transform::{quantize, ZIGZAG};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// The original division form; `None` where its `i32` arithmetic
 /// overflows (`|c| + q/2 > i32::MAX`, or `c == i32::MIN`).
@@ -186,5 +195,224 @@ proptest! {
         put_varint(&mut fast, v);
         put_varint_bytewise(&mut reference, v);
         prop_assert_eq!(&fast[..], &reference[..], "put_varint({})", v);
+    }
+}
+
+/// The encoder as it was before B frames stopped being reconstructed.
+mod reference {
+    use bytes::{BufMut, BytesMut};
+    use hydra_media::codec::{CodecConfig, EncodedFrame, FrameKind};
+    use hydra_media::entropy::encode_block;
+    use hydra_media::frame::RawFrame;
+    use hydra_media::transform::{dequantize, forward, inverse, quantize};
+
+    fn encode_intra_frame(
+        frame: &RawFrame,
+        q: u16,
+        display_index: u64,
+    ) -> (EncodedFrame, RawFrame) {
+        let mut buf = BytesMut::new();
+        let mut recon = RawFrame::filled(frame.width(), frame.height(), 0);
+        let mut block = [0i32; 64];
+        let mut nonzero = 0u32;
+        for by in 0..frame.blocks_y() {
+            for bx in 0..frame.blocks_x() {
+                frame.read_block(bx, by, &mut block);
+                forward(&mut block);
+                quantize(&mut block, q);
+                nonzero += encode_block(&mut buf, &block);
+                dequantize(&mut block, q);
+                inverse(&mut block);
+                recon.write_block(bx, by, &block);
+            }
+        }
+        let coded = frame.block_count() as u32;
+        (
+            EncodedFrame {
+                kind: FrameKind::I,
+                display_index,
+                width: frame.width() as u16,
+                height: frame.height() as u16,
+                quantizer: q,
+                data: buf.freeze(),
+                coded_blocks: coded,
+                nonzero_coeffs: nonzero,
+            },
+            recon,
+        )
+    }
+
+    /// Encodes a predicted frame against `predictor` (P: previous anchor;
+    /// B: anchor average). Returns the frame and its reconstruction.
+    fn encode_predicted_frame(
+        kind: FrameKind,
+        frame: &RawFrame,
+        predictor: &RawFrame,
+        q: u16,
+        display_index: u64,
+    ) -> (EncodedFrame, RawFrame) {
+        let mut buf = BytesMut::new();
+        let mut recon = RawFrame::filled(frame.width(), frame.height(), 0);
+        let mut cur = [0i32; 64];
+        let mut pred = [0i32; 64];
+        let mut nonzero = 0u32;
+        let mut coded = 0u32;
+        for by in 0..frame.blocks_y() {
+            for bx in 0..frame.blocks_x() {
+                frame.read_block(bx, by, &mut cur);
+                predictor.read_block(bx, by, &mut pred);
+                let mut residual = [0i32; 64];
+                let mut all_zero = true;
+                for i in 0..64 {
+                    residual[i] = cur[i] - pred[i];
+                    all_zero &= residual[i] == 0;
+                }
+                if all_zero {
+                    buf.put_u8(0); // skip flag
+                    recon.write_block(bx, by, &pred);
+                    continue;
+                }
+                buf.put_u8(1);
+                forward(&mut residual);
+                quantize(&mut residual, q);
+                nonzero += encode_block(&mut buf, &residual);
+                coded += 1;
+                dequantize(&mut residual, q);
+                inverse(&mut residual);
+                let mut rec = [0i32; 64];
+                for i in 0..64 {
+                    rec[i] = pred[i] + residual[i];
+                }
+                recon.write_block(bx, by, &rec);
+            }
+        }
+        (
+            EncodedFrame {
+                kind,
+                display_index,
+                width: frame.width() as u16,
+                height: frame.height() as u16,
+                quantizer: q,
+                data: buf.freeze(),
+                coded_blocks: coded,
+                nonzero_coeffs: nonzero,
+            },
+            recon,
+        )
+    }
+
+    fn average_frames(a: &RawFrame, b: &RawFrame) -> RawFrame {
+        let pixels = a
+            .pixels()
+            .iter()
+            .zip(b.pixels())
+            .map(|(&x, &y)| (u16::from(x) + u16::from(y)).div_ceil(2) as u8)
+            .collect();
+        RawFrame::from_pixels(a.width(), a.height(), pixels)
+    }
+
+    /// `Encoder::encode_sequence` as it was.
+    pub fn encode_sequence(config: &CodecConfig, frames: &[RawFrame]) -> Vec<EncodedFrame> {
+        let q = config.quantizer;
+        let step = config.gop.anchor_every.max(1);
+        let mut out = Vec::new();
+        let mut prev_anchor: Option<(usize, RawFrame)> = None; // (display idx, recon)
+        let mut anchors_since_i = 0usize;
+
+        let mut anchor_positions: Vec<usize> = (0..frames.len()).step_by(step).collect();
+        if *anchor_positions.last().unwrap_or(&0) != frames.len().saturating_sub(1)
+            && !frames.is_empty()
+        {
+            anchor_positions.push(frames.len() - 1);
+        }
+
+        for &pos in &anchor_positions {
+            let frame = &frames[pos];
+            if let Some((_, first)) = &prev_anchor {
+                assert_eq!(
+                    (first.width(), first.height()),
+                    (frame.width(), frame.height()),
+                    "all frames must share geometry"
+                );
+            }
+            let is_i = prev_anchor.is_none() || anchors_since_i >= config.gop.anchors_per_i.max(1);
+            let (encoded, recon) = if is_i {
+                anchors_since_i = 1;
+                encode_intra_frame(frame, q, pos as u64)
+            } else {
+                anchors_since_i += 1;
+                let (_, prev) = prev_anchor.as_ref().expect("P requires an anchor");
+                encode_predicted_frame(FrameKind::P, frame, prev, q, pos as u64)
+            };
+            out.push(encoded);
+            // B frames between the previous anchor and this one, in display
+            // order, follow the new anchor in decode order.
+            if let Some((prev_pos, prev_recon)) = &prev_anchor {
+                let avg = average_frames(prev_recon, &recon);
+                for (b_pos, frame) in frames.iter().enumerate().take(pos).skip(prev_pos + 1) {
+                    let (b, _) = encode_predicted_frame(FrameKind::B, frame, &avg, q, b_pos as u64);
+                    out.push(b);
+                }
+            }
+            prev_anchor = Some((pos, recon));
+        }
+        out
+    }
+}
+
+/// `n` frames of random pixels. Each frame is either fresh noise or the
+/// previous frame with a few pixels changed, so P and B frames have both
+/// skipped and coded blocks.
+fn random_frames(width: usize, height: usize, n: usize, seed: u64) -> Vec<RawFrame> {
+    let mut rng = TestRng::from_seed(seed);
+    let mut frames: Vec<RawFrame> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut pixels = match frames.last() {
+            Some(prev) if rng.below(4) != 0 => prev.pixels().to_vec(),
+            _ => (0..width * height).map(|_| rng.below(256) as u8).collect(),
+        };
+        for _ in 0..rng.below(4) {
+            let i = rng.below(pixels.len() as u64) as usize;
+            pixels[i] = rng.below(256) as u8;
+        }
+        frames.push(RawFrame::from_pixels(width, height, pixels));
+    }
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn encoder_matches_reconstruct_everything_reference(
+        blocks_x in 1usize..=8,
+        blocks_y in 1usize..=6,
+        q_pick in 0usize..5,
+        gop_pick in 0u32..3,
+        anchor_every in 1usize..=4,
+        anchors_per_i in 1usize..=4,
+        n in 0usize..=14,
+        synthetic in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (width, height) = (blocks_x * 8, blocks_y * 8);
+        let gop = match gop_pick {
+            0 => GopConfig::ipp(),
+            1 => GopConfig::ibbp(),
+            _ => GopConfig { anchor_every, anchors_per_i },
+        };
+        let config = CodecConfig { quantizer: [1, 2, 6, 31, 255][q_pick], gop };
+        let frames = if synthetic {
+            let video = SyntheticVideo::new(width, height);
+            (0..n as u64).map(|i| video.frame(seed % 64 + i)).collect()
+        } else {
+            random_frames(width, height, n, seed)
+        };
+        let fast = Encoder::new(config).encode_sequence(&frames);
+        let want = reference::encode_sequence(&config, &frames);
+        prop_assert_eq!(fast.len(), want.len(), "{:?}, {} frames", config, n);
+        for (i, (got, want)) in fast.iter().zip(&want).enumerate() {
+            prop_assert_eq!(got, want, "frame {} of {:?}, {}x{}", i, config, width, height);
+        }
     }
 }

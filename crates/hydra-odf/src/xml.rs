@@ -202,7 +202,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser { src: input, pos: 0 };
     p.skip_prolog()?;
     let root = p.parse_root()?;
-    p.skip_misc();
+    p.skip_misc()?;
     if !p.at_end() {
         return Err(p.error("content after document root"));
     }
@@ -363,15 +363,14 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips whitespace, comments and processing instructions after the
-    /// root. An unterminated trailing comment or PI runs to the end of
-    /// input and is accepted.
-    fn skip_misc(&mut self) {
+    /// root. An unterminated comment or PI is an error, as in the prolog.
+    fn skip_misc(&mut self) -> Result<(), XmlError> {
         loop {
             self.skip_ws();
-            match (self.skip_comment(), self.skip_pi()) {
-                (Ok(true), _) | (_, Ok(true)) => {}
-                _ => return,
+            if self.skip_comment()? || self.skip_pi()? {
+                continue;
             }
+            return Ok(());
         }
     }
 
@@ -650,6 +649,26 @@ mod tests {
     fn error_on_trailing_content() {
         let err = parse("<a/><b/>").unwrap_err();
         assert!(err.message.contains("after document root"), "{err}");
+    }
+
+    #[test]
+    fn error_on_unterminated_trailing_comment() {
+        let err = parse("<a/>\n<!-- never closed").unwrap_err();
+        assert_eq!(err.message, "unterminated comment");
+        assert_eq!(err.pos, Pos { line: 2, col: 18 }, "{err}");
+        // The same error, at the same place, as in the prolog.
+        let prolog = parse("\n<!-- never closed").unwrap_err();
+        assert_eq!(prolog, err);
+    }
+
+    #[test]
+    fn error_on_unterminated_trailing_pi() {
+        let err = parse("<a/><!-- closed --> <?pi never closed").unwrap_err();
+        assert_eq!(err.message, "unterminated processing instruction");
+        assert_eq!(err.pos, Pos { line: 1, col: 38 }, "{err}");
+        let prolog = parse("<!-- closed --> <?pi never closed").unwrap_err();
+        assert_eq!(prolog.message, err.message);
+        assert_eq!(prolog.pos.col, 34);
     }
 
     #[test]
