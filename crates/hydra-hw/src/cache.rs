@@ -224,9 +224,11 @@ impl Cache {
         &self.lines[base..base + self.occupied[set]]
     }
 
-    /// The line numbers covering `[addr, addr + len)`; `len` is non-zero.
+    /// The line numbers covering `[addr, addr + len)`, clamped at the top
+    /// of the address space; `len` is non-zero.
     fn lines_of(&self, addr: u64, len: usize) -> RangeInclusive<u64> {
-        (addr >> self.line_shift)..=((addr + len as u64 - 1) >> self.line_shift)
+        let last = addr.saturating_add(len as u64 - 1);
+        (addr >> self.line_shift)..=(last >> self.line_shift)
     }
 
     /// log2 of the line size: a byte address shifted right by this is
@@ -280,6 +282,7 @@ impl Cache {
 
     /// Accesses every line covered by `[addr, addr + len)`, returning the
     /// number of misses. This is how workload models "touch" a buffer.
+    /// A range that runs past `u64::MAX` is clamped there.
     pub fn touch_range(&mut self, addr: u64, len: usize, kind: AccessKind) -> u64 {
         if len == 0 {
             return 0;
@@ -302,6 +305,7 @@ impl Cache {
     /// Invalidates every line whose address falls in `[addr, addr + len)`,
     /// counting write-backs of dirty lines. Returns the number of lines
     /// invalidated. This models coherent device DMA claiming host buffers.
+    /// A range that runs past `u64::MAX` is clamped there.
     pub fn invalidate_range(&mut self, addr: u64, len: usize) -> u64 {
         if len == 0 {
             return 0;
@@ -418,6 +422,56 @@ mod tests {
         assert_eq!(c.touch_range(10, 130, AccessKind::Read), 3);
         assert_eq!(c.touch_range(10, 130, AccessKind::Read), 0);
         assert_eq!(c.touch_range(0, 0, AccessKind::Read), 0);
+    }
+
+    /// 4 sets × 2 ways of `1 << line_log`-byte lines.
+    fn with_lines(line_log: u32) -> Cache {
+        Cache::new(CacheConfig {
+            size_bytes: 8 << line_log,
+            line_bytes: 1 << line_log,
+            ways: 2,
+        })
+    }
+
+    #[test]
+    fn touch_range_reaches_and_clamps_at_the_top_of_the_address_space() {
+        for line_log in [0, 6] {
+            let line = 1u64 << line_log;
+            let top = u64::MAX - (line - 1); // the last line's first byte
+            let mut c = with_lines(line_log);
+            // Exactly the last three lines, ending at `u64::MAX`.
+            let start = u64::MAX - (3 * line - 1);
+            assert_eq!(c.touch_range(start, 3 * line as usize, AccessKind::Read), 3);
+            assert!(c.contains(u64::MAX), "line_log {line_log}");
+            assert_eq!(c.stats().accesses(), 3);
+            // Past the top: only the last line is accessed.
+            assert_eq!(c.touch_range(top, 10 * line as usize, AccessKind::Write), 0);
+            assert_eq!(c.touch_range(u64::MAX, usize::MAX, AccessKind::Read), 0);
+            assert_eq!(c.stats().accesses(), 5, "line_log {line_log}");
+            assert_eq!(c.touch_range(top - line, usize::MAX, AccessKind::Read), 0);
+            assert_eq!(c.stats().accesses(), 7, "line_log {line_log}");
+        }
+    }
+
+    #[test]
+    fn invalidate_range_reaches_and_clamps_at_the_top_of_the_address_space() {
+        for line_log in [0, 6] {
+            let line = 1u64 << line_log;
+            let top = u64::MAX - (line - 1);
+            let mut c = with_lines(line_log);
+            let start = u64::MAX - (3 * line - 1);
+            c.touch_range(start, 3 * line as usize, AccessKind::Write);
+            // Past the top: only the last line goes, written back.
+            assert_eq!(c.invalidate_range(top, 10 * line as usize), 1);
+            assert!(!c.contains(u64::MAX), "line_log {line_log}");
+            assert_eq!(c.stats().write_backs, 1);
+            assert_eq!(c.resident_lines(), 2);
+            // Ending exactly at `u64::MAX`: the other two go.
+            assert_eq!(c.invalidate_range(start, 3 * line as usize), 2);
+            assert_eq!(c.invalidate_range(start, usize::MAX), 0);
+            assert_eq!(c.resident_lines(), 0);
+            assert_eq!(c.stats().write_backs, 3, "line_log {line_log}");
+        }
     }
 
     #[test]

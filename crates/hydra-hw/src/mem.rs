@@ -186,14 +186,17 @@ impl MemorySystem {
     /// Touches `[addr, addr + len)`, returning the time cost.
     ///
     /// Every covered line costs one `l2_hit`; lines that miss cost `dram`
-    /// on top.
+    /// on top. A range that runs past `u64::MAX` is clamped there: only
+    /// its bytes up to the top of the address space are touched, costed
+    /// and counted in [`MemorySystem::bytes_touched`].
     pub fn touch_at(&mut self, addr: u64, len: usize, kind: AccessKind) -> SimDuration {
         if len == 0 {
             return SimDuration::ZERO;
         }
-        self.bytes_touched += len as u64;
+        let last = addr.saturating_add(len as u64 - 1);
+        self.bytes_touched += last - addr + 1;
         let shift = self.cache.line_shift();
-        let lines = ((addr + len as u64 - 1) >> shift) - (addr >> shift) + 1;
+        let lines = (last >> shift) - (addr >> shift) + 1;
         let misses = self.cache.touch_range(addr, len, kind);
         self.latency.l2_hit * lines + self.latency.dram * misses
     }
@@ -295,6 +298,39 @@ mod tests {
                 let warm = m.touch_at(addr, len, AccessKind::Read);
                 assert_eq!(warm, SimDuration::from_nanos(10 * lines), "warm {addr:#x}");
             }
+        }
+    }
+
+    #[test]
+    fn touch_at_reaches_and_clamps_at_the_top_of_the_address_space() {
+        for line_log in [0u32, 6] {
+            let line = 1u64 << line_log;
+            let mut m = MemorySystem::new(
+                CacheConfig {
+                    size_bytes: 8 << line_log,
+                    line_bytes: 1 << line_log,
+                    ways: 2,
+                },
+                MemLatency {
+                    l2_hit: SimDuration::from_nanos(10),
+                    dram: SimDuration::from_nanos(100),
+                },
+            );
+            // Exactly the last three lines, ending at `u64::MAX`: cold.
+            let start = u64::MAX - (3 * line - 1);
+            let cold = m.touch_at(start, 3 * line as usize, AccessKind::Read);
+            assert_eq!(
+                cold,
+                SimDuration::from_nanos(3 * 110),
+                "line_log {line_log}"
+            );
+            // Past the top: only the last line, warm.
+            let past = m.touch_at(u64::MAX - (line - 1), 10 * line as usize, AccessKind::Read);
+            assert_eq!(past, SimDuration::from_nanos(10), "line_log {line_log}");
+            let past = m.touch_at(start, usize::MAX, AccessKind::Write);
+            assert_eq!(past, SimDuration::from_nanos(3 * 10), "line_log {line_log}");
+            assert_eq!(m.cache().stats().accesses(), 7);
+            assert_eq!(m.bytes_touched(), 7 * line, "line_log {line_log}");
         }
     }
 

@@ -109,7 +109,7 @@ impl RefCache {
         }
         let line = self.config.line_bytes as u64;
         let first = addr / line;
-        let last = (addr + len as u64 - 1) / line;
+        let last = addr.saturating_add(len as u64 - 1) / line;
         let mut misses = 0;
         for l in first..=last {
             if self.access(l * line, kind) == AccessOutcome::Miss {
@@ -130,7 +130,7 @@ impl RefCache {
         }
         let line = self.config.line_bytes as u64;
         let first = addr / line;
-        let last = (addr + len as u64 - 1) / line;
+        let last = addr.saturating_add(len as u64 - 1) / line;
         let mut invalidated = 0;
         for l in first..=last {
             let (set_idx, tag) = self.index_of(l * line);
@@ -172,7 +172,8 @@ impl RefCache {
 ///
 /// With `top` set, every address lies in the `span` bytes that end at
 /// `u64::MAX` (bit 63 set) or in the `span` bytes that end at
-/// `i64::MAX` (bit 63 clear), and no range reaches `u64::MAX`.
+/// `i64::MAX` (bit 63 clear), and a range may end at `u64::MAX` or run
+/// past it, where both models clamp it.
 fn step(word: u64, span: u64, top: bool, fast: &mut Cache, reference: &mut RefCache) -> u64 {
     // Mostly a window a few times the capacity, so sets fill, conflict
     // and evict; sometimes a far address, so tags use the high bits.
@@ -190,11 +191,7 @@ fn step(word: u64, span: u64, top: bool, fast: &mut Cache, reference: &mut RefCa
     } else {
         AccessKind::Write
     };
-    let mut len = ((word >> 32) % (span / 4 + 2)) as usize;
-    if top {
-        // Both models compute `addr + len`, so stop a range one byte short.
-        len = len.min((u64::MAX - addr) as usize);
-    }
+    let len = ((word >> 32) % (span / 4 + 2)) as usize;
     match (word >> 5) % 16 {
         0..=7 => assert_eq!(
             fast.access(addr, kind),
