@@ -15,8 +15,7 @@
 use std::fs;
 
 use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
-use hydra_odf::odf::OdfDocument;
-use hydra_odf::xml;
+use hydra_odf::odf::{DeploymentFile, OdfDocument};
 use hydra_verify::diag::escape;
 use hydra_verify::{Diagnostic, HvCode, Loc, Report, Severity, VerifyInput};
 
@@ -58,15 +57,15 @@ fn verify_set(odfs: &[OdfDocument]) -> Report {
 fn parse_deployment_file(text: &str) -> (Vec<OdfDocument>, Vec<Diagnostic>) {
     let mut odfs = Vec::new();
     let mut diags = Vec::new();
-    match xml::parse(text) {
+    match DeploymentFile::parse(text) {
         Err(e) => diags.push(Diagnostic::new(
             HvCode::ParseError,
             Loc::Set,
             format!("not well-formed XML: {e}"),
         )),
-        Ok(root) if root.name == "deployment" => {
-            for (i, el) in root.children_named("offcode").enumerate() {
-                match OdfDocument::from_element(el) {
+        Ok(DeploymentFile::Wrapped(offcodes)) => {
+            for (i, odf) in offcodes.into_iter().enumerate() {
+                match odf {
                     Ok(odf) => odfs.push(odf),
                     Err(e) => diags.push(Diagnostic::new(
                         HvCode::ParseError,
@@ -85,7 +84,7 @@ fn parse_deployment_file(text: &str) -> (Vec<OdfDocument>, Vec<Diagnostic>) {
                 ));
             }
         }
-        Ok(root) => match OdfDocument::from_element(&root) {
+        Ok(DeploymentFile::Single(odf)) => match odf {
             Ok(odf) => odfs.push(odf),
             Err(e) => diags.push(Diagnostic::new(
                 HvCode::ParseError,
@@ -255,5 +254,99 @@ mod tests {
         let (odfs, diags) = parse_deployment_file("<deployment></deployment>");
         assert!(odfs.is_empty());
         assert_eq!(diags[0].code, HvCode::ParseError);
+    }
+
+    const ODF_A: &str =
+        "<offcode><package><bindname>a</bindname><GUID>1</GUID></package></offcode>";
+    const ODF_B: &str =
+        "<offcode><package><bindname>b</bindname><GUID>2</GUID></package></offcode>";
+
+    fn hv009(loc: Loc, message: &str) -> Diagnostic {
+        Diagnostic::new(HvCode::ParseError, loc, message.to_owned())
+    }
+
+    fn offcode(i: usize) -> Loc {
+        Loc::Odf {
+            bind_name: format!("offcode[{i}]"),
+        }
+    }
+
+    #[test]
+    fn deployment_indexes_direct_offcodes_in_order_and_ignores_the_rest() {
+        let text = format!(
+            "<deployment>\
+               <note><offcode><package/></offcode></note>\
+               {ODF_A}\
+               <!-- between -->text\
+               <offcode><package><bindname>c</bindname></package></offcode>\
+               <group>{ODF_A}</group>\
+               {ODF_B}\
+               <offcode/>\
+             </deployment>"
+        );
+        let (odfs, diags) = parse_deployment_file(&text);
+        let names: Vec<&str> = odfs.iter().map(|o| o.bind_name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(
+            diags,
+            [
+                hv009(offcode(1), "invalid ODF: odf: missing package/GUID"),
+                hv009(offcode(3), "invalid ODF: odf: missing package"),
+            ]
+        );
+    }
+
+    #[test]
+    fn deployment_without_offcode_children_is_one_set_diagnostic() {
+        let holds_none = hv009(Loc::Set, "<deployment> holds no <offcode> elements");
+        for text in [
+            "<deployment/>",
+            "<deployment> <!-- none --> </deployment>",
+            "<deployment><note><offcode/></note><odf/></deployment>",
+        ] {
+            assert_eq!(
+                parse_deployment_file(text),
+                (Vec::new(), vec![holds_none.clone()]),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn root_that_is_neither_deployment_nor_offcode_is_an_invalid_odf() {
+        let (odfs, diags) = parse_deployment_file(&format!("<manifest>{ODF_A}</manifest>"));
+        assert!(odfs.is_empty());
+        assert_eq!(
+            diags,
+            [hv009(
+                Loc::Set,
+                "invalid ODF: odf: invalid root element: 'manifest'"
+            )]
+        );
+        // A single `<offcode>` root is read as it is.
+        let (odfs, diags) = parse_deployment_file(ODF_B);
+        assert_eq!((odfs.len(), diags.len()), (1, 0));
+    }
+
+    #[test]
+    fn out_of_range_priority_or_class_id_yields_hv009() {
+        let reference = "<offcode><package><bindname>x</bindname><GUID>1</GUID></package>\
+             <sw-env><import><bindname>y</bindname><GUID>2</GUID>\
+             <reference type=Pull pri=300/></import></sw-env></offcode>";
+        let class = "<offcode><package><bindname>x</bindname><GUID>1</GUID></package>\
+             <targets><device-class id=0x100000001><name>nic</name></device-class></targets>\
+             </offcode>";
+        for (text, message) in [
+            (reference, "invalid ODF: odf: invalid reference/pri: '300'"),
+            (
+                class,
+                "invalid ODF: odf: invalid device-class/id: '0x100000001'",
+            ),
+        ] {
+            let (odfs, diags) = parse_deployment_file(text);
+            assert!(odfs.is_empty());
+            assert_eq!(diags, [hv009(Loc::Set, message)]);
+            assert_eq!(diags[0].code.code(), "HV009");
+        }
     }
 }

@@ -17,6 +17,8 @@ pub mod odf;
 pub mod wsdl;
 pub mod xml;
 
-pub use odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument, OdfError};
+pub use odf::{
+    class_ids, ConstraintKind, DeploymentFile, DeviceClassSpec, Guid, Import, OdfDocument, OdfError,
+};
 pub use wsdl::{InterfaceSpec, OperationSpec, TypeTag, WsdlError};
 pub use xml::{Element, Node, XmlError};

@@ -7,9 +7,10 @@
 //! machinery in `hydra-core` consumes them to build the offloading layout
 //! graph.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::xml::{parse as parse_xml, Element, Node, XmlError};
+use crate::xml::{self, take_attr, Attribute, Element, Node, Raw, Sink, XmlError};
 
 /// A globally unique identifier for Offcodes and interfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -185,17 +186,33 @@ impl fmt::Display for OdfError {
 
 impl std::error::Error for OdfError {}
 
+/// A numeric field as it is checked: trimmed, then stripped of
+/// surrounding quotes.
+fn normalized(raw: &str) -> &str {
+    raw.trim().trim_matches('"')
+}
+
+fn invalid(what: &'static str, raw: &str) -> OdfError {
+    OdfError::Invalid {
+        what,
+        value: normalized(raw).to_owned(),
+    }
+}
+
 fn parse_u64(what: &'static str, raw: &str) -> Result<u64, OdfError> {
-    let raw = raw.trim().trim_matches('"');
+    let raw = normalized(raw);
     let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16)
     } else {
         raw.parse()
     };
-    parsed.map_err(|_| OdfError::Invalid {
-        what,
-        value: raw.to_owned(),
-    })
+    parsed.map_err(|_| invalid(what, raw))
+}
+
+/// [`parse_u64`] into a narrower type: a value out of its range is
+/// invalid, not truncated.
+fn parse_narrow<T: TryFrom<u64>>(what: &'static str, raw: &str) -> Result<T, OdfError> {
+    T::try_from(parse_u64(what, raw)?).map_err(|_| invalid(what, raw))
 }
 
 impl OdfDocument {
@@ -250,10 +267,21 @@ impl OdfDocument {
 
     /// Parses and validates an ODF from XML text.
     ///
+    /// The fields are read straight off the XML reader's events; no
+    /// element tree is built. Each single field is the first matching
+    /// child of the first matching parent, and a field's text is its
+    /// direct character data, trimmed. Every check runs once the whole
+    /// document has been read, so malformed XML is always reported as
+    /// such.
+    ///
     /// # Errors
     ///
     /// Fails on malformed XML, a missing `package`/`bindname`/`GUID`, or
-    /// invalid numeric fields.
+    /// invalid numeric fields, including a `reference` `pri` above 255
+    /// or a `device-class` `id` above `u32::MAX`. The first failing check
+    /// is reported, in this order: the root element, the package's
+    /// `bindname`, `GUID` and `footprint`, each import and each device
+    /// class in document order, then `traffic`.
     ///
     /// # Examples
     ///
@@ -270,156 +298,9 @@ impl OdfDocument {
     /// assert_eq!(odf.bind_name, "demo.Checksum");
     /// ```
     pub fn parse(xml: &str) -> Result<OdfDocument, OdfError> {
-        let root = parse_xml(xml)?;
-        Self::from_element(&root)
-    }
-
-    /// Interprets an already-parsed XML element as an ODF.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OdfDocument::parse`].
-    pub fn from_element(root: &Element) -> Result<OdfDocument, OdfError> {
-        if root.name != "offcode" {
-            return Err(OdfError::Invalid {
-                what: "root element",
-                value: root.name.clone(),
-            });
-        }
-        let package = root.child("package").ok_or(OdfError::Missing("package"))?;
-        let bind_name = package
-            .child("bindname")
-            .ok_or(OdfError::Missing("package/bindname"))?
-            .text();
-        if bind_name.is_empty() {
-            return Err(OdfError::Missing("package/bindname"));
-        }
-        let guid = Guid(parse_u64(
-            "package/GUID",
-            &package
-                .child("GUID")
-                .ok_or(OdfError::Missing("package/GUID"))?
-                .text(),
-        )?);
-        let mut interfaces = Vec::new();
-        if let Some(iface) = package.child("interface") {
-            for inc in iface.children_named("include") {
-                interfaces.push(inc.text().trim_matches('"').to_owned());
-            }
-        }
-        let footprint = match package.child("footprint") {
-            None => None,
-            Some(fp) => Some(parse_u64("package/footprint", &fp.text())?),
-        };
-
-        let mut imports = Vec::new();
-        if let Some(sw) = root.child("sw-env") {
-            for imp in sw.children_named("import") {
-                imports.push(Self::parse_import(imp)?);
-            }
-        }
-
-        let mut targets = Vec::new();
-        if let Some(t) = root.child("targets") {
-            for dc in t.children_named("device-class") {
-                targets.push(Self::parse_device_class(dc)?);
-            }
-        }
-
-        let traffic = match root.child("traffic") {
-            None => None,
-            Some(t) => Some(Self::parse_traffic(t)?),
-        };
-
-        Ok(OdfDocument {
-            bind_name,
-            guid,
-            interfaces,
-            imports,
-            targets,
-            footprint,
-            traffic,
-        })
-    }
-
-    fn parse_traffic(t: &Element) -> Result<TrafficSpec, OdfError> {
-        let rate_per_sec = parse_u64(
-            "traffic/rate",
-            t.attr("rate").ok_or(OdfError::Missing("traffic/rate"))?,
-        )?;
-        let burst = match t.attr("burst") {
-            None => 1,
-            Some(b) => parse_u64("traffic/burst", b)?.max(1),
-        };
-        let max_bytes = match t.attr("bytes") {
-            None => 1024,
-            Some(b) => parse_u64("traffic/bytes", b)?,
-        };
-        Ok(TrafficSpec {
-            rate_per_sec,
-            burst,
-            max_bytes,
-        })
-    }
-
-    fn parse_import(imp: &Element) -> Result<Import, OdfError> {
-        let file = imp
-            .child("file")
-            .map(|e| e.text().trim_matches('"').to_owned())
-            .unwrap_or_default();
-        let bind_name = imp
-            .child("bindname")
-            .ok_or(OdfError::Missing("import/bindname"))?
-            .text();
-        let guid = Guid(parse_u64(
-            "import/GUID",
-            &imp.child("GUID")
-                .ok_or(OdfError::Missing("import/GUID"))?
-                .text(),
-        )?);
-        let (constraint, priority) = match imp.child("reference") {
-            None => (ConstraintKind::Link, 0),
-            Some(r) => {
-                let kind = match r.attr("type") {
-                    None => ConstraintKind::Link,
-                    Some(s) => ConstraintKind::from_str_opt(s).ok_or(OdfError::Invalid {
-                        what: "reference/type",
-                        value: s.to_owned(),
-                    })?,
-                };
-                let pri = match r.attr("pri") {
-                    None => 0,
-                    Some(p) => parse_u64("reference/pri", p)? as u8,
-                };
-                (kind, pri)
-            }
-        };
-        Ok(Import {
-            file,
-            bind_name,
-            guid,
-            constraint,
-            priority,
-        })
-    }
-
-    fn parse_device_class(dc: &Element) -> Result<DeviceClassSpec, OdfError> {
-        let id = parse_u64(
-            "device-class/id",
-            dc.attr("id").ok_or(OdfError::Missing("device-class/id"))?,
-        )? as u32;
-        let name = dc
-            .child("name")
-            .ok_or(OdfError::Missing("device-class/name"))?
-            .text();
-        let get = |tag: &str| dc.child(tag).map(|e| e.text());
-        Ok(DeviceClassSpec {
-            id,
-            name,
-            bus: get("bus"),
-            mac: get("mac"),
-            vendor: get("vendor"),
-        })
+        let mut reader = OdfReader::default();
+        xml::read(xml, &mut reader)?;
+        reader.finish()
     }
 
     /// Serializes back to ODF XML. The output re-parses to an equal
@@ -529,6 +410,488 @@ impl OdfDocument {
         }
         .to_xml()
     }
+}
+
+/// A deployment file, as `repro lint` and `repro certify` take it: a
+/// single ODF, or a `<deployment>` element wrapping several.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeploymentFile {
+    /// A `<deployment>` root: each direct `<offcode>` child, read on its
+    /// own as by [`OdfDocument::parse`], in document order. Other
+    /// children, and `<offcode>` elements nested deeper, are ignored.
+    Wrapped(Vec<Result<OdfDocument, OdfError>>),
+    /// Any other root, read as one ODF.
+    Single(Result<OdfDocument, OdfError>),
+}
+
+impl DeploymentFile {
+    /// Reads a deployment file. A malformed document fails as a whole;
+    /// a well-formed one reports each ODF's own result.
+    ///
+    /// # Errors
+    ///
+    /// Returns the positioned [`XmlError`] of a malformed document.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hydra_odf::odf::DeploymentFile;
+    ///
+    /// let file = DeploymentFile::parse(
+    ///     "<deployment><offcode/><note/>\
+    ///      <offcode><package><bindname>b</bindname><GUID>2</GUID></package></offcode>\
+    ///      </deployment>",
+    /// )
+    /// .unwrap();
+    /// let DeploymentFile::Wrapped(odfs) = file else { panic!("a wrapper") };
+    /// assert_eq!(odfs.len(), 2);
+    /// assert!(odfs[0].is_err());
+    /// assert_eq!(odfs[1].as_ref().unwrap().bind_name, "b");
+    /// ```
+    pub fn parse(xml: &str) -> Result<DeploymentFile, XmlError> {
+        let mut reader = DeploymentReader::default();
+        xml::read(xml, &mut reader)?;
+        Ok(match reader.offcodes {
+            Some(offcodes) => {
+                DeploymentFile::Wrapped(offcodes.into_iter().map(OdfReader::finish).collect())
+            }
+            None => DeploymentFile::Single(reader.single.finish()),
+        })
+    }
+}
+
+/// The `<deployment>` sink: one [`OdfReader`] per direct `<offcode>`
+/// child of a `<deployment>` root, or one for any other root.
+#[derive(Default)]
+struct DeploymentReader<'a> {
+    /// Depth of the innermost open element; the root is at depth 1.
+    depth: usize,
+    /// `Some` once the root is known to be `<deployment>`.
+    offcodes: Option<Vec<OdfReader<'a>>>,
+    /// Whether the open element at depth 2 is an `<offcode>`.
+    in_offcode: bool,
+    /// The reader of a root other than `<deployment>`.
+    single: OdfReader<'a>,
+}
+
+impl<'a> DeploymentReader<'a> {
+    /// The reader the current event belongs to, if any.
+    fn target(&mut self) -> Option<&mut OdfReader<'a>> {
+        match &mut self.offcodes {
+            None => Some(&mut self.single),
+            Some(offcodes) if self.in_offcode => offcodes.last_mut(),
+            Some(_) => None,
+        }
+    }
+}
+
+impl<'a> Sink<'a> for DeploymentReader<'a> {
+    fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]) {
+        self.depth += 1;
+        if self.depth == 1 && name == "deployment" {
+            self.offcodes = Some(Vec::new());
+        } else if let (2, Some(offcodes)) = (self.depth, &mut self.offcodes) {
+            self.in_offcode = name == "offcode";
+            if self.in_offcode {
+                offcodes.push(OdfReader::default());
+            }
+        }
+        if let Some(odf) = self.target() {
+            odf.start(name, attributes);
+        }
+    }
+
+    fn text(&mut self, run: &'a str) {
+        if let Some(odf) = self.target() {
+            odf.text(run);
+        }
+    }
+
+    fn reference(&mut self, c: char) {
+        if let Some(odf) = self.target() {
+            odf.reference(c);
+        }
+    }
+
+    fn end(&mut self) {
+        if let Some(odf) = self.target() {
+            odf.end();
+        }
+        if self.depth == 2 {
+            self.in_offcode = false;
+        }
+        self.depth -= 1;
+    }
+}
+
+/// What an open element is to the [`OdfReader`].
+#[derive(Clone, Copy)]
+enum Role {
+    /// Nothing in it is read.
+    Skip,
+    /// The `<offcode>` root.
+    Root,
+    /// The first `<package>`.
+    Package,
+    /// The package's first `<interface>`.
+    Interface,
+    /// The first `<sw-env>`.
+    SwEnv,
+    /// An `<import>` of the first `<sw-env>`.
+    Import,
+    /// The first `<targets>`.
+    Targets,
+    /// A `<device-class>` of the first `<targets>`.
+    Class,
+    /// An element whose direct character data is read into a field.
+    Text(Slot),
+}
+
+/// A field that holds an element's text.
+#[derive(Clone, Copy)]
+enum Slot {
+    BindName,
+    Guid,
+    Footprint,
+    Include,
+    File,
+    ImportBindName,
+    ImportGuid,
+    ClassName,
+    Bus,
+    Mac,
+    Vendor,
+}
+
+#[derive(Default)]
+struct RawPackage<'a> {
+    bind_name: Raw<'a>,
+    guid: Raw<'a>,
+    footprint: Raw<'a>,
+    /// Whether the first `<interface>` has started.
+    interface: bool,
+    includes: Vec<Cow<'a, str>>,
+}
+
+#[derive(Default)]
+struct RawImport<'a> {
+    file: Raw<'a>,
+    bind_name: Raw<'a>,
+    guid: Raw<'a>,
+    /// The first `<reference>`'s `type` and `pri`.
+    reference: Option<(Raw<'a>, Raw<'a>)>,
+}
+
+#[derive(Default)]
+struct RawClass<'a> {
+    id: Raw<'a>,
+    name: Raw<'a>,
+    bus: Raw<'a>,
+    mac: Raw<'a>,
+    vendor: Raw<'a>,
+}
+
+/// The typed ODF sink behind [`OdfDocument::parse`]: it keeps only the
+/// fields an [`OdfDocument`] is built from, and [`OdfReader::finish`]
+/// checks them once the document has been read.
+#[derive(Default)]
+struct OdfReader<'a> {
+    /// The root element's name.
+    root: &'a str,
+    package: Option<RawPackage<'a>>,
+    /// The imports of the first `<sw-env>`, once it has started.
+    imports: Option<Vec<RawImport<'a>>>,
+    /// The device classes of the first `<targets>`, once it has started.
+    classes: Option<Vec<RawClass<'a>>>,
+    /// The first `<traffic>`'s `rate`, `burst` and `bytes`.
+    traffic: Option<[Raw<'a>; 3]>,
+    /// The role of each open element, innermost last.
+    open: Vec<Role>,
+    /// The text of the open [`Role::Text`] element so far.
+    text: Cow<'a, str>,
+}
+
+impl<'a> OdfReader<'a> {
+    /// The single-valued field `slot` fills, in the current package,
+    /// import or device class.
+    fn field(&mut self, slot: Slot) -> Option<&mut Raw<'a>> {
+        let package = self.package.as_mut();
+        let import = self.imports.as_mut().and_then(|i| i.last_mut());
+        let class = self.classes.as_mut().and_then(|c| c.last_mut());
+        Some(match slot {
+            Slot::BindName => &mut package?.bind_name,
+            Slot::Guid => &mut package?.guid,
+            Slot::Footprint => &mut package?.footprint,
+            Slot::Include => return None,
+            Slot::File => &mut import?.file,
+            Slot::ImportBindName => &mut import?.bind_name,
+            Slot::ImportGuid => &mut import?.guid,
+            Slot::ClassName => &mut class?.name,
+            Slot::Bus => &mut class?.bus,
+            Slot::Mac => &mut class?.mac,
+            Slot::Vendor => &mut class?.vendor,
+        })
+    }
+
+    /// The role of a text element for `slot`: read it only if it is the
+    /// first of its name under its parent.
+    fn text_role(&mut self, slot: Slot) -> Role {
+        let first = match slot {
+            Slot::Include => true,
+            _ => self.field(slot).is_some_and(|f| f.is_none()),
+        };
+        if first {
+            self.text = Cow::Borrowed("");
+            Role::Text(slot)
+        } else {
+            Role::Skip
+        }
+    }
+
+    /// The role of a child `name` of an element with role `parent`.
+    fn role(&mut self, parent: Role, name: &str, attributes: &mut [Attribute<'a>]) -> Role {
+        match (parent, name) {
+            (Role::Root, "package") if self.package.is_none() => {
+                self.package = Some(RawPackage::default());
+                Role::Package
+            }
+            (Role::Root, "sw-env") if self.imports.is_none() => {
+                self.imports = Some(Vec::new());
+                Role::SwEnv
+            }
+            (Role::Root, "targets") if self.classes.is_none() => {
+                self.classes = Some(Vec::new());
+                Role::Targets
+            }
+            (Role::Root, "traffic") if self.traffic.is_none() => {
+                self.traffic = Some(["rate", "burst", "bytes"].map(|k| take_attr(attributes, k)));
+                Role::Skip
+            }
+            (Role::Package, "bindname") => self.text_role(Slot::BindName),
+            (Role::Package, "GUID") => self.text_role(Slot::Guid),
+            (Role::Package, "footprint") => self.text_role(Slot::Footprint),
+            (Role::Package, "interface") => match &mut self.package {
+                Some(p) if !p.interface => {
+                    p.interface = true;
+                    Role::Interface
+                }
+                _ => Role::Skip,
+            },
+            (Role::Interface, "include") => self.text_role(Slot::Include),
+            (Role::SwEnv, "import") => match &mut self.imports {
+                Some(imports) => {
+                    imports.push(RawImport::default());
+                    Role::Import
+                }
+                None => Role::Skip,
+            },
+            (Role::Import, "file") => self.text_role(Slot::File),
+            (Role::Import, "bindname") => self.text_role(Slot::ImportBindName),
+            (Role::Import, "GUID") => self.text_role(Slot::ImportGuid),
+            (Role::Import, "reference") => {
+                if let Some(import) = self.imports.as_mut().and_then(|i| i.last_mut()) {
+                    if import.reference.is_none() {
+                        import.reference =
+                            Some((take_attr(attributes, "type"), take_attr(attributes, "pri")));
+                    }
+                }
+                Role::Skip
+            }
+            (Role::Targets, "device-class") => match &mut self.classes {
+                Some(classes) => {
+                    classes.push(RawClass {
+                        id: take_attr(attributes, "id"),
+                        ..RawClass::default()
+                    });
+                    Role::Class
+                }
+                None => Role::Skip,
+            },
+            (Role::Class, "name") => self.text_role(Slot::ClassName),
+            (Role::Class, "bus") => self.text_role(Slot::Bus),
+            (Role::Class, "mac") => self.text_role(Slot::Mac),
+            (Role::Class, "vendor") => self.text_role(Slot::Vendor),
+            _ => Role::Skip,
+        }
+    }
+
+    /// Checks the fields read and builds the document, in the order the
+    /// checks of [`OdfDocument::parse`] are documented.
+    fn finish(self) -> Result<OdfDocument, OdfError> {
+        if self.root != "offcode" {
+            return Err(OdfError::Invalid {
+                what: "root element",
+                value: self.root.to_owned(),
+            });
+        }
+        let package = self.package.ok_or(OdfError::Missing("package"))?;
+        let bind_name = package
+            .bind_name
+            .ok_or(OdfError::Missing("package/bindname"))?
+            .trim()
+            .to_owned();
+        if bind_name.is_empty() {
+            return Err(OdfError::Missing("package/bindname"));
+        }
+        let guid = Guid(parse_u64(
+            "package/GUID",
+            &package.guid.ok_or(OdfError::Missing("package/GUID"))?,
+        )?);
+        let interfaces = package.includes.iter().map(|i| unquoted(i)).collect();
+        let footprint = match package.footprint {
+            None => None,
+            Some(fp) => Some(parse_u64("package/footprint", &fp)?),
+        };
+        let imports = (self.imports.unwrap_or_default().into_iter())
+            .map(RawImport::finish)
+            .collect::<Result<_, _>>()?;
+        let targets = (self.classes.unwrap_or_default().into_iter())
+            .map(RawClass::finish)
+            .collect::<Result<_, _>>()?;
+        let traffic = match self.traffic {
+            None => None,
+            Some([rate, burst, bytes]) => Some(TrafficSpec {
+                rate_per_sec: parse_u64(
+                    "traffic/rate",
+                    &rate.ok_or(OdfError::Missing("traffic/rate"))?,
+                )?,
+                burst: match burst {
+                    None => 1,
+                    Some(b) => parse_u64("traffic/burst", &b)?.max(1),
+                },
+                max_bytes: match bytes {
+                    None => 1024,
+                    Some(b) => parse_u64("traffic/bytes", &b)?,
+                },
+            }),
+        };
+        Ok(OdfDocument {
+            bind_name,
+            guid,
+            interfaces,
+            imports,
+            targets,
+            footprint,
+            traffic,
+        })
+    }
+}
+
+impl<'a> Sink<'a> for OdfReader<'a> {
+    fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]) {
+        let role = match self.open.last() {
+            None => {
+                self.root = name;
+                if name == "offcode" {
+                    Role::Root
+                } else {
+                    Role::Skip
+                }
+            }
+            Some(Role::Skip | Role::Text(_)) => Role::Skip,
+            Some(&parent) => self.role(parent, name, attributes),
+        };
+        self.open.push(role);
+    }
+
+    fn text(&mut self, run: &'a str) {
+        if let Some(Role::Text(_)) = self.open.last() {
+            xml::append(&mut self.text, run);
+        }
+    }
+
+    fn reference(&mut self, c: char) {
+        if let Some(Role::Text(_)) = self.open.last() {
+            self.text.to_mut().push(c);
+        }
+    }
+
+    fn end(&mut self) {
+        let Some(Role::Text(slot)) = self.open.pop() else {
+            return;
+        };
+        let text = std::mem::take(&mut self.text);
+        match slot {
+            Slot::Include => {
+                if let Some(package) = &mut self.package {
+                    package.includes.push(text);
+                }
+            }
+            _ => {
+                if let Some(field) = self.field(slot) {
+                    *field = Some(text);
+                }
+            }
+        }
+    }
+}
+
+impl RawImport<'_> {
+    fn finish(self) -> Result<Import, OdfError> {
+        let file = self.file.map(|f| unquoted(&f)).unwrap_or_default();
+        let bind_name = self
+            .bind_name
+            .ok_or(OdfError::Missing("import/bindname"))?
+            .trim()
+            .to_owned();
+        let guid = Guid(parse_u64(
+            "import/GUID",
+            &self.guid.ok_or(OdfError::Missing("import/GUID"))?,
+        )?);
+        let (constraint, priority) = match self.reference {
+            None => (ConstraintKind::Link, 0),
+            Some((kind, pri)) => {
+                let kind = match kind {
+                    None => ConstraintKind::Link,
+                    Some(s) => {
+                        ConstraintKind::from_str_opt(&s).ok_or_else(|| OdfError::Invalid {
+                            what: "reference/type",
+                            value: s.into_owned(),
+                        })?
+                    }
+                };
+                let pri = match pri {
+                    None => 0,
+                    Some(p) => parse_narrow("reference/pri", &p)?,
+                };
+                (kind, pri)
+            }
+        };
+        Ok(Import {
+            file,
+            bind_name,
+            guid,
+            constraint,
+            priority,
+        })
+    }
+}
+
+impl RawClass<'_> {
+    fn finish(self) -> Result<DeviceClassSpec, OdfError> {
+        let id = parse_narrow(
+            "device-class/id",
+            &self.id.ok_or(OdfError::Missing("device-class/id"))?,
+        )?;
+        let name = self
+            .name
+            .ok_or(OdfError::Missing("device-class/name"))?
+            .trim()
+            .to_owned();
+        let text = |t: Raw<'_>| t.map(|t| t.trim().to_owned());
+        Ok(DeviceClassSpec {
+            id,
+            name,
+            bus: text(self.bus),
+            mac: text(self.mac),
+            vendor: text(self.vendor),
+        })
+    }
+}
+
+/// A path-like text field: trimmed, then stripped of surrounding quotes.
+fn unquoted(text: &str) -> String {
+    text.trim().trim_matches('"').to_owned()
 }
 
 /// Well-known device class ids used throughout the reproduction.

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::odf::Guid;
-use crate::xml::{parse as parse_xml, Element, XmlError};
+use crate::xml::{self, take_attr, Attribute, Element, Raw, Sink, XmlError};
 
 /// Primitive types marshalable across a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,6 +149,11 @@ impl InterfaceSpec {
 
     /// Parses a WSDL-lite document.
     ///
+    /// The interface is read straight off the XML reader's events; no
+    /// element tree is built. Every check runs once the whole document
+    /// has been read, so malformed XML is always reported as such, and
+    /// the first failing check is reported in document order.
+    ///
     /// # Errors
     ///
     /// Fails on malformed XML, a missing name/GUID, unknown types, or
@@ -169,86 +174,9 @@ impl InterfaceSpec {
     /// assert_eq!(spec.operation("checksum").unwrap().inputs.len(), 1);
     /// ```
     pub fn parse(xml: &str) -> Result<InterfaceSpec, WsdlError> {
-        let root = parse_xml(xml)?;
-        Self::from_element(&root)
-    }
-
-    /// Interprets an already-parsed element.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`InterfaceSpec::parse`].
-    pub fn from_element(root: &Element) -> Result<InterfaceSpec, WsdlError> {
-        if root.name != "interface" {
-            return Err(WsdlError::Invalid {
-                what: "root element",
-                value: root.name.clone(),
-            });
-        }
-        let name = root
-            .attr("name")
-            .ok_or(WsdlError::Missing("interface/name"))?
-            .to_owned();
-        let guid_raw = root
-            .attr("guid")
-            .ok_or(WsdlError::Missing("interface/guid"))?;
-        let guid = Guid(guid_raw.parse().map_err(|_| WsdlError::Invalid {
-            what: "interface/guid",
-            value: guid_raw.to_owned(),
-        })?);
-        let mut operations: Vec<OperationSpec> = Vec::new();
-        for op in root.children_named("operation") {
-            let op_name = op
-                .attr("name")
-                .ok_or(WsdlError::Missing("operation/name"))?
-                .to_owned();
-            if operations.iter().any(|o| o.name == op_name) {
-                return Err(WsdlError::DuplicateOperation(op_name));
-            }
-            let mut inputs = Vec::new();
-            let mut output = TypeTag::Unit;
-            for child in op.child_elements() {
-                match child.name.as_str() {
-                    "input" => {
-                        let pname = child
-                            .attr("name")
-                            .ok_or(WsdlError::Missing("input/name"))?
-                            .to_owned();
-                        let ty_raw = child.attr("type").ok_or(WsdlError::Missing("input/type"))?;
-                        let ty = TypeTag::from_str_opt(ty_raw).ok_or(WsdlError::Invalid {
-                            what: "input/type",
-                            value: ty_raw.to_owned(),
-                        })?;
-                        inputs.push((pname, ty));
-                    }
-                    "output" => {
-                        let ty_raw = child
-                            .attr("type")
-                            .ok_or(WsdlError::Missing("output/type"))?;
-                        output = TypeTag::from_str_opt(ty_raw).ok_or(WsdlError::Invalid {
-                            what: "output/type",
-                            value: ty_raw.to_owned(),
-                        })?;
-                    }
-                    other => {
-                        return Err(WsdlError::Invalid {
-                            what: "operation child",
-                            value: other.to_owned(),
-                        })
-                    }
-                }
-            }
-            operations.push(OperationSpec {
-                name: op_name,
-                inputs,
-                output,
-            });
-        }
-        Ok(InterfaceSpec {
-            name,
-            guid,
-            operations,
-        })
+        let mut reader = WsdlReader::default();
+        xml::read(xml, &mut reader)?;
+        reader.finish()
     }
 
     /// Serializes back to WSDL-lite XML (round-trips through
@@ -294,6 +222,140 @@ impl InterfaceSpec {
             children: ops,
         }
         .to_xml()
+    }
+}
+
+/// A child element of an `<operation>`: its name and its `name` and
+/// `type` attributes.
+struct RawChild<'a> {
+    tag: &'a str,
+    name: Raw<'a>,
+    ty: Raw<'a>,
+}
+
+struct RawOperation<'a> {
+    name: Raw<'a>,
+    children: Vec<RawChild<'a>>,
+}
+
+/// The typed WSDL sink behind [`InterfaceSpec::parse`]: the root's name
+/// and attributes, and each direct `<operation>` child with its direct
+/// children's attributes. [`WsdlReader::finish`] checks them once the
+/// document has been read.
+#[derive(Default)]
+struct WsdlReader<'a> {
+    root: &'a str,
+    name: Raw<'a>,
+    guid: Raw<'a>,
+    operations: Vec<RawOperation<'a>>,
+    /// Depth of the innermost open element; the root is at depth 1.
+    depth: usize,
+    /// Whether the open element at depth 2 is an `<operation>`.
+    in_operation: bool,
+}
+
+impl<'a> Sink<'a> for WsdlReader<'a> {
+    fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]) {
+        self.depth += 1;
+        match self.depth {
+            1 => {
+                self.root = name;
+                self.name = take_attr(attributes, "name");
+                self.guid = take_attr(attributes, "guid");
+            }
+            2 => {
+                self.in_operation = name == "operation";
+                if self.in_operation {
+                    self.operations.push(RawOperation {
+                        name: take_attr(attributes, "name"),
+                        children: Vec::new(),
+                    });
+                }
+            }
+            3 if self.in_operation => {
+                if let Some(op) = self.operations.last_mut() {
+                    op.children.push(RawChild {
+                        tag: name,
+                        name: take_attr(attributes, "name"),
+                        ty: take_attr(attributes, "type"),
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn end(&mut self) {
+        self.depth -= 1;
+    }
+}
+
+/// A `type` attribute's tag, or the error for its absence or spelling.
+fn type_tag(raw: Raw<'_>, what: &'static str) -> Result<TypeTag, WsdlError> {
+    let raw = raw.ok_or(WsdlError::Missing(what))?;
+    TypeTag::from_str_opt(&raw).ok_or_else(|| WsdlError::Invalid {
+        what,
+        value: raw.into_owned(),
+    })
+}
+
+impl WsdlReader<'_> {
+    fn finish(self) -> Result<InterfaceSpec, WsdlError> {
+        if self.root != "interface" {
+            return Err(WsdlError::Invalid {
+                what: "root element",
+                value: self.root.to_owned(),
+            });
+        }
+        let name = self
+            .name
+            .ok_or(WsdlError::Missing("interface/name"))?
+            .into_owned();
+        let guid_raw = self.guid.ok_or(WsdlError::Missing("interface/guid"))?;
+        let guid = Guid(guid_raw.parse().map_err(|_| WsdlError::Invalid {
+            what: "interface/guid",
+            value: guid_raw.to_string(),
+        })?);
+        let mut operations: Vec<OperationSpec> = Vec::new();
+        for op in self.operations {
+            let op_name = op
+                .name
+                .ok_or(WsdlError::Missing("operation/name"))?
+                .into_owned();
+            if operations.iter().any(|o| o.name == op_name) {
+                return Err(WsdlError::DuplicateOperation(op_name));
+            }
+            let mut inputs = Vec::new();
+            let mut output = TypeTag::Unit;
+            for child in op.children {
+                match child.tag {
+                    "input" => {
+                        let pname = child
+                            .name
+                            .ok_or(WsdlError::Missing("input/name"))?
+                            .into_owned();
+                        inputs.push((pname, type_tag(child.ty, "input/type")?));
+                    }
+                    "output" => output = type_tag(child.ty, "output/type")?,
+                    other => {
+                        return Err(WsdlError::Invalid {
+                            what: "operation child",
+                            value: other.to_owned(),
+                        })
+                    }
+                }
+            }
+            operations.push(OperationSpec {
+                name: op_name,
+                inputs,
+                output,
+            });
+        }
+        Ok(InterfaceSpec {
+            name,
+            guid,
+            operations,
+        })
     }
 }
 

@@ -4,13 +4,27 @@
 //! its own small parser rather than an external dependency: elements,
 //! attributes (quoted *or* unquoted — the paper's own ODF sample writes
 //! `type=Pull pri=0`), text, comments, processing instructions, and the
-//! five predefined entities. It is a strict well-formedness parser with
-//! positioned errors that builds the whole tree in one pass over the
-//! input's bytes: names, attribute values and text runs are copied out
-//! as slices, and a line/column is computed only when an error is
-//! raised. Elements may nest at most [`MAX_DEPTH`] deep; open elements
-//! are kept on a heap stack, so no input can exhaust the call stack.
+//! five predefined entities.
+//!
+//! There is one parser, the crate-internal `read`: a strict
+//! well-formedness reader with positioned errors that walks the input's
+//! bytes once and reports what it finds to a `Sink` as events — a start
+//! tag with its attributes, a run of character data, a decoded entity or
+//! character reference, and an end tag. Names, text runs and attribute
+//! values are borrowed from the input (a value is copied only when it
+//! holds a reference); whitespace and name bytes are classified without
+//! decoding a character, and a line/column is computed only when an
+//! error is raised. Elements may nest at most [`MAX_DEPTH`] deep; the
+//! names of open elements are kept on a heap stack, so no input can
+//! exhaust the call stack.
+//!
+//! Its consumers are [`parse`], which builds an [`Element`] tree, and the
+//! typed readers behind [`OdfDocument::parse`](crate::odf::OdfDocument::parse),
+//! [`InterfaceSpec::parse`](crate::wsdl::InterfaceSpec::parse) and
+//! [`DeploymentFile::parse`](crate::odf::DeploymentFile::parse), which keep
+//! only the fields they read and never build the tree.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A position in the source text, for error messages.
@@ -199,23 +213,84 @@ pub const MAX_DEPTH: usize = 128;
 /// assert_eq!(root.child("b").unwrap().text(), "hi");
 /// ```
 pub fn parse(input: &str) -> Result<Element, XmlError> {
-    let mut p = Parser { src: input, pos: 0 };
-    p.skip_prolog()?;
-    let root = p.parse_root()?;
-    p.skip_misc()?;
-    if !p.at_end() {
-        return Err(p.error("content after document root"));
-    }
-    Ok(root)
+    let mut tree = Tree::default();
+    read(input, &mut tree)?;
+    Ok(tree
+        .root
+        .expect("a document that reads without error has ended its root"))
 }
 
-/// A cursor over the document's bytes. `pos` always sits on a character
-/// boundary: the parser only steps over whole characters, and the bytes
-/// it scans for (`<`, `&`, `>`, quotes, `-->`, `?>`) are ASCII, which
-/// never occurs inside a multi-byte UTF-8 sequence.
-struct Parser<'a> {
-    src: &'a str,
-    pos: usize,
+/// An attribute as [`read`] reports it: the name, and the entity-decoded
+/// value, borrowed from the input unless it holds a reference.
+pub(crate) type Attribute<'a> = (&'a str, Cow<'a, str>);
+
+/// An attribute's value or an element's text as a typed reader keeps it
+/// until its checks run: absent, or borrowed from the input while it is
+/// one run.
+pub(crate) type Raw<'a> = Option<Cow<'a, str>>;
+
+/// A consumer of the events [`read`] reports, in document order.
+pub(crate) trait Sink<'a> {
+    /// A start tag, once it has been read through its `>` or `/>`. The
+    /// sink may move values out of `attributes`.
+    fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]);
+    /// A run of character data holding no markup and no reference.
+    fn text(&mut self, _run: &'a str) {}
+    /// A decoded entity or character reference in character data.
+    fn reference(&mut self, _c: char) {}
+    /// The end of the innermost open element. An empty-element tag
+    /// (`<a/>`) ends right after it starts.
+    fn end(&mut self);
+}
+
+/// Reads a complete document, reporting it to `sink` as events.
+///
+/// Events stop at the first error, so a sink must not act on what it
+/// has seen until `read` returns `Ok`.
+///
+/// # Errors
+///
+/// The same as [`parse`].
+pub(crate) fn read<'a>(input: &'a str, sink: &mut impl Sink<'a>) -> Result<(), XmlError> {
+    let mut r = Reader {
+        src: input,
+        pos: 0,
+        attributes: Vec::new(),
+    };
+    r.skip_prolog()?;
+    r.read_root(sink)?;
+    r.skip_misc()?;
+    if !r.at_end() {
+        return Err(r.error("content after document root"));
+    }
+    Ok(())
+}
+
+/// Appends a text run to `text`, which stays borrowed from the input
+/// while it holds a single run.
+pub(crate) fn append<'a>(text: &mut Cow<'a, str>, run: &'a str) {
+    if text.is_empty() {
+        *text = Cow::Borrowed(run);
+    } else {
+        text.to_mut().push_str(run);
+    }
+}
+
+/// Moves the value of attribute `name` out of `attributes`, if present.
+pub(crate) fn take_attr<'a>(attributes: &mut [Attribute<'a>], name: &str) -> Raw<'a> {
+    attributes
+        .iter_mut()
+        .find(|(k, _)| *k == name)
+        .map(|(_, v)| std::mem::take(v))
+}
+
+/// The DOM sink behind [`parse`].
+#[derive(Default)]
+struct Tree {
+    /// Elements whose start tag has been read, innermost last.
+    open: Vec<Open>,
+    /// The root, once it has ended.
+    root: Option<Element>,
 }
 
 /// An element whose start tag has been read.
@@ -226,13 +301,6 @@ struct Open {
 }
 
 impl Open {
-    fn new(element: Element) -> Self {
-        Open {
-            element,
-            text: String::new(),
-        }
-    }
-
     fn flush_text(&mut self) {
         if !self.text.is_empty() {
             let text = std::mem::take(&mut self.text);
@@ -241,15 +309,82 @@ impl Open {
     }
 }
 
+impl<'a> Sink<'a> for Tree {
+    fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]) {
+        if let Some(parent) = self.open.last_mut() {
+            parent.flush_text();
+        }
+        let attributes = attributes
+            .iter_mut()
+            .map(|(k, v)| ((*k).to_owned(), std::mem::take(v).into_owned()))
+            .collect();
+        self.open.push(Open {
+            element: Element {
+                name: name.to_owned(),
+                attributes,
+                children: Vec::new(),
+            },
+            text: String::new(),
+        });
+    }
+
+    fn text(&mut self, run: &'a str) {
+        if let Some(open) = self.open.last_mut() {
+            open.text.push_str(run);
+        }
+    }
+
+    fn reference(&mut self, c: char) {
+        if let Some(open) = self.open.last_mut() {
+            open.text.push(c);
+        }
+    }
+
+    fn end(&mut self) {
+        let Some(mut done) = self.open.pop() else {
+            return;
+        };
+        done.flush_text();
+        match self.open.last_mut() {
+            Some(parent) => parent.element.children.push(Node::Element(done.element)),
+            None => self.root = Some(done.element),
+        }
+    }
+}
+
+/// A cursor over the document's bytes. `pos` always sits on a character
+/// boundary: the reader only steps over whole characters, and the bytes
+/// it scans for (`<`, `&`, `>`, quotes, `-->`, `?>`) are ASCII, which
+/// never occurs inside a multi-byte UTF-8 sequence.
+struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    /// The attributes of the start tag being read, reused across tags.
+    attributes: Vec<Attribute<'a>>,
+}
+
+/// Whether the ASCII byte `b` is whitespace: exactly the ASCII characters
+/// `char::is_whitespace` accepts (`u8::is_ascii_whitespace` leaves out
+/// `\x0B`).
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// Whether the ASCII byte `b` may appear in a name: `[A-Za-z_:]` anywhere,
+/// and `[0-9.-]` after the first character, as the `char` rules give on
+/// ASCII.
+fn is_ascii_name_byte(b: u8, first: bool) -> bool {
+    b.is_ascii_alphabetic()
+        || b == b'_'
+        || b == b':'
+        || (!first && (b.is_ascii_digit() || b == b'-' || b == b'.'))
+}
+
 fn is_name_start(c: char) -> bool {
     c.is_alphabetic() || c == '_' || c == ':'
 }
 
-fn is_name_char(c: char) -> bool {
-    is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.'
-}
-
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
     fn rest(&self) -> &'a [u8] {
         &self.src.as_bytes()[self.pos..]
     }
@@ -313,9 +448,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skips whitespace, deciding on an ASCII byte without decoding it.
     fn skip_ws(&mut self) {
-        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
-            self.pos += c.len_utf8();
+        while let Some(&b) = self.rest().first() {
+            if b.is_ascii() {
+                if !is_ascii_space(b) {
+                    return;
+                }
+                self.pos += 1;
+            } else {
+                match self.peek() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return,
+                }
+            }
         }
     }
 
@@ -374,14 +520,25 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads a name, deciding on an ASCII byte without decoding it. A
+    /// non-ASCII character belongs to a name when it is alphabetic.
     fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
-        match self.peek() {
-            Some(c) if is_name_start(c) => {}
-            _ => return Err(self.error("expected a name")),
+        while let Some(&b) = self.rest().first() {
+            if b.is_ascii() {
+                if !is_ascii_name_byte(b, self.pos == start) {
+                    break;
+                }
+                self.pos += 1;
+            } else {
+                match self.peek() {
+                    Some(c) if c.is_alphabetic() => self.pos += c.len_utf8(),
+                    _ => break,
+                }
+            }
         }
-        while let Some(c) = self.peek().filter(|&c| is_name_char(c)) {
-            self.pos += c.len_utf8();
+        if self.pos == start {
+            return Err(self.error("expected a name"));
         }
         Ok(&self.src[start..self.pos])
     }
@@ -417,12 +574,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_attr_value(&mut self) -> Result<String, XmlError> {
+    fn parse_attr_value(&mut self) -> Result<Cow<'a, str>, XmlError> {
         match self.peek() {
             Some(quote @ ('"' | '\'')) => {
                 self.pos += 1;
                 let quote = quote as u8;
-                let mut value = String::new();
+                let mut value = Cow::Borrowed("");
                 loop {
                     let run = self
                         .rest()
@@ -432,10 +589,10 @@ impl<'a> Parser<'a> {
                         self.pos = self.src.len();
                         return Err(self.error("unterminated attribute value"));
                     };
-                    value.push_str(&self.src[self.pos..self.pos + run]);
+                    append(&mut value, &self.src[self.pos..self.pos + run]);
                     self.pos += run + 1;
                     match self.src.as_bytes()[self.pos - 1] {
-                        b'&' => value.push(self.parse_entity()?),
+                        b'&' => value.to_mut().push(self.parse_entity()?),
                         b'<' => return Err(self.error("'<' in attribute value")),
                         _ => return Ok(value),
                     }
@@ -450,20 +607,21 @@ impl<'a> Parser<'a> {
                 {
                     self.pos += c.len_utf8();
                 }
-                Ok(self.src[start..self.pos].to_owned())
+                Ok(Cow::Borrowed(&self.src[start..self.pos]))
             }
             _ => Err(self.error("expected attribute value")),
         }
     }
 
-    /// Reads a start tag from its `<` through `>` or `/>`, returning the
-    /// element and whether it is still open (`>`).
-    fn parse_start_tag(&mut self) -> Result<(Element, bool), XmlError> {
+    /// Reads a start tag from its `<` through `>` or `/>` and reports it,
+    /// followed by its end for `/>`. Returns the name and whether the
+    /// element is still open (`>`).
+    fn read_start_tag(&mut self, sink: &mut impl Sink<'a>) -> Result<(&'a str, bool), XmlError> {
         if !self.eat("<") {
             return Err(self.error("expected '<'"));
         }
-        let name = self.parse_name()?.to_owned();
-        let mut attributes: Vec<(String, String)> = Vec::new();
+        let name = self.parse_name()?;
+        self.attributes.clear();
         loop {
             self.skip_ws();
             match self.peek() {
@@ -472,25 +630,18 @@ impl<'a> Parser<'a> {
                     if !self.eat(">") {
                         return Err(self.error("expected '>' after '/'"));
                     }
-                    let element = Element {
-                        name,
-                        attributes,
-                        children: Vec::new(),
-                    };
-                    return Ok((element, false));
+                    sink.start(name, &mut self.attributes);
+                    sink.end();
+                    return Ok((name, false));
                 }
                 Some('>') => {
                     self.pos += 1;
-                    let element = Element {
-                        name,
-                        attributes,
-                        children: Vec::new(),
-                    };
-                    return Ok((element, true));
+                    sink.start(name, &mut self.attributes);
+                    return Ok((name, true));
                 }
                 Some(c) if is_name_start(c) => {
                     let key = self.parse_name()?;
-                    if attributes.iter().any(|(k, _)| k == key) {
+                    if self.attributes.iter().any(|&(k, _)| k == key) {
                         return Err(self.error(&format!("duplicate attribute '{key}'")));
                     }
                     self.skip_ws();
@@ -499,52 +650,49 @@ impl<'a> Parser<'a> {
                     }
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
-                    attributes.push((key.to_owned(), value));
+                    self.attributes.push((key, value));
                 }
                 _ => return Err(self.error("malformed start tag")),
             }
         }
     }
 
-    /// Parses the root element and everything inside it. Open elements
-    /// live on an explicit stack, so nesting costs heap, not call depth.
-    fn parse_root(&mut self) -> Result<Element, XmlError> {
-        let (root, open) = self.parse_start_tag()?;
+    /// Reads the root element and everything inside it. Only the names
+    /// of open elements are kept, on a heap stack, so nesting costs heap,
+    /// not call depth.
+    fn read_root(&mut self, sink: &mut impl Sink<'a>) -> Result<(), XmlError> {
+        let (mut current, open) = self.read_start_tag(sink)?;
         if !open {
-            return Ok(root);
+            return Ok(());
         }
-        let mut current = Open::new(root);
-        let mut ancestors: Vec<Open> = Vec::new();
+        let mut ancestors: Vec<&'a str> = Vec::new();
         loop {
             let Some(&next) = self.rest().first() else {
-                let name = &current.element.name;
-                return Err(self.error(&format!("unclosed element <{name}>")));
+                return Err(self.error(&format!("unclosed element <{current}>")));
             };
             match next {
                 b'&' => {
                     self.pos += 1;
                     let c = self.parse_entity()?;
-                    current.text.push(c);
+                    sink.reference(c);
                 }
                 b'<' if self.starts_with("</") => {
-                    current.flush_text();
                     self.pos += 2;
                     let close = self.parse_name()?;
-                    let name = &current.element.name;
-                    if close != name {
+                    if close != current {
                         return Err(
-                            self.error(&format!("mismatched close tag </{close}> for <{name}>"))
+                            self.error(&format!("mismatched close tag </{close}> for <{current}>"))
                         );
                     }
                     self.skip_ws();
                     if !self.eat(">") {
                         return Err(self.error("expected '>' in close tag"));
                     }
-                    let Some(parent) = ancestors.pop() else {
-                        return Ok(current.element);
-                    };
-                    let done = std::mem::replace(&mut current, parent);
-                    current.element.children.push(Node::Element(done.element));
+                    sink.end();
+                    match ancestors.pop() {
+                        Some(parent) => current = parent,
+                        None => return Ok(()),
+                    }
                 }
                 b'<' if self.starts_with("<!--") => {
                     self.skip_comment()?;
@@ -553,17 +701,14 @@ impl<'a> Parser<'a> {
                     self.skip_pi()?;
                 }
                 b'<' => {
-                    current.flush_text();
                     // The child sits one below `current`, at depth
                     // `ancestors.len() + 2`.
                     if ancestors.len() + 2 > MAX_DEPTH {
                         return Err(self.error(&format!("elements nested deeper than {MAX_DEPTH}")));
                     }
-                    let (child, open) = self.parse_start_tag()?;
+                    let (child, open) = self.read_start_tag(sink)?;
                     if open {
-                        ancestors.push(std::mem::replace(&mut current, Open::new(child)));
-                    } else {
-                        current.element.children.push(Node::Element(child));
+                        ancestors.push(std::mem::replace(&mut current, child));
                     }
                 }
                 _ => {
@@ -572,7 +717,7 @@ impl<'a> Parser<'a> {
                         .iter()
                         .position(|&b| b == b'<' || b == b'&')
                         .unwrap_or(self.src.len() - self.pos);
-                    current.text.push_str(&self.src[self.pos..self.pos + run]);
+                    sink.text(&self.src[self.pos..self.pos + run]);
                     self.pos += run;
                 }
             }

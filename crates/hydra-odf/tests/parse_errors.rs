@@ -131,3 +131,49 @@ fn errors_render_their_context() {
     assert!(err("<offcode></offcode>").to_string().contains("package"));
     assert!(err("<nope/>").to_string().contains("root element"));
 }
+
+#[test]
+fn reference_priority_above_255_is_invalid_not_truncated() {
+    let doc = |pri: &str| {
+        format!(
+            "<offcode><package><bindname>x</bindname><GUID>1</GUID></package>\
+             <sw-env><import><bindname>y</bindname><GUID>2</GUID>\
+             <reference type=Pull pri={pri}/></import></sw-env></offcode>"
+        )
+    };
+    let odf = OdfDocument::parse(&doc("255")).expect("255 fits a u8");
+    assert_eq!(odf.imports[0].priority, 255);
+    for (pri, value) in [("256", "256"), ("300", "300"), ("'\"0x100\"'", "0x100")] {
+        assert_eq!(
+            err(&doc(pri)),
+            OdfError::Invalid {
+                what: "reference/pri",
+                value: value.to_owned(),
+            },
+            "pri={pri}"
+        );
+    }
+}
+
+#[test]
+fn device_class_id_above_u32_max_is_invalid_not_truncated() {
+    let doc = |id: &str| {
+        format!(
+            "<offcode><package><bindname>x</bindname><GUID>1</GUID></package>\
+             <targets><device-class id={id}><name>nic</name></device-class></targets></offcode>"
+        )
+    };
+    let odf = OdfDocument::parse(&doc("0xffffffff")).expect("u32::MAX fits");
+    assert_eq!(odf.targets[0].id, u32::MAX);
+    // `0x100000001` used to truncate to class 1, the network class.
+    for id in ["0x100000000", "0x100000001", "4294967296"] {
+        assert_eq!(
+            err(&doc(id)),
+            OdfError::Invalid {
+                what: "device-class/id",
+                value: id.to_owned(),
+            },
+            "id={id}"
+        );
+    }
+}

@@ -10,9 +10,14 @@
 //! Unicode whitespace, then truncated or byte-mutated — go through both
 //! parsers, which must return the same `Result`, down to the error's
 //! position and message. Every fixture's ODF and WSDL interpretation must
-//! agree too, and `parse → to_xml → parse` must reach a fixpoint. The
+//! agree too, and `parse → to_xml → parse` must reach a fixpoint. On
+//! every generated document and fixture, the typed ODF, WSDL and
+//! deployment-file readers must also return what the DOM readers in
+//! [`dom_readers`] return. The
 //! reference recurses, so every document here stays within
 //! [`MAX_DEPTH`]; the depth bound itself is tested on its own.
+
+mod dom_readers;
 
 use hydra_odf::odf::OdfDocument;
 use hydra_odf::wsdl::{InterfaceSpec, OperationSpec, TypeTag};
@@ -377,6 +382,7 @@ mod reference {
 fn both(doc: &str) -> Result<Element, XmlError> {
     let new = xml::parse(doc);
     assert_eq!(new, reference::parse(doc), "parsers disagree on {doc:?}");
+    dom_readers::assert_typed_readers_agree(doc);
     new
 }
 
@@ -688,6 +694,35 @@ fn generated_documents_cover_accepts_and_every_error() {
     }
 }
 
+/// The reader classifies an ASCII byte as whitespace or as part of a
+/// name without decoding it. Every ASCII character, and a few non-ASCII
+/// ones, in every position where that decision is made must be read as
+/// the reference reads it.
+#[test]
+fn parsers_agree_on_every_ascii_character_in_names_and_whitespace() {
+    let non_ascii = [
+        '\u{85}', '\u{A0}', '\u{2003}', '\u{3000}', 'é', '名', '٣', '\u{FEFF}',
+    ];
+    for c in (0..0x80u8).map(char::from).chain(non_ascii) {
+        for doc in [
+            format!("{c}<a/>"),
+            format!("<a/>{c}"),
+            format!("<{c}a/>"),
+            format!("<a{c}/>"),
+            format!("<a{c}b/>"),
+            format!("<a{c}x='1'/>"),
+            format!("<a x{c}='1'/>"),
+            format!("<a x={c}'1'/>"),
+            format!("<a x=1{c}y=2/>"),
+            format!("<a x={c}/>"),
+            format!("<a></a{c}>"),
+            format!("<a>{c}<b/>{c}</a>"),
+        ] {
+            let _ = both(&doc);
+        }
+    }
+}
+
 fn nested(levels: usize, inner: &str) -> String {
     "<a>".repeat(levels) + inner + &"</a>".repeat(levels)
 }
@@ -760,12 +795,13 @@ fn fixtures_interpret_identically_under_both_parsers() {
         } else {
             vec![&old]
         };
+        dom_readers::assert_typed_readers_agree(text);
         for (n, o) in elements.iter().zip(&old_elements) {
-            let odf = OdfDocument::from_element(n);
-            assert_eq!(odf, OdfDocument::from_element(o), "{path}");
+            let odf = dom_readers::odf_from_element(n);
+            assert_eq!(odf, dom_readers::odf_from_element(o), "{path}");
             assert_eq!(
-                InterfaceSpec::from_element(n),
-                InterfaceSpec::from_element(o)
+                dom_readers::interface_from_element(n),
+                dom_readers::interface_from_element(o)
             );
             // The text the runtime's own generator would hand the parser.
             if let Ok(odf) = odf {
@@ -773,7 +809,7 @@ fn fixtures_interpret_identically_under_both_parsers() {
                 let text = odf.to_xml();
                 assert_eq!(OdfDocument::parse(&text), Ok(odf.clone()));
                 let old_tree = reference::parse(&text).expect("generated ODF parses");
-                assert_eq!(OdfDocument::from_element(&old_tree), Ok(odf));
+                assert_eq!(dom_readers::odf_from_element(&old_tree), Ok(odf));
             }
         }
     }
@@ -811,8 +847,8 @@ fn interface_specs_interpret_identically_under_both_parsers() {
         let new = both(text).expect("well-formed");
         let old = reference::parse(text).expect("well-formed");
         assert_eq!(
-            InterfaceSpec::from_element(&new),
-            InterfaceSpec::from_element(&old)
+            dom_readers::interface_from_element(&new),
+            dom_readers::interface_from_element(&old)
         );
     }
     assert_eq!(InterfaceSpec::parse(&docs[0]), Ok(spec));

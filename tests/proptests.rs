@@ -15,8 +15,13 @@ use hydra::media::entropy::{
 };
 use hydra::media::frame::RawFrame;
 use hydra::media::transform::{dequantize, forward, inverse, quantize};
-use hydra::odf::odf::{ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
+use hydra::odf::odf::{ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument, TrafficSpec};
+use hydra::odf::wsdl::{InterfaceSpec, OperationSpec, TypeTag};
 use hydra::odf::xml;
+
+/// Infixes for the ODF round trip's text fields: none, characters the
+/// serializer must escape, and non-ASCII text.
+const ODF_DECOR: &[&str] = &["", "&", "<", "\"", "'", ">", "a&b<c\"d", "é", "日本", "Δ-ñ"];
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -178,14 +183,33 @@ proptest! {
     fn odf_round_trips(
         guid in 1u64..1u64 << 48,
         name in "[a-zA-Z][a-zA-Z0-9.]{0,32}",
+        decor in 0usize..ODF_DECOR.len(),
         n_imports in 0usize..4,
         n_targets in 0usize..3,
+        n_interfaces in 0usize..3,
+        priority in any::<u8>(),
+        class_id in any::<u32>(),
+        optional in any::<u8>(),
+        footprint in any::<u64>(),
+        rate in any::<u64>(),
+        burst in 1u64..u64::MAX,
+        max_bytes in any::<u64>(),
     ) {
-        let mut odf = OdfDocument::new(name, Guid(guid));
+        // Text that needs escaping or is not ASCII, inside the value: the
+        // reader trims whitespace and strips quotes at either end.
+        let text = |tail: &str| format!("x{}{tail}", ODF_DECOR[decor]);
+        let mut odf = OdfDocument::new(text(&name), Guid(guid));
+        for i in 0..n_interfaces {
+            odf = odf.with_interface(text(&format!("/offcodes/i{i}.wsdl")));
+        }
         for i in 0..n_imports {
             odf = odf.with_import(Import {
-                file: format!("/offcodes/dep{i}.odf"),
-                bind_name: format!("dep{i}"),
+                file: if (optional >> i) & 1 == 0 {
+                    text(&format!("/offcodes/dep{i}.odf"))
+                } else {
+                    String::new()
+                },
+                bind_name: text(&format!("dep{i}")),
                 guid: Guid(guid + 1 + i as u64),
                 constraint: match i % 4 {
                     0 => ConstraintKind::Link,
@@ -193,20 +217,75 @@ proptest! {
                     2 => ConstraintKind::Gang,
                     _ => ConstraintKind::AsymGang,
                 },
-                priority: (i % 250) as u8,
+                priority: priority.wrapping_add(i as u8),
             });
         }
         for t in 0..n_targets {
+            let has = |bit: usize| (optional >> (t + bit)) & 1 == 1;
             odf = odf.with_target(DeviceClassSpec {
-                id: t as u32,
-                name: format!("class{t}"),
-                bus: if t % 2 == 0 { Some("pci".into()) } else { None },
-                mac: None,
-                vendor: None,
+                id: class_id.wrapping_add(t as u32),
+                name: text(&format!("class{t}")),
+                bus: has(0).then(|| text("pci")),
+                mac: has(1).then(|| text("ethernet")),
+                vendor: has(2).then(|| text("3COM")),
             });
+        }
+        if optional & 0x40 != 0 {
+            odf = odf.with_footprint(footprint);
+        }
+        if optional & 0x80 != 0 {
+            odf = odf.with_traffic(TrafficSpec { rate_per_sec: rate, burst, max_bytes });
         }
         let re = OdfDocument::parse(&odf.to_xml()).expect("round trip");
         prop_assert_eq!(re, odf);
+    }
+
+    #[test]
+    fn odf_and_wsdl_parse_never_panic_on_mutated_text(
+        guid in any::<u64>(),
+        wsdl in any::<bool>(),
+        positions in proptest::collection::vec(any::<usize>(), 1..4),
+        len in 0usize..12,
+        junk in "[<>/=&;#x!?\"' a-c\n-]{0,6}",
+    ) {
+        let text = if wsdl {
+            InterfaceSpec::new("I&<\"é", Guid(guid))
+                .with_operation(OperationSpec {
+                    name: "send".into(),
+                    inputs: vec![("data".into(), TypeTag::Bytes)],
+                    output: TypeTag::U32,
+                })
+                .to_xml()
+        } else {
+            OdfDocument::new("a&<\"é", Guid(guid))
+                .with_interface("/i.wsdl")
+                .with_import(Import {
+                    file: "/dep.odf".into(),
+                    bind_name: "dep".into(),
+                    guid: Guid(guid ^ 1),
+                    constraint: ConstraintKind::Pull,
+                    priority: 255,
+                })
+                .with_target(DeviceClassSpec::host_cpu())
+                .with_footprint(guid)
+                .with_traffic(TrafficSpec { rate_per_sec: 1, burst: 2, max_bytes: 3 })
+                .to_xml()
+        };
+        let mut bytes = text.into_bytes();
+        // Replace `len` bytes with `junk` at each position.
+        for at in positions {
+            let at = at % (bytes.len() + 1);
+            let end = (at + len).min(bytes.len());
+            bytes.splice(at..end, junk.bytes());
+        }
+        let doc = String::from_utf8_lossy(&bytes);
+        // Either a document or a typed error with a message.
+        if let Err(e) = OdfDocument::parse(&doc) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        if let Err(e) = InterfaceSpec::parse(&doc) {
+            prop_assert!(!e.to_string().is_empty());
+        }
     }
 
     #[test]
