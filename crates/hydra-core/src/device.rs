@@ -4,12 +4,14 @@
 //! device requirements and the physical devices that are installed in the
 //! specific host". [`DeviceDescriptor`] is what the runtime knows about
 //! one installed device — class, identity, processor, Offcode memory, and
-//! the firmware exports available for linking. [`DeviceRegistry`] matches
-//! ODF device-class specs against it.
+//! the firmware exports available for linking. [`DeviceRegistry`] holds
+//! the installed set and hands the verifier's [`hydra_verify::DeviceTable`]
+//! mirror of it, whose rule matches ODF device-class specs for the whole
+//! runtime.
 
 use hydra_hw::cpu::CpuSpec;
 use hydra_link::linker::ExportTable;
-use hydra_odf::odf::{class_ids, DeviceClassSpec};
+use hydra_odf::odf::class_ids;
 
 /// Identifier of an installed device. Id 0 is always the host CPU.
 ///
@@ -126,21 +128,17 @@ impl DeviceDescriptor {
         d
     }
 
-    /// Whether this device satisfies an ODF device-class spec: the class
-    /// id must match, and each *specified* optional attribute must match
-    /// (unspecified attributes are wildcards, per the ODF's "(optional)"
-    /// annotations).
-    pub fn matches(&self, spec: &DeviceClassSpec) -> bool {
-        if self.class != spec.id {
-            return false;
+    /// The device as `hydra-verify` sees it: the fields device-class
+    /// matching and the capacity pass read.
+    fn info(&self) -> hydra_verify::DeviceInfo {
+        hydra_verify::DeviceInfo {
+            class: self.class,
+            name: self.name.clone(),
+            bus: self.bus.clone(),
+            mac: self.mac.clone(),
+            vendor: self.vendor.clone(),
+            offcode_memory: self.offcode_memory,
         }
-        let attr_ok = |want: &Option<String>, have: &Option<String>| match want {
-            None => true,
-            Some(w) => have.as_deref() == Some(w.as_str()),
-        };
-        attr_ok(&spec.bus, &self.bus)
-            && attr_ok(&spec.mac, &self.mac)
-            && attr_ok(&spec.vendor, &self.vendor)
     }
 }
 
@@ -162,6 +160,8 @@ impl DeviceDescriptor {
 #[derive(Debug, Clone)]
 pub struct DeviceRegistry {
     devices: Vec<DeviceDescriptor>,
+    /// `devices` as the verifier sees them, index for index.
+    table: hydra_verify::DeviceTable,
 }
 
 impl Default for DeviceRegistry {
@@ -173,14 +173,19 @@ impl Default for DeviceRegistry {
 impl DeviceRegistry {
     /// Creates a registry containing only the host CPU.
     pub fn new() -> Self {
+        let host = DeviceDescriptor::host();
         DeviceRegistry {
-            devices: vec![DeviceDescriptor::host()],
+            table: hydra_verify::DeviceTable {
+                devices: vec![host.info()],
+            },
+            devices: vec![host],
         }
     }
 
     /// Installs a device, returning its id.
     pub fn install(&mut self, device: DeviceDescriptor) -> DeviceId {
         let id = DeviceId(self.devices.len() as u32);
+        self.table.devices.push(device.info());
         self.devices.push(device);
         id
     }
@@ -212,46 +217,17 @@ impl DeviceRegistry {
             .map(|(i, d)| (DeviceId(i as u32), d))
     }
 
-    /// Devices matching any of the given class specs, in registry order.
-    /// The host is only included if a spec explicitly names the host
-    /// class.
-    pub fn matching(&self, specs: &[DeviceClassSpec]) -> Vec<DeviceId> {
-        self.iter()
-            .filter(|(_, d)| specs.iter().any(|s| d.matches(s)))
-            .map(|(id, _)| id)
-            .collect()
+    /// The registry as `hydra-verify`'s [`hydra_verify::DeviceTable`]
+    /// (same order). Device-class matching is the table's
+    /// [`hydra_verify::DeviceTable::compatibility`]; the table is kept
+    /// in step by [`DeviceRegistry::install`], so borrowing it is free.
+    pub fn table(&self) -> &hydra_verify::DeviceTable {
+        &self.table
     }
 
-    /// The compatibility vector for an Offcode: `true` per device that
-    /// matches one of the ODF's target classes. Index 0 (the host) is
-    /// always `true` — the runtime can always fall back to the host CPU.
-    pub fn compatibility(&self, specs: &[DeviceClassSpec]) -> Vec<bool> {
-        let mut v: Vec<bool> = self
-            .devices
-            .iter()
-            .map(|d| specs.iter().any(|s| d.matches(s)))
-            .collect();
-        v[0] = true;
-        v
-    }
-
-    /// The registry as `hydra-verify`'s structural [`hydra_verify::DeviceTable`]
-    /// (same order, same matching semantics — pinned by a unit test).
+    /// An owned copy of [`DeviceRegistry::table`].
     pub fn verify_table(&self) -> hydra_verify::DeviceTable {
-        hydra_verify::DeviceTable {
-            devices: self
-                .devices
-                .iter()
-                .map(|d| hydra_verify::DeviceInfo {
-                    class: d.class,
-                    name: d.name.clone(),
-                    bus: d.bus.clone(),
-                    mac: d.mac.clone(),
-                    vendor: d.vendor.clone(),
-                    offcode_memory: d.offcode_memory,
-                })
-                .collect(),
-        }
+        self.table.clone()
     }
 }
 
@@ -280,7 +256,7 @@ mod tests {
 
     #[test]
     fn matching_honors_all_specified_attrs() {
-        let nic = DeviceDescriptor::programmable_nic();
+        let nic = DeviceDescriptor::programmable_nic().info();
         assert!(nic.matches(&nic_spec()));
         let mut wrong_vendor = nic_spec();
         wrong_vendor.vendor = Some("Intel".into());
@@ -289,7 +265,7 @@ mod tests {
 
     #[test]
     fn unspecified_attrs_are_wildcards() {
-        let nic = DeviceDescriptor::programmable_nic();
+        let nic = DeviceDescriptor::programmable_nic().info();
         let loose = DeviceClassSpec {
             id: class_ids::NETWORK,
             name: "any nic".into(),
@@ -302,27 +278,24 @@ mod tests {
 
     #[test]
     fn class_mismatch_fails() {
-        let gpu = DeviceDescriptor::gpu();
+        let gpu = DeviceDescriptor::gpu().info();
         assert!(!gpu.matches(&nic_spec()));
     }
 
     #[test]
     fn registry_matching_and_compatibility() {
         let mut reg = DeviceRegistry::new();
-        let nic = reg.install(DeviceDescriptor::programmable_nic());
-        let disk = reg.install(DeviceDescriptor::smart_disk());
-        let gpu = reg.install(DeviceDescriptor::gpu());
-        assert_eq!(reg.matching(&[nic_spec()]), vec![nic]);
-
-        let compat = reg.compatibility(&[nic_spec()]);
+        reg.install(DeviceDescriptor::programmable_nic());
+        reg.install(DeviceDescriptor::smart_disk());
+        reg.install(DeviceDescriptor::gpu());
+        let compat = reg.table().compatibility(&[nic_spec()]);
         assert_eq!(compat, vec![true, true, false, false]);
-        let _ = (disk, gpu);
     }
 
     #[test]
     fn host_always_compatible() {
         let reg = DeviceRegistry::new();
-        let compat = reg.compatibility(&[]);
+        let compat = reg.table().compatibility(&[]);
         assert_eq!(compat, vec![true]);
     }
 
@@ -330,38 +303,5 @@ mod tests {
     fn device_display() {
         assert_eq!(DeviceId::HOST.to_string(), "host");
         assert_eq!(DeviceId(3).to_string(), "dev3");
-    }
-
-    #[test]
-    fn verify_table_matching_agrees_with_registry() {
-        let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic());
-        reg.install(DeviceDescriptor::smart_disk());
-        reg.install(DeviceDescriptor::gpu());
-        let table = reg.verify_table();
-        let mut specs = vec![
-            nic_spec(),
-            DeviceClassSpec {
-                id: class_ids::GPU,
-                name: "gpu".into(),
-                bus: None,
-                mac: None,
-                vendor: None,
-            },
-        ];
-        // Registry and verifier table must agree spec-by-spec...
-        for spec in &specs {
-            for (i, d) in reg.iter() {
-                assert_eq!(
-                    d.matches(spec),
-                    table.devices[i.idx()].matches(spec),
-                    "divergent matching for {spec:?} on device {i:?}"
-                );
-            }
-        }
-        // ...and on the combined compatibility vector, including a spec
-        // that matches nothing.
-        specs[0].vendor = Some("Intel".into());
-        assert_eq!(reg.compatibility(&specs), table.compatibility(&specs));
     }
 }

@@ -2,10 +2,10 @@
 //! Healthy → Suspect → Failed state machine.
 //!
 //! The runtime expects every non-host device to "beat" at least once per
-//! [`HealthPolicy::heartbeat_every`]. A device model that has fail-stopped
-//! (its [`hydra_sim::fault::FaultInjector`] says `crashed`) goes silent;
-//! after [`HealthPolicy::suspect_after`] missed beats the monitor marks it
-//! Suspect, after [`HealthPolicy::fail_after`] it is Failed. A Suspect
+//! [`HEARTBEAT_EVERY`]. A device model that has fail-stopped (its
+//! [`hydra_sim::fault::FaultInjector`] says `crashed`) goes silent; after
+//! [`SUSPECT_AFTER`] missed beats the monitor marks it Suspect, after
+//! [`FAIL_AFTER`] it is Failed. A Suspect
 //! device that resumes beating (a stall that cleared) is restored to
 //! Healthy by the next [`HealthMonitor::poll`], which reports the
 //! recovery edge like any other transition. Failure is sticky: a Failed
@@ -40,26 +40,12 @@ impl std::fmt::Display for DeviceHealth {
     }
 }
 
-/// Thresholds for the heartbeat state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// Expected beat interval per device.
-    pub heartbeat_every: SimDuration,
-    /// Missed beats before Healthy degrades to Suspect.
-    pub suspect_after: u32,
-    /// Missed beats before the device is declared Failed.
-    pub fail_after: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            heartbeat_every: SimDuration::from_millis(1),
-            suspect_after: 2,
-            fail_after: 4,
-        }
-    }
-}
+/// Expected beat interval per device.
+pub const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(1);
+/// Missed beats before Healthy degrades to Suspect.
+pub const SUSPECT_AFTER: u32 = 2;
+/// Missed beats before the device is declared Failed.
+pub const FAIL_AFTER: u32 = 4;
 
 /// One state-machine edge observed by [`HealthMonitor::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,16 +72,14 @@ struct DeviceTrack {
 /// cannot fail in this model (it is where Offcodes fall back *to*).
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    policy: HealthPolicy,
     tracks: Vec<DeviceTrack>,
 }
 
 impl HealthMonitor {
     /// A monitor for `devices` devices, all Healthy, last beat at time 0.
     #[must_use]
-    pub fn new(policy: HealthPolicy, devices: usize) -> Self {
+    pub fn new(devices: usize) -> Self {
         HealthMonitor {
-            policy,
             tracks: vec![
                 DeviceTrack {
                     last_beat: SimTime::ZERO,
@@ -104,18 +88,6 @@ impl HealthMonitor {
                 devices
             ],
         }
-    }
-
-    /// The configured policy.
-    #[must_use]
-    pub fn policy(&self) -> HealthPolicy {
-        self.policy
-    }
-
-    /// Number of tracked devices (including the exempt host slot).
-    #[must_use]
-    pub fn devices(&self) -> usize {
-        self.tracks.len()
     }
 
     /// Record a heartbeat from `device` at `now`. Failed is sticky and
@@ -141,19 +113,16 @@ impl HealthMonitor {
     /// transitions that fired, in device order.
     pub fn poll(&mut self, now: SimTime) -> Vec<HealthTransition> {
         let mut out = Vec::new();
-        let period = self.policy.heartbeat_every.as_nanos();
-        if period == 0 {
-            return out;
-        }
+        let period = HEARTBEAT_EVERY.as_nanos();
         for (idx, track) in self.tracks.iter_mut().enumerate() {
             if idx == 0 || track.state == DeviceHealth::Failed {
                 continue;
             }
             let elapsed = now.as_nanos().saturating_sub(track.last_beat.as_nanos());
             let missed = u32::try_from(elapsed / period).unwrap_or(u32::MAX);
-            let next = if missed >= self.policy.fail_after {
+            let next = if missed >= FAIL_AFTER {
                 DeviceHealth::Failed
-            } else if missed >= self.policy.suspect_after {
+            } else if missed >= SUSPECT_AFTER {
                 DeviceHealth::Suspect
             } else {
                 DeviceHealth::Healthy
@@ -208,7 +177,7 @@ mod tests {
 
     #[test]
     fn silence_escalates_healthy_suspect_failed() {
-        let mut mon = HealthMonitor::new(HealthPolicy::default(), 3);
+        let mut mon = HealthMonitor::new(3);
         mon.beat(DeviceId(1), at_ms(0));
         mon.beat(DeviceId(2), at_ms(0));
         assert!(mon.poll(at_ms(1)).is_empty());
@@ -230,7 +199,7 @@ mod tests {
 
     #[test]
     fn beat_clears_suspect_but_failed_is_sticky() {
-        let mut mon = HealthMonitor::new(HealthPolicy::default(), 2);
+        let mut mon = HealthMonitor::new(2);
         let t = mon.poll(at_ms(3));
         assert_eq!(t[0].to, DeviceHealth::Suspect);
         mon.beat(DeviceId(1), at_ms(3));
@@ -253,7 +222,7 @@ mod tests {
 
     #[test]
     fn stall_then_recover_round_trips_through_suspect() {
-        let mut mon = HealthMonitor::new(HealthPolicy::default(), 2);
+        let mut mon = HealthMonitor::new(2);
         mon.beat(DeviceId(1), at_ms(1));
         assert!(mon.poll(at_ms(2)).is_empty());
         // Two missed beats while stalled: Suspect, but not yet Failed.
@@ -276,7 +245,7 @@ mod tests {
 
     #[test]
     fn host_is_exempt() {
-        let mut mon = HealthMonitor::new(HealthPolicy::default(), 2);
+        let mut mon = HealthMonitor::new(2);
         mon.mark_failed(DeviceId(0));
         assert!(mon.poll(at_ms(1000)).iter().all(|t| t.device.0 != 0));
         assert_eq!(mon.state(DeviceId(0)), DeviceHealth::Healthy);
@@ -284,7 +253,7 @@ mod tests {
 
     #[test]
     fn skipping_straight_to_failed_reports_one_edge() {
-        let mut mon = HealthMonitor::new(HealthPolicy::default(), 2);
+        let mut mon = HealthMonitor::new(2);
         let t = mon.poll(at_ms(50));
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].from, DeviceHealth::Healthy);

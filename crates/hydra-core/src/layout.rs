@@ -318,7 +318,7 @@ impl LayoutGraph {
             let idx = graph.add_node(LayoutNode {
                 guid: odf.guid,
                 bind_name: odf.bind_name.clone(),
-                compat: registry.compatibility(&odf.targets),
+                compat: registry.table().compatibility(&odf.targets),
                 price: 1.0,
             });
             by_guid.insert(odf.guid, idx);

@@ -12,7 +12,7 @@
 //! together ([`runtime`]).
 //!
 //! ```text
-//! ODFs ──▶ layout graph ──▶ placement (ILP/greedy) ──▶ link at device
+//! ODFs ──▶ layout graph ──▶ placement (ILP) ──▶ link at device
 //!   base ──▶ OOB channel ──▶ initialize ──▶ start ──▶ calls flow
 //! ```
 
@@ -40,7 +40,7 @@ pub use channel::{
 };
 pub use device::{DeviceDescriptor, DeviceId, DeviceRegistry};
 pub use error::{MigrateError, MigrateLeg, RuntimeError};
-pub use health::{DeviceHealth, HealthMonitor, HealthPolicy, HealthTransition};
+pub use health::{DeviceHealth, HealthMonitor, HealthTransition};
 pub use hydra_obs::{MetricsSnapshot, Recorder};
 pub use layout::{GraphDelta, LayoutError, LayoutGraph, LayoutNode, NodeIdx, Objective, Placement};
 pub use offcode::{synthetic_object, Offcode, OffcodeCtx, OffcodeId};
@@ -48,6 +48,4 @@ pub use providers::{DoorbellBatchProvider, PioProvider};
 pub use proxy::Proxy;
 pub use pseudo::{HeapOffcode, RuntimeInfoOffcode, HEAP_GUID, RUNTIME_GUID};
 pub use resource::{ResourceId, ResourceKind, ResourceManager};
-pub use runtime::{
-    Deployment, DispatchResult, Lifecycle, RecoveryReport, Runtime, RuntimeConfig, SolverKind,
-};
+pub use runtime::{Deployment, DispatchResult, Lifecycle, RecoveryReport, Runtime, RuntimeConfig};

@@ -199,12 +199,14 @@ fn invalid(what: &'static str, raw: &str) -> OdfError {
     }
 }
 
-fn parse_u64(what: &'static str, raw: &str) -> Result<u64, OdfError> {
-    let raw = normalized(raw);
-    let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+/// A decimal or `0x`/`0X` hex `u64`, after trimming whitespace and
+/// quotes; shared by the ODF and WSDL readers.
+pub(crate) fn parse_u64(what: &'static str, raw: &str) -> Result<u64, OdfError> {
+    let text = normalized(raw);
+    let parsed = if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16)
     } else {
-        raw.parse()
+        text.parse()
     };
     parsed.map_err(|_| invalid(what, raw))
 }

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::odf::Guid;
+use crate::odf::{parse_u64, Guid};
 use crate::xml::{self, take_attr, Attribute, Element, Raw, Sink, XmlError};
 
 /// Primitive types marshalable across a channel.
@@ -312,10 +312,12 @@ impl WsdlReader<'_> {
             .ok_or(WsdlError::Missing("interface/name"))?
             .into_owned();
         let guid_raw = self.guid.ok_or(WsdlError::Missing("interface/guid"))?;
-        let guid = Guid(guid_raw.parse().map_err(|_| WsdlError::Invalid {
-            what: "interface/guid",
-            value: guid_raw.to_string(),
-        })?);
+        let guid = parse_u64("interface/guid", &guid_raw)
+            .map(Guid)
+            .map_err(|_| WsdlError::Invalid {
+                what: "interface/guid",
+                value: guid_raw.to_string(),
+            })?;
         let mut operations: Vec<OperationSpec> = Vec::new();
         for op in self.operations {
             let op_name = op

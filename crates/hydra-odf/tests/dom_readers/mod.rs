@@ -240,10 +240,12 @@ pub fn interface_from_element(root: &Element) -> Result<InterfaceSpec, WsdlError
     let guid_raw = root
         .attr("guid")
         .ok_or(WsdlError::Missing("interface/guid"))?;
-    let guid = Guid(guid_raw.parse().map_err(|_| WsdlError::Invalid {
-        what: "interface/guid",
-        value: guid_raw.to_owned(),
-    })?);
+    let guid = parse_u64("interface/guid", guid_raw)
+        .map(Guid)
+        .map_err(|_| WsdlError::Invalid {
+            what: "interface/guid",
+            value: guid_raw.to_owned(),
+        })?;
     let mut operations: Vec<OperationSpec> = Vec::new();
     for op in root.children_named("operation") {
         let op_name = op

@@ -1,9 +1,11 @@
 //! Error-path coverage for [`OdfDocument::parse`]: every rejection the
-//! parser can produce, pinned with the variant it must report. The
+//! parser can produce, pinned with the variant it must report, plus the
+//! number rule [`InterfaceSpec::parse`] shares with it. The
 //! happy paths live in the crate's unit tests; these are the inputs a
 //! deployment lint (`repro -- lint`) has to survive without panicking.
 
-use hydra_odf::odf::{OdfDocument, OdfError};
+use hydra_odf::odf::{Guid, OdfDocument, OdfError};
+use hydra_odf::wsdl::{InterfaceSpec, WsdlError};
 
 fn err(xml: &str) -> OdfError {
     OdfDocument::parse(xml).expect_err("must be rejected")
@@ -59,6 +61,41 @@ fn non_numeric_guid_is_invalid() {
         }
         other => panic!("expected Invalid, got {other:?}"),
     }
+}
+
+/// A WSDL interface `guid` reads numbers like an ODF `GUID`: hex,
+/// padded and quoted values are the same number, and a non-number is
+/// still invalid.
+#[test]
+fn wsdl_guid_reads_like_an_odf_guid() {
+    let guid = |attr: &str| {
+        InterfaceSpec::parse(&format!("<interface name=\"I\" guid={attr}/>")).map(|i| i.guid)
+    };
+    for attr in ["\"16\"", "\"0x10\"", "\"0X10\"", "\" 16 \"", "'\"16\"'"] {
+        assert_eq!(guid(attr), Ok(Guid(16)), "guid={attr}");
+    }
+    assert_eq!(
+        guid("\"seven\""),
+        Err(WsdlError::Invalid {
+            what: "interface/guid",
+            value: "seven".into(),
+        })
+    );
+}
+
+/// The value an invalid number reports is its text trimmed once: a
+/// quote inside the whitespace keeps what it encloses.
+#[test]
+fn invalid_number_value_is_normalized_once() {
+    let e = err("<offcode><package><bindname>x</bindname>\
+         <GUID> \"9\u{b}\" </GUID></package></offcode>");
+    assert_eq!(
+        e,
+        OdfError::Invalid {
+            what: "package/GUID",
+            value: "9\u{b}".into(),
+        }
+    );
 }
 
 #[test]

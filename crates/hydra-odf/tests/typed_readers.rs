@@ -375,7 +375,7 @@ impl<'r> Writer<'r> {
             self.attribute("name", &name);
         }
         if !self.chance(15) {
-            let guid = self.pick(&["500", "0", "500", "18446744073709551615", " 5", "0x10"]);
+            let guid = self.number();
             self.attribute("guid", &guid);
         }
         self.out.push('>');

@@ -20,6 +20,7 @@
 use hydra_core::call::{Call, Value};
 use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
 use hydra_core::error::RuntimeError;
+use hydra_core::health::HEARTBEAT_EVERY;
 use hydra_core::offcode::{Offcode, OffcodeCtx};
 use hydra_core::runtime::{Runtime, RuntimeConfig};
 use hydra_odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
@@ -176,7 +177,7 @@ pub fn run_fault_demo(plan: &FaultPlan) -> (Runtime, String) {
 
     // Drive health pulses on the heartbeat cadence past the failure
     // deadline, collecting every recovery report.
-    let beat = SimDuration::from_millis(1);
+    let beat = HEARTBEAT_EVERY;
     let mut reports = Vec::new();
     let mut report_times = Vec::new();
     for tick in 0..=10u64 {

@@ -5,8 +5,10 @@
 //! the runtime's `DeviceRegistry`/`LayoutGraph` types directly. Instead
 //! it defines structural mirrors: [`DeviceTable`] carries exactly the
 //! fields device-class matching needs, and [`GraphView`] is the node/edge
-//! shape of the layout graph. `hydra-core` provides the conversions (and
-//! a test pinning the two matching implementations to each other).
+//! shape of the layout graph. `hydra-core`'s registry keeps a
+//! [`DeviceTable`] of its devices, and the runtime matches device classes
+//! through [`DeviceTable::compatibility`], so [`DeviceInfo::matches`] is
+//! the workspace's one matching rule.
 
 use hydra_odf::odf::{ConstraintKind, DeviceClassSpec, Guid, OdfDocument, TrafficSpec};
 
@@ -35,8 +37,7 @@ pub struct DeviceInfo {
 impl DeviceInfo {
     /// Whether this device satisfies a device-class spec: class id must
     /// match and each *specified* optional attribute must match
-    /// (unspecified attributes are wildcards). Mirrors
-    /// `hydra_core::device::DeviceDescriptor::matches`.
+    /// (unspecified attributes are wildcards).
     pub fn matches(&self, spec: &DeviceClassSpec) -> bool {
         if self.class != spec.id {
             return false;

@@ -369,7 +369,7 @@ mod fault_plans {
     use hydra::core::channel::{ChannelConfig, Transport};
     use hydra::core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
     use hydra::core::error::RuntimeError;
-    use hydra::core::health::DeviceHealth;
+    use hydra::core::health::{DeviceHealth, HEARTBEAT_EVERY};
     use hydra::core::offcode::{Offcode, OffcodeCtx};
     use hydra::core::runtime::{Runtime, RuntimeConfig};
     use hydra::odf::odf::{class_ids, DeviceClassSpec, Guid, OdfDocument};
@@ -402,7 +402,7 @@ mod fault_plans {
             },
         );
         rt.install_fault_plan(&plan);
-        let beat = SimDuration::from_millis(1);
+        let beat = HEARTBEAT_EVERY;
         for tick in 0..=5u64 {
             let now = SimTime::ZERO + beat * tick;
             let reports = rt.pulse(now).expect("pulses never fail here");

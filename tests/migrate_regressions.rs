@@ -393,59 +393,53 @@ fn register_built(rt: &mut Runtime, guid: Guid, name: &str, stateful: bool) -> R
 }
 
 /// The depot builds each Offcode's object once: certification, the
-/// pre-flight gate (verify or certify), link/load, the migration
-/// precheck and reload, and a recovery redeploy all read that one copy.
+/// pre-flight gate, link/load, the migration precheck and reload, and a
+/// recovery redeploy all read that one copy.
 #[test]
 fn each_depot_object_is_built_once_per_entry() {
-    for certify_deployments in [false, true] {
-        let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic()); // dev1
-        reg.install(DeviceDescriptor::gpu()); // dev2
-        let config = RuntimeConfig {
-            certify_deployments,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = Runtime::new(reg, config);
-        let (mover, fresh) = (Guid(21), Guid(22));
-        let mover_builds = register_built(&mut rt, mover, "test.Mover", true);
-        let fresh_builds = register_built(&mut rt, fresh, "test.Fresh", false);
-        assert_eq!(
-            (mover_builds.get(), fresh_builds.get()),
-            (0, 0),
-            "registration builds nothing"
-        );
+    let mut reg = DeviceRegistry::new();
+    reg.install(DeviceDescriptor::programmable_nic()); // dev1
+    reg.install(DeviceDescriptor::gpu()); // dev2
+    let mut rt = Runtime::new(reg, RuntimeConfig::default());
+    let (mover, fresh) = (Guid(21), Guid(22));
+    let mover_builds = register_built(&mut rt, mover, "test.Mover", true);
+    let fresh_builds = register_built(&mut rt, fresh, "test.Fresh", false);
+    assert_eq!(
+        (mover_builds.get(), fresh_builds.get()),
+        (0, 0),
+        "registration builds nothing"
+    );
 
-        let cert = rt
-            .certify_deployment(mover, SimTime::ZERO)
-            .expect("in depot");
-        assert!(!cert.report.has_errors(), "{:?}", cert.report);
-        let m = rt.create_offcode(mover, SimTime::ZERO).expect("deploys");
-        let f = rt.create_offcode(fresh, SimTime::ZERO).expect("deploys");
+    let cert = rt
+        .certify_deployment(mover, SimTime::ZERO)
+        .expect("in depot");
+    assert!(!cert.report.has_errors(), "{:?}", cert.report);
+    let m = rt.create_offcode(mover, SimTime::ZERO).expect("deploys");
+    let f = rt.create_offcode(fresh, SimTime::ZERO).expect("deploys");
 
-        let home = rt.device_of(m).expect("live");
-        let away = if home == DeviceId(1) {
-            DeviceId(2)
-        } else {
-            DeviceId(1)
-        };
-        let m = rt
-            .migrate(m, away, SimTime::from_millis(1))
-            .expect("the other device has room");
-        assert_eq!(rt.device_of(m), Some(away));
+    let home = rt.device_of(m).expect("live");
+    let away = if home == DeviceId(1) {
+        DeviceId(2)
+    } else {
+        DeviceId(1)
+    };
+    let m = rt
+        .migrate(m, away, SimTime::from_millis(1))
+        .expect("the other device has room");
+    assert_eq!(rt.device_of(m), Some(away));
 
-        let failed = rt.device_of(f).expect("live");
-        assert!(!failed.is_host(), "the stateless Offcode was offloaded");
-        let report = rt
-            .on_device_failure(failed, SimTime::from_millis(2))
-            .expect("recovers");
-        assert_eq!(report.redeployed, vec![fresh], "redeployed fresh");
+    let failed = rt.device_of(f).expect("live");
+    assert!(!failed.is_host(), "the stateless Offcode was offloaded");
+    let report = rt
+        .on_device_failure(failed, SimTime::from_millis(2))
+        .expect("recovers");
+    assert_eq!(report.redeployed, vec![fresh], "redeployed fresh");
 
-        assert_eq!(
-            (mover_builds.get(), fresh_builds.get()),
-            (1, 1),
-            "objects built per entry (certify_deployments = {certify_deployments})"
-        );
-    }
+    assert_eq!(
+        (mover_builds.get(), fresh_builds.get()),
+        (1, 1),
+        "objects built per entry"
+    );
 }
 
 proptest! {

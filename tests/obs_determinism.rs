@@ -12,7 +12,7 @@ use hydra::core::channel::ChannelConfig;
 use hydra::core::device::{DeviceDescriptor, DeviceRegistry};
 use hydra::core::error::RuntimeError;
 use hydra::core::offcode::{Offcode, OffcodeCtx};
-use hydra::core::runtime::{Runtime, RuntimeConfig, SolverKind};
+use hydra::core::runtime::{Runtime, RuntimeConfig};
 use hydra::odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
 use hydra::sim::time::SimTime;
 
@@ -47,18 +47,12 @@ fn class(id: u32) -> DeviceClassSpec {
 /// Deploys a three-Offcode app with Gang and Pull constraints, then
 /// pushes traffic through a Figure-3 channel. Returns the runtime with
 /// its populated recorder.
-fn run_scenario(solver: SolverKind) -> Runtime {
+fn run_scenario() -> Runtime {
     let mut reg = DeviceRegistry::new();
     reg.install(DeviceDescriptor::programmable_nic());
     reg.install(DeviceDescriptor::smart_disk());
     reg.install(DeviceDescriptor::gpu());
-    let mut rt = Runtime::new(
-        reg,
-        RuntimeConfig {
-            solver,
-            ..RuntimeConfig::default()
-        },
-    );
+    let mut rt = Runtime::new(reg, RuntimeConfig::default());
 
     let a = OdfDocument::new("d.A", Guid(1))
         .with_target(class(class_ids::NETWORK))
@@ -116,8 +110,8 @@ fn run_scenario(solver: SolverKind) -> Runtime {
 
 #[test]
 fn identical_deployments_render_identical_snapshots() {
-    let first = run_scenario(SolverKind::Ilp).metrics_snapshot();
-    let second = run_scenario(SolverKind::Ilp).metrics_snapshot();
+    let first = run_scenario().metrics_snapshot();
+    let second = run_scenario().metrics_snapshot();
     assert_eq!(first, second, "snapshot structs must match");
     assert_eq!(
         first.to_json(),
@@ -131,18 +125,11 @@ fn identical_deployments_render_identical_snapshots() {
     );
 }
 
-#[test]
-fn greedy_runs_are_also_deterministic() {
-    let first = run_scenario(SolverKind::Greedy).metrics_snapshot();
-    let second = run_scenario(SolverKind::Greedy).metrics_snapshot();
-    assert_eq!(first.to_json(), second.to_json());
-}
-
 /// The acceptance shape of a populated snapshot: pipeline-stage spans
 /// with work attributed, channel counters, and solver node counts.
 #[test]
 fn snapshot_reports_pipeline_channels_and_solver() {
-    let snap = run_scenario(SolverKind::Ilp).metrics_snapshot();
+    let snap = run_scenario().metrics_snapshot();
 
     for stage in [
         "deploy.closure",
@@ -185,8 +172,8 @@ fn snapshot_reports_pipeline_channels_and_solver() {
 
 #[test]
 fn chrome_trace_export_is_byte_identical_across_runs() {
-    let first = run_scenario(SolverKind::Ilp).trace_export();
-    let second = run_scenario(SolverKind::Ilp).trace_export();
+    let first = run_scenario().trace_export();
+    let second = run_scenario().trace_export();
     assert_eq!(first, second, "Chrome trace JSON must be byte-identical");
     // And so is the demo deployment the CI artifact is built from.
     let demo_a = hydra::tivo::demo::demo_deployment().trace_export();
@@ -199,7 +186,7 @@ fn chrome_trace_export_is_byte_identical_across_runs() {
 /// the exported JSON carries the flow events that stitch it together.
 #[test]
 fn trace_chains_connect_across_devices() {
-    let rt = run_scenario(SolverKind::Ilp);
+    let rt = run_scenario();
     let snap = rt.metrics_snapshot();
     let recvs = snap.events_kind("recv");
     assert!(!recvs.is_empty(), "pumped messages were received");
@@ -226,7 +213,7 @@ fn trace_chains_connect_across_devices() {
 #[test]
 fn flight_recorder_overflow_is_deterministic_and_accounted() {
     let run = |capacity: usize| {
-        let mut rt = run_scenario(SolverKind::Ilp);
+        let mut rt = run_scenario();
         rt.recorder().set_flight_capacity(capacity);
         // Push more traffic than the shrunken ring can hold.
         let chan = rt
