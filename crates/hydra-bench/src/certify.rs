@@ -17,8 +17,8 @@
 //! JSON — diagnostics plus the bound certificate — byte-identical
 //! across runs over the same inputs.
 
+use hydra_obs::json_str;
 use hydra_tivo::certify::{certify_service_table, certify_set};
-use hydra_verify::diag::escape;
 use hydra_verify::{Certification, CertifyInput, Severity, VerifyInput};
 
 use crate::lint::{check_deployment_file, testbed_table};
@@ -119,9 +119,9 @@ pub fn render_json(results: &[CertifyResult]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"summary\":\"{}\",\"report\":{},\"certificate\":{}}}",
-            escape(&r.name),
-            escape(&r.certification.report.summary()),
+            "{{\"name\":{},\"summary\":{},\"report\":{},\"certificate\":{}}}",
+            json_str(&r.name),
+            json_str(&r.certification.report.summary()),
             r.certification.report.to_json(),
             r.certification.certificate.to_json()
         ));

@@ -57,10 +57,11 @@ fn run_scenario(batch_size: usize) -> BenchResult {
     // Fresh demo runtime per scenario: the bench channel rides on the
     // same deployment CI already pins, but starts with an idle provider.
     let mut rt = demo_deployment();
-    let chan = rt
+    let exec = rt.executive_mut();
+    let chan = exec
         .create_channel(ChannelConfig::figure3(DeviceId(1)))
         .expect("bench channel on the NIC");
-    let ch = rt.executive_mut().get_mut(chan).expect("channel is live");
+    let ch = exec.get_mut(chan).expect("channel is live");
     let ep = ch.connect_endpoint().expect("fresh channel has room");
     let payload = Bytes::from(vec![0xA5u8; MSG_BYTES]);
 

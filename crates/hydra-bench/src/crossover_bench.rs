@@ -4,10 +4,10 @@
 //! For every message size in [`SIZES`] the bench creates a fresh
 //! Figure-3 channel on the tivo demo deployment's runtime, pinned to
 //! each provider in [`PROVIDERS`] via
-//! [`hydra_core::runtime::Runtime::create_channel_forced`], bursts
+//! [`hydra_core::channel::ChannelExecutive::create_channel_forced`], bursts
 //! [`MESSAGES`] messages at `t = 0`, and records the sim-time at which
 //! the last one delivers. The same burst then runs on a cost-adaptive
-//! channel ([`hydra_core::runtime::Runtime::create_channel_adaptive`])
+//! channel ([`hydra_core::channel::ChannelExecutive::create_channel_adaptive`])
 //! that auctions every size bucket online from its live
 //! [`hydra_core::CostProfile`].
 //!
@@ -135,15 +135,16 @@ fn run_scenario(forced: Option<&str>, size: usize) -> CrossoverResult {
     let mut rt = demo_deployment();
     install_extras(rt.executive_mut());
     let config = ChannelConfig::figure3(DeviceId(1));
+    let exec = rt.executive_mut();
     let chan = match forced {
-        Some(p) => rt
+        Some(p) => exec
             .create_channel_forced(config, p)
             .expect("forced bench channel on the NIC"),
-        None => rt
+        None => exec
             .create_channel_adaptive(config, AdaptivePolicy::default())
             .expect("adaptive bench channel on the NIC"),
     };
-    let ch = rt.executive_mut().get_mut(chan).expect("channel is live");
+    let ch = exec.get_mut(chan).expect("channel is live");
     let ep = ch.connect_endpoint().expect("fresh channel has room");
     let payload = Bytes::from(vec![0x5Au8; size]);
 

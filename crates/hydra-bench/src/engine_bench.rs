@@ -288,10 +288,11 @@ fn run_demo() -> DemoResult {
     let mut sim_elapsed = 0u64;
     for _ in 0..WALL_REPS {
         let mut rt = demo_deployment();
-        let chan = rt
+        let exec = rt.executive_mut();
+        let chan = exec
             .create_channel(ChannelConfig::figure3(DeviceId(1)))
             .expect("bench channel on the NIC");
-        let ch = rt.executive_mut().get_mut(chan).expect("channel is live");
+        let ch = exec.get_mut(chan).expect("channel is live");
         let ep = ch.connect_endpoint().expect("fresh channel has room");
         let payload = Bytes::from(vec![0x5Au8; DEMO_MSG_BYTES]);
         let batch: Vec<Bytes> = vec![payload; DEMO_BATCH];

@@ -15,8 +15,8 @@
 use std::fs;
 
 use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra_obs::json_str;
 use hydra_odf::odf::{DeploymentFile, OdfDocument};
-use hydra_verify::diag::escape;
 use hydra_verify::{Diagnostic, HvCode, Loc, Report, Severity, VerifyInput};
 
 /// One linted deployment: a name (built-in target or file path) and the
@@ -175,9 +175,9 @@ pub fn render_json(results: &[LintResult]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"summary\":\"{}\",\"report\":{}}}",
-            escape(&r.name),
-            escape(&r.report.summary()),
+            "{{\"name\":{},\"summary\":{},\"report\":{}}}",
+            json_str(&r.name),
+            json_str(&r.report.summary()),
             r.report.to_json()
         ));
     }

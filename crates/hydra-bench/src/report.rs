@@ -19,6 +19,8 @@
 
 use std::fmt::Write as _;
 
+use hydra_obs::json_str;
+
 /// Version of the report layout. Bump when the shape changes.
 pub const SCHEMA_VERSION: u32 = 1;
 
@@ -34,7 +36,7 @@ pub fn num(key: &'static str, value: u64) -> Field {
 /// Renders a string field.
 #[must_use]
 pub fn text(key: &'static str, value: &str) -> Field {
-    (key, format!("\"{value}\""))
+    (key, json_str(value))
 }
 
 /// A bench report: name, flat config object, list of scenario objects.

@@ -58,18 +58,18 @@ pub enum MigrateError {
         /// The requested target.
         target: DeviceId,
     },
-    /// The hydra-verify capacity precheck says the target cannot take the
-    /// Offcode's footprint. Original instance untouched.
+    /// The target's memory allocator cannot hold the Offcode's image.
+    /// Original instance untouched.
     InsufficientCapacity {
         /// Bind name of the Offcode.
         bind_name: String,
         /// The requested target.
         target: DeviceId,
-        /// The verifier's diagnostics.
+        /// The allocator's error.
         detail: String,
     },
-    /// Loading the image at the target failed before teardown (a
-    /// non-capacity load error). Original instance untouched.
+    /// Linking the image at the target failed before teardown. Original
+    /// instance untouched.
     TargetLoadFailed {
         /// Bind name of the Offcode.
         bind_name: String,

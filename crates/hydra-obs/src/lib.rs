@@ -62,7 +62,7 @@ pub use export::chrome_trace;
 pub use histogram::Histogram;
 pub use recorder::{CounterId, GaugeId, HistId, LevelId, Recorder, SpanId, SpanRecord};
 pub use snapshot::{
-    ChannelProfileSample, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot,
+    json_str, ChannelProfileSample, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot,
     ProfileBucketSample, SpanSample, TraceEventSample,
 };
 pub use timeline::{

@@ -402,8 +402,11 @@ impl MetricsSnapshot {
     }
 }
 
-/// A JSON string literal for `s`, quotes included.
-pub(crate) fn json_str(s: &str) -> String {
+/// A JSON string literal for `s`, quotes included: `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` get their short escapes, and
+/// every other control character a `\u` escape. Every JSON renderer in
+/// the workspace escapes its strings through this one function.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -518,6 +521,7 @@ mod tests {
     fn json_escapes_specials() {
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_str("r\rt\tu\u{1f}é"), "\"r\\rt\\tu\\u001fé\"");
     }
 
     #[test]

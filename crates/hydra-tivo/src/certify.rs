@@ -269,11 +269,11 @@ pub fn observe_declared(odfs: &[OdfDocument]) -> Observation {
         if !imported[ri] {
             continue;
         }
-        let id = rt
+        let exec = rt.executive_mut();
+        let id = exec
             .create_channel(ChannelConfig::figure3(device_for(odf)))
             .expect("replay channel");
-        let ep = rt
-            .executive_mut()
+        let ep = exec
             .get_mut(id)
             .expect("fresh channel is live")
             .connect_endpoint()

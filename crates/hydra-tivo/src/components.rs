@@ -342,11 +342,18 @@ mod tests {
             rt.device_of(dsk).unwrap(),
             rt.device_of(dis).unwrap(),
         );
-        let to_dec = rt.create_channel(ChannelConfig::figure3(dev_dec)).unwrap();
+        let exec = rt.executive_mut();
+        let to_dec = exec
+            .create_channel(ChannelConfig::figure3(dev_dec))
+            .unwrap();
+        let to_disk = exec
+            .create_channel(ChannelConfig::figure3(dev_dsk))
+            .unwrap();
+        let to_dis = exec
+            .create_channel(ChannelConfig::figure3(dev_dis))
+            .unwrap();
         rt.connect_offcode(to_dec, dec).unwrap();
-        let to_disk = rt.create_channel(ChannelConfig::figure3(dev_dsk)).unwrap();
         rt.connect_offcode(to_disk, dsk).unwrap();
-        let to_dis = rt.create_channel(ChannelConfig::figure3(dev_dis)).unwrap();
         rt.connect_offcode(to_dis, dis).unwrap();
 
         // Wire the graph via control calls (OOB channel in a real system).

@@ -113,6 +113,7 @@ pub fn demo_deployment() -> Runtime {
         .expect("demo app deploys");
     let device = rt.device_of(root).expect("deployed");
     let chan = rt
+        .executive_mut()
         .create_channel(ChannelConfig::figure3(device))
         .expect("figure-3 channel");
     rt.connect_offcode(chan, root).expect("connect streamer");

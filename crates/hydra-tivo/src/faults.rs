@@ -23,6 +23,7 @@ use hydra_core::error::RuntimeError;
 use hydra_core::health::HEARTBEAT_EVERY;
 use hydra_core::offcode::{Offcode, OffcodeCtx};
 use hydra_core::runtime::{Runtime, RuntimeConfig};
+use hydra_obs::json_str;
 use hydra_odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
 use hydra_sim::fault::{FaultKind, FaultPlan};
 use hydra_sim::time::{SimDuration, SimTime};
@@ -116,20 +117,6 @@ pub fn fault_demo_plan() -> FaultPlan {
     )
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Runs the fault demo under `plan` and returns the runtime (recorder
 /// populated, recovery complete) plus the canonical JSON report: the
 /// schedule echo, per-pulse recovery reports, final placements, the
@@ -189,14 +176,10 @@ pub fn run_fault_demo(plan: &FaultPlan) -> (Runtime, String) {
     }
 
     let mut json = String::from("{\n");
-    json.push_str(&format!("  \"schedule\": \"{}\",\n", esc(&plan.render())));
+    json.push_str(&format!("  \"schedule\": {},\n", json_str(&plan.render())));
     json.push_str("  \"recoveries\": [\n");
     for (i, (r, at)) in reports.iter().zip(&report_times).enumerate() {
-        let displaced: Vec<String> = r
-            .displaced
-            .iter()
-            .map(|n| format!("\"{}\"", esc(n)))
-            .collect();
+        let displaced: Vec<String> = r.displaced.iter().map(|n| json_str(n)).collect();
         let migrated: Vec<String> = r
             .migrated
             .iter()
@@ -239,7 +222,7 @@ pub fn run_fault_demo(plan: &FaultPlan) -> (Runtime, String) {
     json.push_str("  ],\n");
 
     let audit = rt.audit_connections();
-    let problems: Vec<String> = audit.iter().map(|p| format!("\"{}\"", esc(p))).collect();
+    let problems: Vec<String> = audit.iter().map(|p| json_str(p)).collect();
     json.push_str(&format!("  \"audit\": [{}],\n", problems.join(", ")));
 
     let snap = rt.metrics_snapshot();

@@ -31,7 +31,7 @@ use hydra_hw::mem::Region;
 use hydra_media::codec::{CodecConfig, EncodedFrame, Encoder, GopConfig};
 use hydra_media::frame::SyntheticVideo;
 use hydra_net::nfs::{NasServer, NasTiming};
-use hydra_obs::{MetricsSnapshot, Sampler};
+use hydra_obs::{json_str, MetricsSnapshot, Sampler};
 use hydra_sim::fault::{FaultKind, FaultPlan};
 use hydra_sim::time::{SimDuration, SimTime};
 use hydra_sim::Sim;
@@ -88,14 +88,14 @@ fn build(plan: Option<&FaultPlan>) -> StatsModel {
     reg.install(DeviceDescriptor::gpu()); // dev3
     let mut rt = Runtime::new(reg, RuntimeConfig::default());
 
-    let bulk = rt
-        .create_channel(ChannelConfig::figure3(DeviceId(1)))
-        .expect("bulk channel on the NIC");
-    let oob = rt
-        .create_channel(ChannelConfig::oob(DeviceId(2)))
-        .expect("control channel on the disk");
     let rec = rt.recorder().clone();
     let exec = rt.executive_mut();
+    let bulk = exec
+        .create_channel(ChannelConfig::figure3(DeviceId(1)))
+        .expect("bulk channel on the NIC");
+    let oob = exec
+        .create_channel(ChannelConfig::oob(DeviceId(2)))
+        .expect("control channel on the disk");
     let bulk_ep = exec
         .get_mut(bulk)
         .expect("bulk channel is live")
@@ -304,20 +304,6 @@ pub fn run_stats_observed(plan: Option<&FaultPlan>) -> (MetricsSnapshot, Vec<Sta
     (snap, channels)
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the canonical stats report: one object per window with
 /// per-device utilization rows (busy-time deltas in permille of the
 /// window) and per-channel queue-depth levels, followed by one cost
@@ -348,9 +334,9 @@ fn render_stats(
             }
             first = false;
             out.push_str(&format!(
-                "{{\"name\": \"{}\", \"label\": \"{}\", \"busy_ns\": {}, \"permille\": {}}}",
-                esc(t.name),
-                esc(&t.label),
+                "{{\"name\": {}, \"label\": {}, \"busy_ns\": {}, \"permille\": {}}}",
+                json_str(t.name),
+                json_str(&t.label),
                 t.delta,
                 w.utilization_permille(t.name, &t.label).unwrap_or(0)
             ));
@@ -366,8 +352,8 @@ fn render_stats(
             }
             first = false;
             out.push_str(&format!(
-                "{{\"label\": \"{}\", \"depth\": {}}}",
-                esc(&l.label),
+                "{{\"label\": {}, \"depth\": {}}}",
+                json_str(&l.label),
                 l.value
             ));
         }
@@ -379,11 +365,11 @@ fn render_stats(
             out.push_str(",\n");
         }
         out.push_str(&format!(
-            "{{\"id\": {}, \"provider\": \"{}\", \"messages\": {}, \"bytes\": {}, \
+            "{{\"id\": {}, \"provider\": {}, \"messages\": {}, \"bytes\": {}, \
              \"doorbells\": {}, \"launch_overhead_ns\": {}, \"ewma_latency_ns\": {}, \
              \"throughput_bytes_per_sec\": {}, \"size_buckets\": [",
             id.0,
-            esc(provider),
+            json_str(provider),
             p.messages(),
             p.bytes(),
             p.doorbells(),

@@ -8,6 +8,7 @@
 //! (code, location, message) and every map is ordered, so identical
 //! inputs produce byte-identical output.
 
+use hydra_obs::json_str;
 use hydra_odf::odf::Guid;
 use std::fmt;
 
@@ -426,12 +427,12 @@ impl Report {
                 Some(g) => format!("\"subject\":{},", g.0),
             };
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",{}\"loc\":\"{}\",\"message\":\"{}\"}}",
+                "{{\"code\":\"{}\",\"severity\":\"{}\",{}\"loc\":{},\"message\":{}}}",
                 d.code.code(),
                 d.severity(),
                 subject,
-                escape(&d.loc.to_string()),
-                escape(&d.message)
+                json_str(&d.loc.to_string()),
+                json_str(&d.message)
             ));
         }
         out.push_str("],\"passes\":[");
@@ -451,23 +452,6 @@ impl Report {
         ));
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars),
-/// without the surrounding quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

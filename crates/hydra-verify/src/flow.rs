@@ -32,6 +32,7 @@
 
 use std::collections::BTreeSet;
 
+use hydra_obs::json_str;
 use hydra_odf::odf::{Guid, TrafficSpec};
 
 use crate::channels::adjacency;
@@ -137,10 +138,10 @@ impl Certificate {
                 .latency_bound_ns
                 .map_or_else(|| "null".to_owned(), |v| v.to_string());
             out.push_str(&format!(
-                "{{\"ring\":\"{}\",\"guid\":{},\"writers\":{},\"rate_per_sec\":{},\
+                "{{\"ring\":{},\"guid\":{},\"writers\":{},\"rate_per_sec\":{},\
                  \"max_bytes\":{},\"service_ns\":{},\"queue_bound\":{},\
                  \"ring_capacity\":{},\"stable\":{},\"latency_bound_ns\":{}}}",
-                crate::diag::escape(&c.bind_name),
+                json_str(&c.bind_name),
                 c.guid_value,
                 c.writers,
                 c.rate_per_sec,
@@ -157,11 +158,7 @@ impl Certificate {
             if i > 0 {
                 out.push(',');
             }
-            let path: Vec<String> = ch
-                .path
-                .iter()
-                .map(|p| format!("\"{}\"", crate::diag::escape(p)))
-                .collect();
+            let path: Vec<String> = ch.path.iter().map(|p| json_str(p)).collect();
             let latency = ch
                 .latency_bound_ns
                 .map_or_else(|| "null".to_owned(), |v| v.to_string());
@@ -177,9 +174,9 @@ impl Certificate {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"index\":{},\"name\":\"{}\",\"permille\":{}}}",
+                "{{\"index\":{},\"name\":{},\"permille\":{}}}",
                 d.index,
-                crate::diag::escape(&d.name),
+                json_str(&d.name),
                 d.permille
             ));
         }

@@ -84,7 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(rt.device_of(id), Some(nic));
 
     // --- Figure 3: create a reliable zero-copy channel and connect. ----
-    let channel = rt.create_channel(ChannelConfig::figure3(nic))?;
+    let channel = rt
+        .executive_mut()
+        .create_channel(ChannelConfig::figure3(nic))?;
     rt.connect_offcode(channel, id)?;
     println!(
         "channel up via provider '{}'",

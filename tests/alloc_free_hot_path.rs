@@ -80,17 +80,17 @@ fn channel_send_batch_recv_allocate_nothing_in_steady_state() {
     let retry = RetryPolicy::new(4, SimDuration::from_micros(1), SimDuration::from_micros(8));
     let mut cfg = ChannelConfig::figure3(DeviceId(1)).with_retry(retry);
     cfg.capacity = 16;
-    let bulk = rt.create_channel(cfg).expect("bulk channel");
-    let oob = rt
+    let exec = rt.executive_mut();
+    let bulk = exec.create_channel(cfg).expect("bulk channel");
+    let oob = exec
         .create_channel(ChannelConfig::oob(DeviceId(2)))
         .expect("oob channel");
-    let adaptive = rt
+    let adaptive = exec
         .create_channel_adaptive(
             ChannelConfig::figure3(DeviceId(3)),
             AdaptivePolicy::default(),
         )
         .expect("adaptive channel");
-    let exec = rt.executive_mut();
     let bulk_ep = exec.get_mut(bulk).unwrap().connect_endpoint().unwrap();
     let oob_ep = exec.get_mut(oob).unwrap().connect_endpoint().unwrap();
     let adaptive_ep = exec.get_mut(adaptive).unwrap().connect_endpoint().unwrap();

@@ -122,6 +122,7 @@ fn invoke_and_channel_paths_agree() {
     assert_eq!(device, DeviceId(3));
 
     let chan = rt
+        .executive_mut()
         .create_channel(ChannelConfig::figure3(device))
         .expect("provider exists");
     rt.connect_offcode(chan, id).expect("connects");
@@ -149,8 +150,10 @@ fn teardown_cascades_resources() {
     })
     .expect("registers");
     let id = rt.create_offcode(Guid(1), SimTime::ZERO).expect("deploys");
+    let device = rt.device_of(id).expect("placed");
     let chan = rt
-        .create_channel(ChannelConfig::oob(rt.device_of(id).expect("placed")))
+        .executive_mut()
+        .create_channel(ChannelConfig::oob(device))
         .expect("channel");
     rt.connect_offcode(chan, id).expect("connects");
     let live = rt.resources().len();
@@ -420,6 +423,7 @@ fn channel_to_wrong_device_is_rejected() {
         .expect("deploys to nic");
     // A channel whose far endpoint is the GPU cannot connect a NIC Offcode.
     let chan = rt
+        .executive_mut()
         .create_channel(ChannelConfig::figure3(DeviceId(3)))
         .expect("channel");
     assert!(matches!(

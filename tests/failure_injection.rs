@@ -476,7 +476,10 @@ mod fault_plans {
         // Multicast so the ring can be re-opened after teardown closes
         // the last endpoint (unicast channels accept exactly one, ever).
         cfg.transport = Transport::Multicast;
-        let chan = rt.create_channel(cfg).expect("provider exists");
+        let chan = rt
+            .executive_mut()
+            .create_channel(cfg)
+            .expect("provider exists");
         rt.connect_offcode(chan, id).expect("same device");
 
         let plan = FaultPlan::new(3).with_event(

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 /// Files allowed to hold `HashMap<Guid` — control-plane only.
 const ALLOWLIST: &[&str] = &[
-    "crates/hydra-core/src/runtime.rs",
+    "crates/hydra-core/src/runtime/mod.rs",
     "crates/hydra-core/src/layout.rs",
 ];
 

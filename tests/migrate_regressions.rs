@@ -166,6 +166,45 @@ fn capacity_precheck_rejects_before_teardown() {
     assert!(rt.audit_connections().is_empty());
 }
 
+/// A survivor with 8 bytes more than the image's load size passes a bare
+/// `load_size <= free` test, but the allocator also reserves 16 bytes of
+/// padding and refuses. That refusal is `InsufficientCapacity` with the
+/// source untouched, so recovery lands the Offcode on the host.
+#[test]
+fn a_survivor_the_allocator_refuses_sends_recovery_to_the_host() {
+    let image = Counter::boxed(Guid(7), "test.Counter").object_file();
+    let mut reg = DeviceRegistry::new();
+    reg.install(DeviceDescriptor::programmable_nic()); // dev1, the home
+    let mut survivor = DeviceDescriptor::gpu();
+    survivor.offcode_memory = u64::from(image.load_size()) + 8; // dev2
+    reg.install(survivor);
+    let mut rt = Runtime::new(reg, RuntimeConfig::default());
+    register_counter(&mut rt);
+    let id = rt.create_offcode(Guid(7), SimTime::ZERO).expect("deploys");
+    assert_eq!(rt.device_of(id), Some(DeviceId(1)));
+    bump(&mut rt, Guid(7), 6);
+
+    let err = rt.migrate(id, DeviceId(2), SimTime::from_millis(1));
+    assert!(
+        matches!(
+            err,
+            Err(RuntimeError::Migrate(
+                MigrateError::InsufficientCapacity { .. }
+            ))
+        ),
+        "wrong outcome: {err:?}"
+    );
+    assert_eq!(rt.device_of(id), Some(DeviceId(1)), "source untouched");
+
+    let report = rt.on_device_failure(DeviceId(1), SimTime::from_millis(2));
+    assert_eq!(
+        report.expect("recovers").migrated,
+        [(Guid(7), DeviceId::HOST)]
+    );
+    assert_eq!(read_count(&mut rt, Guid(7)), 6, "state intact");
+    assert!(rt.audit_connections().is_empty());
+}
+
 /// Satellite (a), restore leg: a restore failure at the target must not
 /// lose the Offcode — it recovers on the host with the snapshot intact,
 /// reported as a structured `FellBack` error. Pre-PR code returned a bare
@@ -303,7 +342,10 @@ fn teardown_closes_endpoints_on_foreign_channels() {
     let dev = rt.device_of(a).expect("live");
     assert_eq!(rt.device_of(b), Some(dev), "both share the device");
 
-    let chan = rt.create_channel(multicast_config(dev)).expect("provider");
+    let chan = rt
+        .executive_mut()
+        .create_channel(multicast_config(dev))
+        .expect("provider");
     rt.connect_offcode(chan, a).expect("connects");
     rt.connect_offcode(chan, b).expect("connects");
     // A message is pending in both endpoint queues when b dies.
@@ -393,8 +435,8 @@ fn register_built(rt: &mut Runtime, guid: Guid, name: &str, stateful: bool) -> R
 }
 
 /// The depot builds each Offcode's object once: certification, the
-/// pre-flight gate, link/load, the migration precheck and reload, and a
-/// recovery redeploy all read that one copy.
+/// pre-flight gate, link/load, the migration reload, and a recovery
+/// redeploy all read that one copy.
 #[test]
 fn each_depot_object_is_built_once_per_entry() {
     let mut reg = DeviceRegistry::new();
@@ -470,7 +512,7 @@ proptest! {
                 }
                 2 => {
                     if chan.is_none() {
-                        chan = rt.create_channel(multicast_config(DeviceId(1))).ok();
+                        chan = rt.executive_mut().create_channel(multicast_config(DeviceId(1))).ok();
                     }
                     if let (Some(c), Some(id)) = (chan, rt.get_offcode(guid)) {
                         let _ = rt.connect_offcode(c, id);

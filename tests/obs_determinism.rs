@@ -97,7 +97,10 @@ fn run_scenario() -> Runtime {
 
     let root = rt.create_offcode(Guid(1), SimTime::ZERO).unwrap();
     let device = rt.device_of(root).unwrap();
-    let chan = rt.create_channel(ChannelConfig::figure3(device)).unwrap();
+    let chan = rt
+        .executive_mut()
+        .create_channel(ChannelConfig::figure3(device))
+        .unwrap();
     rt.connect_offcode(chan, root).unwrap();
     let mut t = SimTime::ZERO;
     for i in 0..8u64 {
@@ -217,6 +220,7 @@ fn flight_recorder_overflow_is_deterministic_and_accounted() {
         rt.recorder().set_flight_capacity(capacity);
         // Push more traffic than the shrunken ring can hold.
         let chan = rt
+            .executive_mut()
             .create_channel(ChannelConfig::figure3(hydra::core::device::DeviceId(1)))
             .unwrap();
         let mut t = SimTime::ZERO;

@@ -36,6 +36,7 @@ fn adaptive_transcript(traffic: &[Step], plan: Option<&FaultPlan>) -> String {
         rt.install_fault_plan(p);
     }
     let chan = rt
+        .executive_mut()
         .create_channel_adaptive(
             ChannelConfig::figure3(DeviceId(1)),
             AdaptivePolicy::default(),
@@ -214,11 +215,12 @@ proptest! {
 fn cold_adaptive_channel_appears_in_the_snapshot() {
     let mut rt = demo_deployment();
     install_extras(rt.executive_mut());
-    rt.create_channel_adaptive(
-        ChannelConfig::figure3(DeviceId(1)),
-        AdaptivePolicy::default(),
-    )
-    .expect("adaptive channel on the NIC");
+    rt.executive_mut()
+        .create_channel_adaptive(
+            ChannelConfig::figure3(DeviceId(1)),
+            AdaptivePolicy::default(),
+        )
+        .expect("adaptive channel on the NIC");
     let snap = rt.metrics_snapshot();
     let entry = snap
         .channels
