@@ -1039,16 +1039,6 @@ mod tests {
         reg
     }
 
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
-
     fn node(guid: u64, compat: Vec<bool>) -> LayoutNode {
         LayoutNode {
             guid: Guid(guid),
@@ -1061,7 +1051,7 @@ mod tests {
     #[test]
     fn from_odfs_builds_nodes_and_edges() {
         let streamer = OdfDocument::new("tivo.Streamer", Guid(1))
-            .with_target(class(class_ids::NETWORK))
+            .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
             .with_import(Import {
                 file: String::new(),
                 bind_name: "tivo.Decoder".into(),
@@ -1069,7 +1059,8 @@ mod tests {
                 constraint: ConstraintKind::Gang,
                 priority: 0,
             });
-        let decoder = OdfDocument::new("tivo.Decoder", Guid(2)).with_target(class(class_ids::GPU));
+        let decoder = OdfDocument::new("tivo.Decoder", Guid(2))
+            .with_target(DeviceClassSpec::numbered(class_ids::GPU));
         let g = LayoutGraph::from_odfs(&[streamer, decoder], &registry()).unwrap();
         assert_eq!(g.nodes().len(), 2);
         assert_eq!(g.edges().len(), 1);

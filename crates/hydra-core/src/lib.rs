@@ -5,11 +5,13 @@
 //! interface type checking ([`call`]), typed invocation proxies
 //! ([`proxy`]), communication channels with device-specific providers and
 //! the cost-driven Channel Executive ([`channel`]), the device registry
-//! ([`device`]), hierarchical resource management ([`resource`]), the §5
-//! offloading layout graph with exact-ILP and greedy resolvers
-//! ([`layout`]), the pseudo-Offcodes that bound firmware symbol
-//! resolution ([`pseudo`]), and the deployment pipeline that ties it all
-//! together ([`runtime`]).
+//! ([`device`]), the §5 offloading layout graph with exact-ILP and greedy
+//! resolvers ([`layout`]), the pseudo-Offcodes that bound firmware
+//! symbol resolution ([`pseudo`]), and the deployment pipeline that ties
+//! it all together ([`runtime`]). The paper's resource management unit
+//! is the runtime's instance table: each instance holds its device
+//! memory reservation, its OOB channel and its receive endpoints, and
+//! [`Runtime::teardown`] returns all three.
 //!
 //! ```text
 //! ODFs ──▶ layout graph ──▶ placement (ILP) ──▶ link at device
@@ -29,7 +31,6 @@ pub mod offcode;
 pub mod providers;
 pub mod proxy;
 pub mod pseudo;
-pub mod resource;
 pub mod runtime;
 
 pub use call::{Call, CallTypeError, MarshalError, Value};
@@ -47,5 +48,4 @@ pub use offcode::{synthetic_object, Offcode, OffcodeCtx, OffcodeId};
 pub use providers::{DoorbellBatchProvider, PioProvider};
 pub use proxy::Proxy;
 pub use pseudo::{HeapOffcode, RuntimeInfoOffcode, HEAP_GUID, RUNTIME_GUID};
-pub use resource::{ResourceId, ResourceKind, ResourceManager};
 pub use runtime::{Deployment, DispatchResult, Lifecycle, RecoveryReport, Runtime, RuntimeConfig};

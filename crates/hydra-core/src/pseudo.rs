@@ -29,7 +29,6 @@ pub const HEAP_GUID: Guid = Guid(0xF001);
 #[derive(Debug)]
 pub struct HeapOffcode {
     allocator: DeviceMemoryAllocator,
-    live: u64,
 }
 
 impl HeapOffcode {
@@ -37,7 +36,6 @@ impl HeapOffcode {
     pub fn new(capacity: u64) -> Self {
         HeapOffcode {
             allocator: DeviceMemoryAllocator::new(0x8000_0000, capacity),
-            live: 0,
         }
     }
 
@@ -89,20 +87,20 @@ impl Offcode for HeapOffcode {
                     .allocator
                     .allocate(size)
                     .map_err(|e| RuntimeError::Rejected(e.to_string()))?;
-                self.live += 1;
                 Ok(Value::U64(addr))
             }
             "free" => {
-                // The bump allocator reclaims on reset only; free tracks
-                // liveness so leaks are observable.
-                if self.live == 0 {
-                    return Err(RuntimeError::Rejected("free without alloc".into()));
+                let addr = call
+                    .args
+                    .first()
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| RuntimeError::Rejected("free needs an address".into()))?;
+                match self.allocator.free(addr) {
+                    Some(_) => Ok(Value::Unit),
+                    None => Err(RuntimeError::Rejected(format!(
+                        "free of {addr:#x}: not an allocated block"
+                    ))),
                 }
-                self.live -= 1;
-                if self.live == 0 {
-                    self.allocator.reset();
-                }
-                Ok(Value::Unit)
             }
             "stats" => Ok(Value::U64(self.allocator.used())),
             other => Err(RuntimeError::UnknownOperation(other.to_owned())),
@@ -183,18 +181,28 @@ mod tests {
     fn heap_alloc_free_cycle() {
         let mut heap = HeapOffcode::new(1024);
         let mut c = ctx();
-        let call = Call::new(HEAP_GUID, "alloc").with_arg(Value::U64(100));
-        let Value::U64(addr) = heap.handle_call(&mut c, &call).unwrap() else {
-            panic!()
-        };
-        assert!(addr >= 0x8000_0000);
+        let alloc = Call::new(HEAP_GUID, "alloc").with_arg(Value::U64(100));
+        let mut addrs = Vec::new();
+        for _ in 0..2 {
+            let Value::U64(addr) = heap.handle_call(&mut c, &alloc).unwrap() else {
+                panic!()
+            };
+            assert!(addr >= 0x8000_0000);
+            addrs.push(addr);
+        }
         let stats = Call::new(HEAP_GUID, "stats");
+        let free = |addr| Call::new(HEAP_GUID, "free").with_arg(Value::U64(addr));
+        heap.handle_call(&mut c, &free(addrs[0])).unwrap();
         assert_eq!(
             heap.handle_call(&mut c, &stats).unwrap(),
-            Value::U64(112) // 16-byte aligned
+            Value::U64(112), // one 16-byte-aligned block stays live
         );
-        let free = Call::new(HEAP_GUID, "free").with_arg(Value::U64(addr));
-        heap.handle_call(&mut c, &free).unwrap();
+        assert!(
+            heap.handle_call(&mut c, &free(addrs[0])).is_err(),
+            "double free"
+        );
+        assert!(heap.handle_call(&mut c, &free(addrs[1] + 16)).is_err());
+        heap.handle_call(&mut c, &free(addrs[1])).unwrap();
         assert_eq!(heap.handle_call(&mut c, &stats).unwrap(), Value::U64(0));
     }
 

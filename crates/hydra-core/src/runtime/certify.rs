@@ -13,55 +13,43 @@ use crate::error::RuntimeError;
 
 /// The structural verdict of the last [`Runtime::certify_deployment`],
 /// which [`Runtime::create_offcode`]'s gate reuses for the same root and
-/// closure while nothing its passes read has changed.
+/// closure.
 ///
-/// The four structural passes read the closure's ODFs and depot objects
-/// and the device table. The devices are fixed at [`Runtime::new`], and
-/// every depot insert and deployed-set change calls
-/// [`Gate::invalidate`]. The provider table is not an input: only the
-/// quantitative passes, which the gate does not run, read it.
+/// The verdict is keyed by `(root, order)` and never goes stale: every
+/// input of the four structural passes is fixed by that key. They read
+/// `order`'s ODFs narrowed to `order` (the depot never replaces or
+/// removes an entry), demands from `order`'s depot objects (each built
+/// once), the device table (fixed at [`Runtime::new`]) and `[root]`. A
+/// change to the deployed set that matters changes `order` itself. The
+/// provider table is not an input: only the quantitative passes, which
+/// the gate does not run, read it.
 #[derive(Debug, Default)]
-pub(super) struct Gate {
-    /// Bumped by [`Gate::invalidate`]; a verdict holds only at the
-    /// generation it was stored at.
-    generation: u64,
-    verdict: RefCell<Option<Verdict>>,
-}
+pub(super) struct Gate(RefCell<Option<Verdict>>);
 
 #[derive(Debug)]
 struct Verdict {
     root: Guid,
     order: Vec<Guid>,
-    generation: u64,
     /// The four structural passes' report.
     report: Report,
 }
 
 impl Gate {
-    /// Makes any stored verdict stale: the depot or the deployed set,
-    /// both inputs of the passes, changed.
-    pub(super) fn invalidate(&mut self) {
-        self.generation += 1;
-    }
-
     /// Keeps `report` as the verdict on `root`'s closure `order`.
     fn store(&self, root: Guid, order: &[Guid], report: Report) {
-        *self.verdict.borrow_mut() = Some(Verdict {
+        *self.0.borrow_mut() = Some(Verdict {
             root,
             order: order.to_vec(),
-            generation: self.generation,
             report,
         });
     }
 
     /// The stored verdict on `root`'s closure `order`, if one was stored
-    /// for exactly that closure and nothing has invalidated it since.
+    /// for exactly that closure.
     pub(super) fn lookup(&self, root: Guid, order: &[Guid]) -> Option<Report> {
-        let verdict = self.verdict.borrow();
+        let verdict = self.0.borrow();
         let verdict = verdict.as_ref()?;
-        let current =
-            verdict.root == root && verdict.generation == self.generation && verdict.order == order;
-        current.then(|| verdict.report.clone())
+        (verdict.root == root && verdict.order == order).then(|| verdict.report.clone())
     }
 }
 

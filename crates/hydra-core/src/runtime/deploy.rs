@@ -15,7 +15,6 @@ use crate::device::DeviceId;
 use crate::error::RuntimeError;
 use crate::layout::{LayoutGraph, Placement};
 use crate::offcode::{Offcode, OffcodeId};
-use crate::resource::ResourceKind;
 
 /// One of the two lifecycle phases (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +69,6 @@ impl Runtime {
                 object: OnceCell::new(),
             },
         );
-        self.gate.invalidate();
         Ok(())
     }
 
@@ -229,8 +227,8 @@ impl Runtime {
     /// Links and loads `guid`'s depot object at exactly `device` with
     /// `strategy` and instantiates the Offcode — no host fallback,
     /// nothing registered. The migration path uses this to reserve the
-    /// target *before* destroying the source instance: a refused
-    /// allocation changes no allocator state.
+    /// target *before* destroying the source instance: a refused load
+    /// (out of memory or a link error) changes no allocator state.
     pub(super) fn load_at(
         &mut self,
         guid: Guid,
@@ -270,7 +268,9 @@ impl Runtime {
     }
 
     /// Registers an already-loaded Offcode as a live instance: accounting
-    /// counters, resource subtree, OOB channel, instance table entry.
+    /// counters, OOB channel, instance table entry. The instance takes
+    /// over the load's memory reservation; if it cannot be registered,
+    /// the reservation is freed.
     pub(super) fn register_loaded(
         &mut self,
         guid: Guid,
@@ -279,7 +279,6 @@ impl Runtime {
         plan: LoadPlan,
         span_parent: Option<(SpanId, SimTime)>,
     ) -> Result<OffcodeId, RuntimeError> {
-        let bind_name = self.depot[&guid].odf.bind_name.clone();
         let strategy_label = match plan.strategy {
             LoadStrategy::HostSideLink => "host-side",
             LoadStrategy::DeviceSideLink => "device-side",
@@ -293,25 +292,20 @@ impl Runtime {
             self.recorder.child_span(
                 parent,
                 "deploy.offcode",
-                &bind_name,
+                &self.depot[&guid].odf.bind_name,
                 at,
                 plan.host_work_units + plan.device_work_units,
             );
         }
 
         let id = OffcodeId(self.instances.len() as u32);
-        let resource = self
-            .resources
-            .register(ResourceKind::Offcode, &bind_name, self.app_root)
-            .expect("app root is live");
-        self.resources
-            .register(
-                ResourceKind::Memory,
-                &format!("{bind_name}.image"),
-                resource,
-            )
-            .expect("offcode resource is live");
-        let oob = self.executive.create_channel(ChannelConfig::oob(device))?;
+        let oob = match self.executive.create_channel(ChannelConfig::oob(device)) {
+            Ok(oob) => oob,
+            Err(e) => {
+                self.allocators[device.idx()].free(plan.reserved_base);
+                return Err(e.into());
+            }
+        };
         let ep = self
             .executive
             .get_mut(oob)
@@ -319,9 +313,6 @@ impl Runtime {
             .connect_endpoint()
             .expect("first endpoint");
         self.connections.bind(oob, ep, id);
-        self.resources
-            .register(ResourceKind::Channel, &format!("{bind_name}.oob"), resource)
-            .expect("offcode resource is live");
 
         self.instances.push(Some(Instance {
             offcode,
@@ -329,11 +320,9 @@ impl Runtime {
             device,
             state: Lifecycle::Loaded,
             oob,
-            resource,
             plan,
         }));
         self.deployed_by_guid.insert(guid, id);
-        self.gate.invalidate();
         Ok(id)
     }
 
@@ -362,19 +351,24 @@ impl Runtime {
         })
     }
 
-    /// Tears down a deployed Offcode: releases its resource subtree,
-    /// destroys its channels, closes its endpoints on every channel it
-    /// was connected to as a receiver, and forgets the instance. Sweeping
-    /// the endpoints matters: a surviving sender must not keep queueing
-    /// into a dead receiver's slot, and the connection table must not
-    /// keep orphaned keys ([`Runtime::audit_connections`] checks both).
+    /// Tears down a deployed Offcode and returns everything it holds:
+    /// its device memory reservation goes back to the device's allocator
+    /// ([`Runtime::free_memory`] rises by the plan's `reserved_bytes`),
+    /// its OOB channel is destroyed, its endpoint on every channel it
+    /// was connected to as a receiver is closed, and the instance is
+    /// forgotten. Returns `false` for an unknown or already torn-down
+    /// id. Sweeping the endpoints matters: a surviving sender must not
+    /// keep queueing into a dead receiver's slot, and the connection
+    /// table must not keep orphaned keys ([`Runtime::audit_connections`]
+    /// checks both). Deploy rollback, migration and recovery's redeploy
+    /// all release through here.
     pub fn teardown(&mut self, id: OffcodeId) -> bool {
         let Some(inst) = self.instances.get_mut(id.idx()).and_then(Option::take) else {
             return false;
         };
         self.deployed_by_guid.remove(&inst.guid);
-        self.gate.invalidate();
-        let _ = self.resources.release(inst.resource);
+        let freed = self.allocators[inst.device.idx()].free(inst.plan.reserved_base);
+        debug_assert_eq!(freed, Some(inst.plan.reserved_bytes));
         self.executive.destroy(inst.oob);
         self.connections.sweep(id, inst.oob, &mut self.executive);
         true

@@ -10,7 +10,6 @@ use crate::call::{Call, Value};
 use crate::channel::{BatchSendOutcome, Channel, ChannelError, ChannelExecutive, ChannelId};
 use crate::error::RuntimeError;
 use crate::offcode::{OffcodeCtx, OffcodeId};
-use crate::resource::ResourceKind;
 
 /// A value returned through a channel dispatch (see [`Runtime::pump`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +95,6 @@ impl Runtime {
             return Err(RuntimeError::NoSuchInstance(id.0));
         };
         let device = inst.device;
-        let resource = inst.resource;
         let ch = self.channel_mut(channel)?;
         if ch.config().target != device {
             return Err(RuntimeError::Rejected(format!(
@@ -106,9 +104,6 @@ impl Runtime {
         }
         let ep = ch.connect_endpoint()?;
         self.connections.bind(channel, ep, id);
-        self.resources
-            .register(ResourceKind::Channel, &format!("{channel}"), resource)
-            .expect("instance resource is live");
         Ok(())
     }
 

@@ -6,9 +6,10 @@
 //! closure, builds the offloading layout graph, resolves placement with
 //! the exact ILP, links each Offcode's object file at a device-allocated
 //! base address (falling back to the host CPU when a device cannot take
-//! it, per §3.4), constructs OOB channels, registers everything in the
-//! hierarchical resource tree, and drives the two-phase
-//! `initialize`/`start` protocol.
+//! it, per §3.4), constructs OOB channels, and drives the two-phase
+//! `initialize`/`start` protocol. Each instance holds what it was given
+//! (its device memory reservation, its OOB channel, its receive
+//! endpoints), and [`Runtime::teardown`] gives all of it back.
 //!
 //! Channels come from the Channel Executive
 //! ([`Runtime::executive_mut`]), as in the paper's Figure 3. They are
@@ -50,7 +51,6 @@ use crate::error::RuntimeError;
 use crate::health::HealthMonitor;
 use crate::layout::Objective;
 use crate::offcode::{Offcode, OffcodeId};
-use crate::resource::{ResourceId, ResourceKind, ResourceManager};
 
 use certify::Gate;
 use dispatch::Connections;
@@ -143,7 +143,8 @@ struct Instance {
     device: DeviceId,
     state: Lifecycle,
     oob: ChannelId,
-    resource: ResourceId,
+    /// The load's accounting, including the device memory block it
+    /// reserved, which teardown frees.
     plan: LoadPlan,
 }
 
@@ -158,8 +159,6 @@ pub struct Runtime {
     devices: DeviceRegistry,
     config: RuntimeConfig,
     executive: ChannelExecutive,
-    resources: ResourceManager,
-    app_root: ResourceId,
     // The Guid-keyed maps below are the API boundary (depot, ODF,
     // verify); everything on the invoke/pump hot path uses dense
     // integer ids into the Vec tables that follow.
@@ -170,8 +169,7 @@ pub struct Runtime {
     /// is always the table's length.
     instances: Vec<Option<Instance>>,
     deployed_by_guid: HashMap<Guid, OffcodeId>,
-    /// The last certification's verdict, invalidated by every change to
-    /// `depot` or `deployed_by_guid`.
+    /// The last certification's verdict, keyed by root and closure.
     gate: Gate,
     allocators: Vec<DeviceMemoryAllocator>,
     connections: Connections,
@@ -201,8 +199,6 @@ impl Runtime {
 
     /// Creates a runtime over a set of installed devices.
     pub fn new(devices: DeviceRegistry, config: RuntimeConfig) -> Self {
-        let mut resources = ResourceManager::new();
-        let app_root = resources.register_root(ResourceKind::Other, "oa-application");
         let allocators: Vec<DeviceMemoryAllocator> = devices
             .iter()
             .map(|(_, d)| DeviceMemoryAllocator::new(0x1_0000, d.offcode_memory))
@@ -216,8 +212,6 @@ impl Runtime {
             devices,
             config,
             executive,
-            resources,
-            app_root,
             depot: HashMap::new(),
             bind_names: HashMap::new(),
             instances: vec![None], // ids start at 1; slot 0 stays empty
@@ -332,9 +326,12 @@ impl Runtime {
         Ok(self.executive.create_channel_adaptive(config, policy)?)
     }
 
-    /// The resource tree.
-    pub fn resources(&self) -> &ResourceManager {
-        &self.resources
+    /// Bytes of `device`'s Offcode memory not reserved by a live
+    /// instance (0 for an unknown device).
+    pub fn free_memory(&self, device: DeviceId) -> u64 {
+        self.allocators
+            .get(device.idx())
+            .map_or(0, DeviceMemoryAllocator::available)
     }
 
     /// Resolves a bind name to a depot GUID (`hydra.Runtime`'s

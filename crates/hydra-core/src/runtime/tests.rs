@@ -13,16 +13,6 @@ use crate::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
 use crate::error::RuntimeError;
 use crate::offcode::{Offcode, OffcodeCtx};
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 #[derive(Debug)]
 struct Counter {
     guid: Guid,
@@ -90,7 +80,8 @@ fn runtime() -> Runtime {
 #[test]
 fn deploys_single_offcode_to_matching_device() {
     let mut rt = runtime();
-    let odf = OdfDocument::new("t.Checksum", Guid(1)).with_target(class(class_ids::NETWORK));
+    let odf = OdfDocument::new("t.Checksum", Guid(1))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK));
     rt.register_offcode(odf, || Counter::boxed(1, "t.Checksum"))
         .unwrap();
     let id = rt.create_offcode(Guid(1), SimTime::ZERO).unwrap();
@@ -115,7 +106,7 @@ fn create_is_idempotent_per_guid() {
 fn deploys_import_closure_with_constraints() {
     let mut rt = runtime();
     let streamer = OdfDocument::new("t.Streamer", Guid(1))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "t.Decoder".into(),
@@ -124,7 +115,7 @@ fn deploys_import_closure_with_constraints() {
             priority: 0,
         });
     let decoder = OdfDocument::new("t.Decoder", Guid(2))
-        .with_target(class(class_ids::GPU))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU))
         .with_import(Import {
             file: String::new(),
             bind_name: "t.Display".into(),
@@ -132,7 +123,8 @@ fn deploys_import_closure_with_constraints() {
             constraint: ConstraintKind::Pull,
             priority: 0,
         });
-    let display = OdfDocument::new("t.Display", Guid(3)).with_target(class(class_ids::GPU));
+    let display = OdfDocument::new("t.Display", Guid(3))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU));
     rt.register_offcode(streamer, || Counter::boxed(1, "t.Streamer"))
         .unwrap();
     rt.register_offcode(decoder, || Counter::boxed(2, "t.Decoder"))
@@ -181,7 +173,8 @@ fn oom_falls_back_to_host() {
         ..RuntimeConfig::default()
     };
     let mut rt = Runtime::new(reg, config);
-    let odf = OdfDocument::new("t.Big", Guid(1)).with_target(class(class_ids::NETWORK));
+    let odf = OdfDocument::new("t.Big", Guid(1))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK));
     rt.register_offcode(odf, || Counter::boxed(1, "t.Big"))
         .unwrap();
     let id = rt.create_offcode(Guid(1), SimTime::ZERO).unwrap();
@@ -195,7 +188,8 @@ fn verifier_gate_rejects_overcommitted_deployment() {
     tiny_nic.offcode_memory = 64;
     reg.install(tiny_nic);
     let mut rt = Runtime::new(reg, RuntimeConfig::default());
-    let odf = OdfDocument::new("t.Big", Guid(1)).with_target(class(class_ids::NETWORK));
+    let odf = OdfDocument::new("t.Big", Guid(1))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK));
     rt.register_offcode(odf, || Counter::boxed(1, "t.Big"))
         .unwrap();
     match rt.create_offcode(Guid(1), SimTime::ZERO) {
@@ -212,7 +206,7 @@ fn verifier_gate_rejects_overcommitted_deployment() {
 fn verify_deployment_reports_without_deploying() {
     let mut rt = runtime();
     let a = OdfDocument::new("a", Guid(1))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "b".into(),
@@ -221,7 +215,7 @@ fn verify_deployment_reports_without_deploying() {
             priority: 0,
         });
     let b = OdfDocument::new("b", Guid(2))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "a".into(),
@@ -255,7 +249,7 @@ fn verify_deployment_reports_without_deploying() {
 fn clean_deployment_passes_verifier_gate() {
     let mut rt = runtime();
     rt.register_offcode(
-        OdfDocument::new("ok", Guid(1)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("ok", Guid(1)).with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(1, "ok"),
     )
     .unwrap();
@@ -271,7 +265,7 @@ fn clean_deployment_passes_verifier_gate() {
 fn invoke_routes_to_offcode_and_books_work() {
     let mut rt = runtime();
     rt.register_offcode(
-        OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(1, "c"),
     )
     .unwrap();
@@ -290,7 +284,7 @@ fn invoke_routes_to_offcode_and_books_work() {
 fn channel_dispatch_via_pump() {
     let mut rt = runtime();
     rt.register_offcode(
-        OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(1, "c"),
     )
     .unwrap();
@@ -315,7 +309,7 @@ fn channel_dispatch_via_pump() {
 fn batched_calls_dispatch_via_pump() {
     let mut rt = runtime();
     rt.register_offcode(
-        OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(1, "c"),
     )
     .unwrap();
@@ -343,15 +337,23 @@ fn batched_calls_dispatch_via_pump() {
 fn teardown_releases_resources_and_instances() {
     let mut rt = runtime();
     rt.register_offcode(
-        OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(1, "c"),
     )
     .unwrap();
+    let nic = DeviceId(1);
+    let (free_before, channels_before) = (rt.free_memory(nic), rt.executive().len());
     let id = rt.create_offcode(Guid(1), SimTime::ZERO).unwrap();
-    let live_before = rt.resources().len();
+    let reserved = rt.deployments()[0].plan.reserved_bytes;
+    assert_eq!(rt.free_memory(nic), free_before - reserved);
     assert!(rt.teardown(id));
     assert!(!rt.teardown(id));
-    assert!(rt.resources().len() < live_before);
+    assert_eq!(rt.free_memory(nic), free_before, "image memory returned");
+    assert_eq!(
+        rt.executive().len(),
+        channels_before,
+        "OOB channel destroyed"
+    );
     assert_eq!(rt.get_offcode(Guid(1)), None);
     assert!(matches!(
         rt.invoke(id, &Call::new(Guid(1), "incr"), SimTime::ZERO),
@@ -369,7 +371,7 @@ fn device_side_loading_strategy_works() {
         },
     );
     rt.register_offcode(
-        OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(1, "c"),
     )
     .unwrap();
@@ -384,7 +386,7 @@ fn trace_export_spans_devices_and_respects_flight_capacity() {
     rt.recorder().set_flight_capacity(8);
     assert_eq!(rt.recorder().flight_capacity(), 8);
     rt.register_offcode(
-        OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(1, "c"),
     )
     .unwrap();

@@ -8,7 +8,8 @@ fn register(
     imports: &[(u64, ConstraintKind)],
 ) -> Result<(), RuntimeError> {
     let name = format!("g.N{guid}");
-    let mut odf = OdfDocument::new(name.clone(), Guid(guid)).with_target(class(target));
+    let mut odf =
+        OdfDocument::new(name.clone(), Guid(guid)).with_target(DeviceClassSpec::numbered(target));
     for &(to, constraint) in imports {
         odf = odf.with_import(Import {
             file: String::new(),
@@ -58,31 +59,40 @@ fn certification_serves_the_next_gate_with_fresh_counters() {
 }
 
 #[test]
-fn register_invalidates_the_gate() {
+fn deploying_a_closure_member_misses() {
+    // Guid 1's closure shrinks to [1]: a different key.
     let mut rt = with_set();
     certify(&rt, 1);
     assert!(hit(&rt, 1));
-    register(&mut rt, 4, class_ids::NETWORK, &[]).unwrap();
+    rt.create_offcode(Guid(2), SimTime::ZERO).unwrap();
     assert!(!hit(&rt, 1));
 }
 
 #[test]
-fn deploy_invalidates_the_gate() {
-    let mut rt = with_set();
-    certify(&rt, 1);
-    assert!(hit(&rt, 1));
-    rt.create_offcode(Guid(3), SimTime::ZERO).unwrap();
-    assert!(!hit(&rt, 1));
-}
-
-#[test]
-fn teardown_invalidates_the_gate() {
-    let mut rt = with_set();
-    let id = rt.create_offcode(Guid(3), SimTime::ZERO).unwrap();
-    certify(&rt, 1);
-    assert!(hit(&rt, 1));
-    assert!(rt.teardown(id));
-    assert!(!hit(&rt, 1));
+fn changes_outside_the_closure_keep_the_verdict() {
+    // Registering guid 4 or deploying guid 3 leaves guid 1's closure,
+    // and so every input of its passes, as it was.
+    type Change = fn(&mut Runtime);
+    let changes: [Change; 2] = [
+        |rt| register(rt, 4, class_ids::NETWORK, &[]).unwrap(),
+        |rt| {
+            rt.create_offcode(Guid(3), SimTime::ZERO).unwrap();
+        },
+    ];
+    for change in changes {
+        let mut cached = with_set();
+        let mut fresh = with_set();
+        for rt in [&mut cached, &mut fresh] {
+            certify(rt, 1);
+            change(rt);
+        }
+        assert!(hit(&cached, 1));
+        fresh.gate = Gate::default();
+        let a = cached.create_offcode(Guid(1), SimTime::ZERO).unwrap();
+        let b = fresh.create_offcode(Guid(1), SimTime::ZERO).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(cached.metrics_snapshot(), fresh.metrics_snapshot());
+    }
 }
 
 #[test]

@@ -17,8 +17,11 @@
 use crate::linker::{ExportTable, LinkError, LinkedImage, Linker};
 use crate::object::HofObject;
 
-/// A bump allocator for a device's Offcode memory region, implementing
-/// the `AllocateOffcodeMemory` interface the device loader exports.
+/// A first-fit allocator for a device's Offcode memory region,
+/// implementing the `AllocateOffcodeMemory` interface the device loader
+/// exports. Every block is 16-byte aligned and at least 16 bytes long,
+/// so each address names one block. Until a block is freed, each
+/// address is the next one after the last block handed out.
 ///
 /// # Examples
 ///
@@ -28,12 +31,16 @@ use crate::object::HofObject;
 /// let mut alloc = DeviceMemoryAllocator::new(0x1_0000, 64 * 1024);
 /// let base = alloc.allocate(4096).unwrap();
 /// assert_eq!(base, 0x1_0000);
+/// assert_eq!(alloc.free(base), Some(4096));
+/// assert_eq!(alloc.available(), 64 * 1024);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeviceMemoryAllocator {
     base: u64,
     capacity: u64,
     used: u64,
+    /// Live blocks as `(address, aligned length)`, sorted by address.
+    blocks: Vec<(u64, u64)>,
 }
 
 /// Error when a device cannot satisfy an Offcode memory request.
@@ -57,6 +64,12 @@ impl std::fmt::Display for OutOfDeviceMemory {
 
 impl std::error::Error for OutOfDeviceMemory {}
 
+/// The length of the block a `size`-byte request takes: rounded up to
+/// the 16-byte alignment, and at least one 16-byte unit.
+fn block_len(size: u64) -> u64 {
+    size.max(1).div_ceil(16) * 16
+}
+
 impl DeviceMemoryAllocator {
     /// Creates an allocator over `[base, base + capacity)`.
     pub fn new(base: u64, capacity: u64) -> Self {
@@ -64,41 +77,56 @@ impl DeviceMemoryAllocator {
             base,
             capacity,
             used: 0,
+            blocks: Vec::new(),
         }
     }
 
-    /// Bytes not yet allocated.
+    /// Bytes not allocated.
     pub fn available(&self) -> u64 {
         self.capacity - self.used
     }
 
-    /// Bytes handed out.
+    /// Bytes handed out and not yet freed.
     pub fn used(&self) -> u64 {
         self.used
     }
 
-    /// Allocates `size` bytes (16-byte aligned), returning the base
-    /// address.
+    /// Allocates `size` bytes (16-byte aligned, at least 16) in the
+    /// lowest gap that fits, returning the base address.
     ///
     /// # Errors
     ///
-    /// Returns [`OutOfDeviceMemory`] when the region is exhausted.
+    /// Returns [`OutOfDeviceMemory`] when no gap is large enough.
     pub fn allocate(&mut self, size: u64) -> Result<u64, OutOfDeviceMemory> {
-        let aligned = size.div_ceil(16) * 16;
-        if aligned > self.available() {
+        let len = block_len(size);
+        let mut addr = self.base;
+        let mut at = self.blocks.len();
+        for (i, &(start, held)) in self.blocks.iter().enumerate() {
+            if start - addr >= len {
+                at = i;
+                break;
+            }
+            addr = start + held;
+        }
+        if at == self.blocks.len() && self.base + self.capacity - addr < len {
             return Err(OutOfDeviceMemory {
                 requested: size,
                 available: self.available(),
             });
         }
-        let addr = self.base + self.used;
-        self.used += aligned;
+        self.blocks.insert(at, (addr, len));
+        self.used += len;
         Ok(addr)
     }
 
-    /// Releases everything (device reset / Offcode teardown).
-    pub fn reset(&mut self) {
-        self.used = 0;
+    /// Frees the block that starts at `addr`, returning its aligned
+    /// length, or `None` if no live block starts there (never
+    /// allocated, or already freed).
+    pub fn free(&mut self, addr: u64) -> Option<u64> {
+        let i = self.blocks.binary_search_by_key(&addr, |&(a, _)| a).ok()?;
+        let (_, len) = self.blocks.remove(i);
+        self.used -= len;
+        Some(len)
     }
 }
 
@@ -127,6 +155,12 @@ pub struct LoadPlan {
     pub device_memory_bytes: u64,
     /// Relocations the linker patched (wherever the link ran).
     pub relocations_applied: u64,
+    /// Base address of the device-memory block the load reserved; hand
+    /// it to [`DeviceMemoryAllocator::free`] to return the block.
+    pub reserved_base: u64,
+    /// Length of that block, which for a device-side load also covers
+    /// the staged object files.
+    pub reserved_bytes: u64,
 }
 
 fn link_work_units(objects: &[HofObject]) -> u64 {
@@ -142,6 +176,27 @@ fn relocation_count(objects: &[HofObject]) -> u64 {
     objects.iter().map(|o| o.relocations.len() as u64).sum()
 }
 
+/// Reserves `bytes` of device memory and links `objects` at the image
+/// base `image_base` picks inside the block. A link error frees the
+/// block again, so a refused load changes no allocator state. Returns
+/// the image and the block's base address and length.
+fn reserve_and_link(
+    objects: &[HofObject],
+    allocator: &mut DeviceMemoryAllocator,
+    exports: &ExportTable,
+    bytes: u64,
+    image_base: impl FnOnce(u64) -> u64,
+) -> Result<(LinkedImage, u64, u64), LoadError> {
+    let base = allocator.allocate(bytes)?;
+    match Linker::new().link(objects, image_base(base), exports) {
+        Ok(image) => Ok((image, base, block_len(bytes))),
+        Err(e) => {
+            allocator.free(base);
+            Err(e.into())
+        }
+    }
+}
+
 /// Loads an Offcode using host-side linking.
 ///
 /// # Errors
@@ -154,8 +209,9 @@ pub fn load_host_side(
 ) -> Result<(LinkedImage, LoadPlan), LoadError> {
     let total: u64 = objects.iter().map(|o| u64::from(o.load_size())).sum();
     // Alignment padding between objects is bounded by 16 per object.
-    let base = allocator.allocate(total + 16 * objects.len() as u64)?;
-    let image = Linker::new().link(objects, base, exports)?;
+    let bytes = total + 16 * objects.len() as u64;
+    let (image, reserved_base, reserved_bytes) =
+        reserve_and_link(objects, allocator, exports, bytes, |base| base)?;
     let plan = LoadPlan {
         strategy: LoadStrategy::HostSideLink,
         host_work_units: link_work_units(objects),
@@ -163,6 +219,8 @@ pub fn load_host_side(
         transfer_bytes: image.bytes.len() as u64,
         device_memory_bytes: image.memory_size,
         relocations_applied: relocation_count(objects),
+        reserved_base,
+        reserved_bytes,
     };
     Ok((image, plan))
 }
@@ -181,10 +239,12 @@ pub fn load_device_side(
     // The device must hold the encoded objects *and* the final image.
     let encoded: u64 = objects.iter().map(|o| o.encode().len() as u64).sum();
     let total: u64 = objects.iter().map(|o| u64::from(o.load_size())).sum();
-    let base = allocator.allocate(encoded + total + 16 * objects.len() as u64)?;
+    let bytes = encoded + total + 16 * objects.len() as u64;
     // The image region begins after the staged object files.
-    let image_base = (base + encoded).div_ceil(16) * 16;
-    let image = Linker::new().link(objects, image_base, exports)?;
+    let (image, reserved_base, reserved_bytes) =
+        reserve_and_link(objects, allocator, exports, bytes, |base| {
+            (base + encoded).div_ceil(16) * 16
+        })?;
     let plan = LoadPlan {
         strategy: LoadStrategy::DeviceSideLink,
         host_work_units: encoded / 64, // just streaming the file out
@@ -192,6 +252,8 @@ pub fn load_device_side(
         transfer_bytes: encoded,
         device_memory_bytes: encoded + image.memory_size,
         relocations_applied: relocation_count(objects),
+        reserved_base,
+        reserved_bytes,
     };
     Ok((image, plan))
 }
@@ -254,8 +316,26 @@ mod tests {
         assert_eq!(a.available(), 32);
         let err = a.allocate(100).unwrap_err();
         assert_eq!(err.available, 32);
-        a.reset();
+        assert_eq!(a.free(0x100), Some(16));
+        assert_eq!(a.free(0x100), None, "double free");
+        assert_eq!(a.free(0x108), None, "not a block start");
+        assert_eq!(a.available(), 48);
+        // First fit: the freed hole at the bottom is reused.
+        assert_eq!(a.allocate(16).unwrap(), 0x100);
+        assert_eq!(a.free(0x110), Some(16));
+        assert_eq!(a.free(0x100), Some(16));
         assert_eq!(a.available(), 64);
+    }
+
+    #[test]
+    fn allocator_first_fit_skips_holes_too_small() {
+        let mut a = DeviceMemoryAllocator::new(0, 96);
+        let blocks: Vec<u64> = (0..3).map(|_| a.allocate(32).unwrap()).collect();
+        assert_eq!(blocks, [0, 32, 64]);
+        a.free(32);
+        assert_eq!(a.allocate(48).unwrap_err().available, 32, "no gap fits");
+        assert_eq!(a.allocate(20).unwrap(), 32);
+        assert_eq!(a.available(), 0);
     }
 
     #[test]
@@ -298,6 +378,11 @@ mod tests {
         let (_, p1) = load_host_side(&objs, &mut a1, &ExportTable::new()).unwrap();
         let (_, p2) = load_device_side(&objs, &mut a2, &ExportTable::new()).unwrap();
         assert!(p2.device_memory_bytes > p1.device_memory_bytes);
+        // The plan reports the whole reservation, staging included.
+        assert_eq!(p1.reserved_bytes, a1.used());
+        assert_eq!(p2.reserved_bytes, a2.used());
+        assert!(p2.reserved_bytes > p1.reserved_bytes);
+        assert_eq!(a2.free(p2.reserved_base), Some(p2.reserved_bytes));
     }
 
     #[test]
@@ -339,10 +424,13 @@ mod tests {
                 addend: 0,
                 kind: crate::object::RelocKind::Abs64,
             });
-        let mut a = DeviceMemoryAllocator::new(0, 1 << 20);
-        assert!(matches!(
-            load_host_side(&[obj], &mut a, &ExportTable::new()),
-            Err(LoadError::Link(LinkError::Unresolved(_)))
-        ));
+        for load in [load_host_side, load_device_side] {
+            let mut a = DeviceMemoryAllocator::new(0, 1 << 20);
+            assert!(matches!(
+                load(std::slice::from_ref(&obj), &mut a, &ExportTable::new()),
+                Err(LoadError::Link(LinkError::Unresolved(_)))
+            ));
+            assert_eq!(a.available(), 1 << 20, "a refused load reserves nothing");
+        }
     }
 }

@@ -92,6 +92,18 @@ impl DeviceClassSpec {
             vendor: None,
         }
     }
+
+    /// A class known only by its id, named `class-{id}`, with no bus,
+    /// MAC or vendor requirement.
+    pub fn numbered(id: u32) -> Self {
+        DeviceClassSpec {
+            id,
+            name: format!("class-{id}"),
+            bus: None,
+            mac: None,
+            vendor: None,
+        }
+    }
 }
 
 /// A declared arrival curve for an Offcode's outbound calls: a

@@ -45,16 +45,6 @@ const CRASH_RECOVERY_NS: u64 = 1_000_000;
 /// remaining fault kinds into disruption time.
 const PER_UNIT_FAULT_NS: u64 = 10_000;
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 fn link(guid: Guid, bind_name: &str) -> Import {
     Import {
         file: String::new(),
@@ -120,21 +110,21 @@ pub fn stats_certify_odfs() -> Vec<OdfDocument> {
         .with_traffic(traffic(10_000, 2, 16_384))
         .with_import(link(Guid(0x9002), "stats.NicSink"));
     let nic_sink = OdfDocument::new("stats.NicSink", Guid(0x9002))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
         .with_traffic(traffic(4_000, 2, 16_384))
         .with_import(link(Guid(0x9003), "stats.GpuSink"))
         .with_import(link(Guid(0x9004), "stats.DiskSink"))
         .with_import(link(Guid(0x9005), "stats.HostSink"));
-    let gpu_sink =
-        OdfDocument::new("stats.GpuSink", Guid(0x9003)).with_target(class(class_ids::GPU));
-    let disk_sink =
-        OdfDocument::new("stats.DiskSink", Guid(0x9004)).with_target(class(class_ids::STORAGE));
+    let gpu_sink = OdfDocument::new("stats.GpuSink", Guid(0x9003))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU));
+    let disk_sink = OdfDocument::new("stats.DiskSink", Guid(0x9004))
+        .with_target(DeviceClassSpec::numbered(class_ids::STORAGE));
     let host_sink = OdfDocument::new("stats.HostSink", Guid(0x9005));
     let ctl_source = OdfDocument::new("stats.CtlSource", Guid(0x9006))
         .with_traffic(traffic(2_000, 1, 32))
         .with_import(link(Guid(0x9007), "stats.CtlSink"));
-    let ctl_sink =
-        OdfDocument::new("stats.CtlSink", Guid(0x9007)).with_target(class(class_ids::STORAGE));
+    let ctl_sink = OdfDocument::new("stats.CtlSink", Guid(0x9007))
+        .with_target(DeviceClassSpec::numbered(class_ids::STORAGE));
     let host_load = OdfDocument::new("stats.HostLoad", Guid(0x9008))
         .with_traffic(traffic(2_000, 1, 16_384))
         .with_import(link(Guid(0x9009), "stats.HostSpin"));

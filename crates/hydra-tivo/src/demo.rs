@@ -46,22 +46,12 @@ impl Offcode for DemoOffcode {
     }
 }
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 /// The demo application's three ODF manifests (streamer → decoder →
 /// display), root first. Shared between [`demo_deployment`] and the
 /// `repro -- lint` deployment lint.
 pub fn demo_odfs() -> Vec<OdfDocument> {
     let streamer = OdfDocument::new("tivo.Streamer", Guid(1))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "tivo.Decoder".into(),
@@ -70,7 +60,7 @@ pub fn demo_odfs() -> Vec<OdfDocument> {
             priority: 0,
         });
     let decoder = OdfDocument::new("tivo.Decoder", Guid(2))
-        .with_target(class(class_ids::GPU))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU))
         .with_import(Import {
             file: String::new(),
             bind_name: "tivo.Display".into(),
@@ -78,7 +68,8 @@ pub fn demo_odfs() -> Vec<OdfDocument> {
             constraint: ConstraintKind::Pull,
             priority: 0,
         });
-    let display = OdfDocument::new("tivo.Display", Guid(3)).with_target(class(class_ids::GPU));
+    let display = OdfDocument::new("tivo.Display", Guid(3))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU));
     vec![streamer, decoder, display]
 }
 

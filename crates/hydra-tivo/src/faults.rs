@@ -69,21 +69,11 @@ impl Offcode for StatefulDemoOffcode {
     }
 }
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 /// The fault demo's four ODFs: the demo trio plus `tivo.Archiver` on the
 /// smart disk (a survivor that must stay put through recovery).
 pub fn fault_demo_odfs() -> Vec<OdfDocument> {
     let streamer = OdfDocument::new("tivo.Streamer", Guid(1))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "tivo.Decoder".into(),
@@ -92,7 +82,7 @@ pub fn fault_demo_odfs() -> Vec<OdfDocument> {
             priority: 0,
         });
     let decoder = OdfDocument::new("tivo.Decoder", Guid(2))
-        .with_target(class(class_ids::GPU))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU))
         .with_import(Import {
             file: String::new(),
             bind_name: "tivo.Display".into(),
@@ -100,9 +90,10 @@ pub fn fault_demo_odfs() -> Vec<OdfDocument> {
             constraint: ConstraintKind::Pull,
             priority: 0,
         });
-    let display = OdfDocument::new("tivo.Display", Guid(3)).with_target(class(class_ids::GPU));
-    let archiver =
-        OdfDocument::new("tivo.Archiver", Guid(4)).with_target(class(class_ids::STORAGE));
+    let display = OdfDocument::new("tivo.Display", Guid(3))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU));
+    let archiver = OdfDocument::new("tivo.Archiver", Guid(4))
+        .with_target(DeviceClassSpec::numbered(class_ids::STORAGE));
     vec![streamer, decoder, display, archiver]
 }
 

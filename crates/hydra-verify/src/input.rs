@@ -210,20 +210,10 @@ mod tests {
         }
     }
 
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
-
     #[test]
     fn matching_honours_specified_attrs() {
         let t = table();
-        let mut spec = class(class_ids::NETWORK);
+        let mut spec = DeviceClassSpec::numbered(class_ids::NETWORK);
         assert_eq!(t.feasible_count(&spec), 1);
         spec.vendor = Some("Intel".into());
         assert_eq!(t.feasible_count(&spec), 0);
@@ -234,7 +224,7 @@ mod tests {
         let t = table();
         assert_eq!(t.compatibility(&[]), vec![true, false, false]);
         assert_eq!(
-            t.compatibility(&[class(class_ids::GPU)]),
+            t.compatibility(&[DeviceClassSpec::numbered(class_ids::GPU)]),
             vec![true, false, true]
         );
     }
@@ -243,7 +233,7 @@ mod tests {
     fn graph_view_from_odfs_uses_footprints() {
         use hydra_odf::odf::Import;
         let a = OdfDocument::new("a", Guid(1))
-            .with_target(class(class_ids::NETWORK))
+            .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
             .with_footprint(4096)
             .with_import(Import {
                 file: String::new(),

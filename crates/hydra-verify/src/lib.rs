@@ -206,16 +206,6 @@ mod tests {
         }
     }
 
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
-
     fn import(name: &str, guid: Guid, kind: ConstraintKind) -> Import {
         Import {
             file: String::new(),
@@ -229,9 +219,10 @@ mod tests {
     fn clean_set() -> Vec<OdfDocument> {
         vec![
             OdfDocument::new("app.Source", Guid(1))
-                .with_target(class(class_ids::NETWORK))
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
                 .with_import(import("app.Sink", Guid(2), ConstraintKind::Pull)),
-            OdfDocument::new("app.Sink", Guid(2)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("app.Sink", Guid(2))
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         ]
     }
 
@@ -271,7 +262,7 @@ mod tests {
     #[test]
     fn disjoint_pull_fires_hv012() {
         let mut odfs = clean_set();
-        odfs[1].targets = vec![class(class_ids::GPU)];
+        odfs[1].targets = vec![DeviceClassSpec::numbered(class_ids::GPU)];
         let report = verify(&VerifyInput {
             odfs: &odfs,
             devices: &table(),
@@ -286,7 +277,7 @@ mod tests {
         let odfs: Vec<OdfDocument> = (0..3)
             .map(|i| {
                 OdfDocument::new(format!("fat.{i}"), Guid(10 + i))
-                    .with_target(class(class_ids::NETWORK))
+                    .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
                     .with_footprint(1 << 20)
             })
             .collect();

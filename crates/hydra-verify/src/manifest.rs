@@ -149,16 +149,6 @@ mod tests {
         }
     }
 
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
-
     fn import(guid: Guid, kind: ConstraintKind) -> Import {
         Import {
             file: String::new(),
@@ -176,8 +166,10 @@ mod tests {
     #[test]
     fn duplicate_guid_and_bind_name_flagged() {
         let odfs = vec![
-            OdfDocument::new("a", Guid(1)).with_target(class(class_ids::NETWORK)),
-            OdfDocument::new("a", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("a", Guid(1))
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
+            OdfDocument::new("a", Guid(1))
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         ];
         let (diags, _) = run(&odfs, &table());
         assert!(codes(&diags).contains(&HvCode::DuplicateGuid));
@@ -187,13 +179,14 @@ mod tests {
     #[test]
     fn dangling_self_and_duplicate_imports_flagged() {
         let odfs = vec![OdfDocument::new("a", Guid(1))
-            .with_target(class(class_ids::NETWORK))
+            .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
             .with_import(import(Guid(99), ConstraintKind::Link))
             .with_import(import(Guid(1), ConstraintKind::Pull))
             .with_import(import(Guid(2), ConstraintKind::Gang))
             .with_import(import(Guid(2), ConstraintKind::Gang))]
         .into_iter()
-        .chain([OdfDocument::new("b", Guid(2)).with_target(class(class_ids::NETWORK))])
+        .chain([OdfDocument::new("b", Guid(2))
+            .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))])
         .collect::<Vec<_>>();
         let (diags, _) = run(&odfs, &table());
         let c = codes(&diags);
@@ -206,10 +199,11 @@ mod tests {
     fn target_lints_fire_by_tier() {
         let odfs = vec![
             OdfDocument::new("hostish", Guid(1)),
-            OdfDocument::new("ghost", Guid(2)).with_target(class(class_ids::GPU)),
+            OdfDocument::new("ghost", Guid(2))
+                .with_target(DeviceClassSpec::numbered(class_ids::GPU)),
             OdfDocument::new("ok", Guid(3))
-                .with_target(class(class_ids::GPU))
-                .with_target(class(class_ids::NETWORK)),
+                .with_target(DeviceClassSpec::numbered(class_ids::GPU))
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         ];
         let (diags, _) = run(&odfs, &table());
         let for_odf = |name: &str| {
@@ -231,9 +225,10 @@ mod tests {
     fn clean_set_produces_no_diagnostics() {
         let odfs = vec![
             OdfDocument::new("a", Guid(1))
-                .with_target(class(class_ids::NETWORK))
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
                 .with_import(import(Guid(2), ConstraintKind::Pull)),
-            OdfDocument::new("peer-2", Guid(2)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("peer-2", Guid(2))
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         ];
         let (diags, work) = run(&odfs, &table());
         assert!(diags.is_empty(), "{diags:?}");

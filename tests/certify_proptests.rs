@@ -18,16 +18,6 @@ use hydra::tivo::certify::{certify_service_table, observe_declared};
 use hydra::verify::{Certification, CertifyInput, HvCode, VerifyInput};
 use proptest::prelude::*;
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 fn certify(odfs: &[OdfDocument]) -> Certification {
     let mut reg = DeviceRegistry::new();
     reg.install(DeviceDescriptor::programmable_nic());
@@ -85,7 +75,7 @@ fn chain(seeds: &[u64]) -> Vec<OdfDocument> {
         .map(|(i, h)| {
             let mut odf = OdfDocument::new(format!("chain.{i}"), Guid(0x4000 + i as u64));
             if let Some(id) = h.target {
-                odf = odf.with_target(class(id));
+                odf = odf.with_target(DeviceClassSpec::numbered(id));
             }
             if i + 1 < n {
                 odf = odf

@@ -39,6 +39,14 @@ fn machine() -> DeviceRegistry {
     reg
 }
 
+/// Every device's free Offcode memory, in device order.
+fn free_memory(rt: &Runtime) -> Vec<u64> {
+    rt.devices()
+        .iter()
+        .map(|(d, _)| rt.free_memory(d))
+        .collect()
+}
+
 /// The paper's Figure 4 ODF drives a real deployment.
 #[test]
 fn xml_odf_to_running_offcode() {
@@ -149,16 +157,23 @@ fn teardown_cascades_resources() {
         })
     })
     .expect("registers");
+    let free_before = free_memory(&rt);
     let id = rt.create_offcode(Guid(1), SimTime::ZERO).expect("deploys");
     let device = rt.device_of(id).expect("placed");
     let chan = rt
         .executive_mut()
         .create_channel(ChannelConfig::oob(device))
         .expect("channel");
+    let channels_before = rt.executive().len();
     rt.connect_offcode(chan, id).expect("connects");
-    let live = rt.resources().len();
+    assert_ne!(free_memory(&rt), free_before, "the image holds memory");
     assert!(rt.teardown(id));
-    assert!(rt.resources().len() < live);
+    assert_eq!(free_memory(&rt), free_before, "image memory returned");
+    assert_eq!(
+        rt.executive().len(),
+        channels_before - 1,
+        "the OOB channel is destroyed, the caller's stays"
+    );
     // The instance is gone; further use errors cleanly.
     assert!(matches!(
         rt.invoke(id, &Call::new(Guid(1), "x"), SimTime::ZERO),

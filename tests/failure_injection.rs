@@ -68,11 +68,22 @@ fn failing_initialize_rolls_back_the_deployment() {
         })
     })
     .expect("registers");
-    let baseline = rt.resources().len();
+    let free = |rt: &Runtime| -> Vec<u64> {
+        rt.devices()
+            .iter()
+            .map(|(d, _)| rt.free_memory(d))
+            .collect()
+    };
+    let (free_before, channels_before) = (free(&rt), rt.executive().len());
     let err = rt.create_offcode(Guid(0xBAD), SimTime::ZERO).unwrap_err();
     assert!(matches!(err, RuntimeError::Rejected(_)));
     assert!(rt.deployments().is_empty(), "nothing stays deployed");
-    assert_eq!(rt.resources().len(), baseline, "resources rolled back");
+    assert_eq!(free(&rt), free_before, "image memory rolled back");
+    assert_eq!(
+        rt.executive().len(),
+        channels_before,
+        "OOB channel rolled back"
+    );
     // The depot entry survives; a fixed factory could redeploy.
     assert_eq!(rt.lookup_bind_name("test.Flaky"), Some(Guid(0xBAD)));
 }
@@ -532,16 +543,6 @@ mod gang_recovery {
     use hydra::odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
     use hydra::sim::time::SimTime;
 
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
-
     #[derive(Debug)]
     struct Snap {
         guid: Guid,
@@ -587,9 +588,10 @@ mod gang_recovery {
             priority: 0,
         });
         for c in a_classes {
-            a = a.with_target(class(*c));
+            a = a.with_target(DeviceClassSpec::numbered(*c));
         }
-        let b = OdfDocument::new("test.B", Guid(2)).with_target(class(class_ids::GPU));
+        let b = OdfDocument::new("test.B", Guid(2))
+            .with_target(DeviceClassSpec::numbered(class_ids::GPU));
         rt.register_offcode(a, || {
             Box::new(Snap {
                 guid: Guid(1),

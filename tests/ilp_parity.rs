@@ -213,13 +213,7 @@ fn pin_graph(rng: &mut DetRng, reg: &DeviceRegistry) -> LayoutGraph {
         let mut odf = OdfDocument::new(format!("oc{i}"), Guid(i as u64 + 1));
         for id in [class_ids::NETWORK, class_ids::STORAGE, class_ids::GPU] {
             if rng.chance(0.5) {
-                odf = odf.with_target(DeviceClassSpec {
-                    id,
-                    name: format!("class-{id}"),
-                    bus: None,
-                    mac: None,
-                    vendor: None,
-                });
+                odf = odf.with_target(DeviceClassSpec::numbered(id));
             }
         }
         if i > 0 && rng.chance(0.85) {

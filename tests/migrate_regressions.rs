@@ -16,20 +16,11 @@ use hydra::core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
 use hydra::core::error::{MigrateError, MigrateLeg, RuntimeError};
 use hydra::core::offcode::{synthetic_object, Offcode, OffcodeCtx};
 use hydra::core::runtime::{Runtime, RuntimeConfig};
+use hydra::link::loader::{load_host_side, DeviceMemoryAllocator};
 use hydra::link::object::HofObject;
 use hydra::odf::odf::{class_ids, DeviceClassSpec, Guid, OdfDocument};
 use hydra::sim::time::SimTime;
 use proptest::prelude::*;
-
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
 
 /// A snapshot-able counter whose restore/start legs can be made to fail a
 /// programmed number of times (shared across instances via the factory).
@@ -102,8 +93,8 @@ fn register_counter(rt: &mut Runtime) -> (Rc<Cell<u32>>, Rc<Cell<u32>>) {
     let fail_starts = Rc::new(Cell::new(0u32));
     let (fr, fs) = (Rc::clone(&fail_restores), Rc::clone(&fail_starts));
     let odf = OdfDocument::new("test.Counter", Guid(7))
-        .with_target(class(class_ids::NETWORK))
-        .with_target(class(class_ids::GPU));
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU));
     rt.register_offcode(odf, move || {
         Box::new(Counter {
             guid: Guid(7),
@@ -115,6 +106,15 @@ fn register_counter(rt: &mut Runtime) -> (Rc<Cell<u32>>, Rc<Cell<u32>>) {
     })
     .expect("fresh depot");
     (fail_restores, fail_starts)
+}
+
+/// The device memory one host-side load of `image` on the NIC reserves.
+fn reservation(image: &HofObject) -> u64 {
+    let mut alloc = DeviceMemoryAllocator::new(0, 1 << 30);
+    let exports = &DeviceDescriptor::programmable_nic().exports;
+    let (_, plan) =
+        load_host_side(std::slice::from_ref(image), &mut alloc, exports).expect("links");
+    plan.reserved_bytes
 }
 
 fn bump(rt: &mut Runtime, guid: Guid, times: u64) {
@@ -295,7 +295,8 @@ fn non_migratable_offcode_is_rejected_up_front() {
     reg.install(DeviceDescriptor::programmable_nic());
     let mut rt = Runtime::new(reg, RuntimeConfig::default());
     rt.register_offcode(
-        OdfDocument::new("test.Plain", Guid(8)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("test.Plain", Guid(8))
+            .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Box::new(Plain),
     )
     .expect("fresh depot");
@@ -333,7 +334,8 @@ fn teardown_closes_endpoints_on_foreign_channels() {
     let mut rt = Runtime::new(reg, RuntimeConfig::default());
     let (_, _) = register_counter(&mut rt);
     rt.register_offcode(
-        OdfDocument::new("test.Second", Guid(9)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("test.Second", Guid(9))
+            .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         || Counter::boxed(Guid(9), "test.Second"),
     )
     .expect("fresh depot");
@@ -420,8 +422,8 @@ fn register_built(rt: &mut Runtime, guid: Guid, name: &str, stateful: bool) -> R
     let shared = Rc::clone(&builds);
     let name = name.to_owned();
     let odf = OdfDocument::new(name.clone(), guid)
-        .with_target(class(class_ids::NETWORK))
-        .with_target(class(class_ids::GPU));
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU));
     rt.register_offcode(odf, move || {
         Box::new(Built {
             guid,
@@ -484,21 +486,49 @@ fn each_depot_object_is_built_once_per_entry() {
     );
 }
 
+/// Teardown returns the image's device memory: on a NIC with room for
+/// exactly one image, the Offcode deploys, is torn down, and deploys on
+/// the NIC again instead of falling back to the host.
+#[test]
+fn teardown_returns_image_memory_for_the_next_deploy() {
+    let room = reservation(&Counter::boxed(Guid(7), "test.Counter").object_file());
+    let mut nic = DeviceDescriptor::programmable_nic();
+    nic.offcode_memory = room;
+    let mut reg = DeviceRegistry::new();
+    reg.install(nic);
+    let mut rt = Runtime::new(reg, RuntimeConfig::default());
+    register_counter(&mut rt);
+    for _ in 0..2 {
+        let id = rt.create_offcode(Guid(7), SimTime::ZERO).expect("deploys");
+        assert_eq!(rt.device_of(id), Some(DeviceId(1)));
+        assert_eq!(rt.free_memory(DeviceId(1)), 0);
+        assert!(rt.teardown(id));
+        assert_eq!(rt.free_memory(DeviceId(1)), room);
+    }
+    let snap = rt.metrics_snapshot();
+    assert_eq!(snap.counter_total("deploy.host_fallback"), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Satellite (c): under arbitrary deploy → connect → teardown
-    /// interleavings the connection table never holds an orphaned entry.
+    /// interleavings the connection table never holds an orphaned entry,
+    /// and every device's free memory is its capacity minus what its
+    /// live instances reserved. The NIC has room for two of the three
+    /// images, so the third deploy falls back to the host.
     #[test]
     fn random_lifecycles_never_dangle(ops in proptest::collection::vec(0u8..6, 1..40)) {
+        let mut nic = DeviceDescriptor::programmable_nic();
+        nic.offcode_memory = 2 * reservation(&Counter::boxed(Guid(100), "test.P0").object_file());
         let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic());
+        reg.install(nic);
         let mut rt = Runtime::new(reg, RuntimeConfig::default());
         for g in 0..3u64 {
             let guid = Guid(100 + g);
             let name = format!("test.P{g}");
             let odf = OdfDocument::new(name.clone(), guid)
-                .with_target(class(class_ids::NETWORK));
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK));
             rt.register_offcode(odf, move || Counter::boxed(guid, &name))
                 .expect("fresh depot");
         }
@@ -534,6 +564,19 @@ proptest! {
                 "dangling entries after step {step}: {:?}",
                 rt.audit_connections()
             );
+            for (device, desc) in rt.devices().iter() {
+                let held: u64 = rt
+                    .deployments()
+                    .iter()
+                    .filter(|d| d.device == device)
+                    .map(|d| d.plan.reserved_bytes)
+                    .sum();
+                prop_assert_eq!(
+                    rt.free_memory(device),
+                    desc.offcode_memory - held,
+                    "{} after step {}", device, step
+                );
+            }
         }
     }
 }

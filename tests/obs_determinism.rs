@@ -34,16 +34,6 @@ impl Offcode for Sink {
     }
 }
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 /// Deploys a three-Offcode app with Gang and Pull constraints, then
 /// pushes traffic through a Figure-3 channel. Returns the runtime with
 /// its populated recorder.
@@ -55,7 +45,7 @@ fn run_scenario() -> Runtime {
     let mut rt = Runtime::new(reg, RuntimeConfig::default());
 
     let a = OdfDocument::new("d.A", Guid(1))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "d.B".into(),
@@ -64,7 +54,7 @@ fn run_scenario() -> Runtime {
             priority: 0,
         });
     let b = OdfDocument::new("d.B", Guid(2))
-        .with_target(class(class_ids::GPU))
+        .with_target(DeviceClassSpec::numbered(class_ids::GPU))
         .with_import(Import {
             file: String::new(),
             bind_name: "d.C".into(),
@@ -72,7 +62,7 @@ fn run_scenario() -> Runtime {
             constraint: ConstraintKind::Pull,
             priority: 0,
         });
-    let c = OdfDocument::new("d.C", Guid(3)).with_target(class(class_ids::GPU));
+    let c = OdfDocument::new("d.C", Guid(3)).with_target(DeviceClassSpec::numbered(class_ids::GPU));
     rt.register_offcode(a, || {
         Box::new(Sink {
             guid: Guid(1),

@@ -13,16 +13,6 @@ use hydra::odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, 
 use hydra::verify::{HvCode, Report, VerifyInput};
 use proptest::prelude::*;
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 fn constraint_from(idx: u8) -> ConstraintKind {
     match idx % 4 {
         0 => ConstraintKind::Link,
@@ -58,11 +48,13 @@ fn valid_set(extra_classes: &[u8], edges: &[u64]) -> Vec<OdfDocument> {
     let mut odfs: Vec<OdfDocument> = (0..n)
         .map(|i| {
             let mut odf = OdfDocument::new(format!("oc.N{i}"), Guid(i as u64 + 1))
-                .with_target(class(class_ids::NETWORK));
+                .with_target(DeviceClassSpec::numbered(class_ids::NETWORK));
             match extra_classes[i] % 3 {
                 0 => {}
-                1 => odf.targets.push(class(class_ids::STORAGE)),
-                _ => odf.targets.push(class(class_ids::GPU)),
+                1 => odf
+                    .targets
+                    .push(DeviceClassSpec::numbered(class_ids::STORAGE)),
+                _ => odf.targets.push(DeviceClassSpec::numbered(class_ids::GPU)),
             }
             odf
         })
@@ -164,7 +156,7 @@ proptest! {
     ) {
         let mut odfs = valid_set(&extra, &edges);
         let i = (which as usize) % odfs.len();
-        let mut impossible = class(class_ids::NETWORK);
+        let mut impossible = DeviceClassSpec::numbered(class_ids::NETWORK);
         impossible.vendor = Some("NoSuchVendor".into());
         odfs[i].targets = vec![impossible];
         let report = verify_set(&odfs);
