@@ -142,6 +142,9 @@ impl Channel {
 #[derive(Debug, Default)]
 pub struct ChannelExecutive {
     providers: Vec<Box<dyn ChannelProvider>>,
+    /// Parallel to `providers`: each provider's recorder handles, resolved
+    /// on its first channel and kept until the recorder changes.
+    metrics: Vec<Option<ProviderMetrics>>,
     /// Dense channel table indexed by [`ChannelId::idx`]. Ids are handed
     /// out monotonically and never reused; destroyed channels leave a
     /// `None` slot behind.
@@ -167,12 +170,34 @@ impl ChannelExecutive {
     /// Registers a provider (typically from a device driver).
     pub fn register_provider(&mut self, provider: Box<dyn ChannelProvider>) {
         self.providers.push(provider);
+        self.metrics.push(None);
     }
 
     /// Installs the recorder every subsequently created channel reports
-    /// into (the runtime shares its own recorder this way).
+    /// into (the runtime shares its own recorder this way). Handles
+    /// resolved on the previous recorder are dropped.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
+        self.metrics.fill(None);
+    }
+
+    /// Provider `i`'s recorder handles, resolved on first use.
+    fn provider_metrics(&mut self, i: usize) -> ProviderMetrics {
+        *self.metrics[i].get_or_insert_with(|| {
+            ProviderMetrics::resolve(&self.recorder, self.providers[i].name())
+        })
+    }
+
+    /// The index of the supporting provider with the lowest latency for
+    /// a nominal 1 kB message (the first such, on a tie).
+    fn cheapest(&self, config: &ChannelConfig) -> Result<usize, ChannelError> {
+        self.providers
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.supports(config))
+            .min_by_key(|(_, p)| p.cost(config).latency(1024))
+            .map(|(i, _)| i)
+            .ok_or(ChannelError::NoProvider)
     }
 
     /// The executive's recorder handle.
@@ -235,14 +260,8 @@ impl ChannelExecutive {
     ///
     /// Fails when no provider supports the configuration.
     pub fn create_channel(&mut self, config: ChannelConfig) -> Result<ChannelId, ChannelError> {
-        let best = self
-            .providers
-            .iter()
-            .filter(|p| p.supports(&config))
-            .min_by_key(|p| p.cost(&config).latency(1024))
-            .ok_or(ChannelError::NoProvider)?;
-        let (name, cost) = (best.name().to_owned(), best.cost(&config));
-        Ok(self.add_channel(config, name, cost, None))
+        let best = self.cheapest(&config)?;
+        Ok(self.add_channel(config, best, None))
     }
 
     /// Creates a channel pinned to the named provider, bypassing the
@@ -260,10 +279,9 @@ impl ChannelExecutive {
         let chosen = self
             .providers
             .iter()
-            .find(|p| p.name() == provider && p.supports(&config))
+            .position(|p| p.name() == provider && p.supports(&config))
             .ok_or(ChannelError::NoProvider)?;
-        let (name, cost) = (chosen.name().to_owned(), chosen.cost(&config));
-        Ok(self.add_channel(config, name, cost, None))
+        Ok(self.add_channel(config, chosen, None))
     }
 
     /// Creates a **cost-adaptive** channel: every supporting provider
@@ -281,40 +299,35 @@ impl ChannelExecutive {
         config: ChannelConfig,
         policy: AdaptivePolicy,
     ) -> Result<ChannelId, ChannelError> {
-        let candidates: Vec<(String, ChannelCost)> = self
-            .providers
-            .iter()
-            .filter(|p| p.supports(&config))
-            .map(|p| (p.name().to_owned(), p.cost(&config)))
-            .collect();
-        let (name, cost) = candidates
-            .iter()
-            .min_by_key(|(_, c)| c.latency(1024))
-            .ok_or(ChannelError::NoProvider)?
-            .clone();
+        let best = self.cheapest(&config)?;
         self.recorder
-            .counter_incr("channel.adaptive_created", &name);
-        let metrics = candidates
-            .iter()
-            .map(|(n, _)| ProviderMetrics::resolve(&self.recorder, n))
-            .collect();
+            .counter_incr("channel.adaptive_created", self.providers[best].name());
+        let (mut candidates, mut metrics) = (Vec::new(), Vec::new());
+        for i in 0..self.providers.len() {
+            let p = &self.providers[i];
+            if p.supports(&config) {
+                candidates.push((p.name().to_owned(), p.cost(&config)));
+                metrics.push(self.provider_metrics(i));
+            }
+        }
         let adaptive = AdaptiveState::new(candidates, metrics, policy);
-        Ok(self.add_channel(config, name, cost, Some(adaptive)))
+        Ok(self.add_channel(config, best, Some(adaptive)))
     }
 
-    /// Adds a channel served by the chosen provider and counts the
+    /// Adds a channel served by provider `provider` and counts the
     /// selection: the tail every `create_channel*` variant shares.
     fn add_channel(
         &mut self,
         config: ChannelConfig,
-        provider_name: String,
-        cost: ChannelCost,
+        provider: usize,
         adaptive: Option<AdaptiveState>,
     ) -> ChannelId {
         let id = ChannelId(self.channels.len() as u32);
+        let p = &self.providers[provider];
+        let (provider_name, cost) = (p.name().to_owned(), p.cost(&config));
         self.recorder
             .counter_incr("channel.provider_selected", &provider_name);
-        let metrics = ProviderMetrics::resolve(&self.recorder, &provider_name);
+        let metrics = self.provider_metrics(provider);
         self.channels.push(Some(Channel {
             id,
             config,
@@ -389,6 +402,25 @@ mod tests {
 
     fn exec() -> ChannelExecutive {
         ChannelExecutive::with_default_providers()
+    }
+
+    #[test]
+    fn a_new_recorder_gets_its_own_handles() {
+        // Handles index the slots of the recorder that resolved them: the
+        // first recorder's would touch slots the second lacks or that
+        // name other series.
+        let mut e = exec();
+        let first = e.create_channel(ChannelConfig::oob(DeviceId(1))).unwrap();
+        e.get_mut(first).unwrap().connect_endpoint().unwrap();
+        let second = Recorder::new();
+        e.set_recorder(second.clone());
+        let id = e.create_channel(ChannelConfig::oob(DeviceId(1))).unwrap();
+        let ch = e.get_mut(id).unwrap();
+        ch.connect_endpoint().unwrap();
+        ch.send(SimTime::ZERO, Bytes::from_static(b"call")).unwrap();
+        let snap = second.snapshot();
+        assert_eq!(snap.counter("channel.sent", "kernel-copy"), Some(1));
+        assert_eq!(snap.counter("channel.bytes", "kernel-copy"), Some(4));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use hydra_ilp::branch::{Search, SearchStats};
-use hydra_ilp::model::{Direction, Outcome, Problem, Sense, Solution, VarId};
+use hydra_ilp::model::{Direction, Name, Outcome, Problem, Sense, Solution, VarId};
 use hydra_odf::odf::{ConstraintKind, Guid, OdfDocument};
 
 use crate::channel::ChannelCost;
@@ -359,33 +359,6 @@ impl LayoutGraph {
         Ok(())
     }
 
-    /// The graph as `hydra-verify`'s structural view (demands are not
-    /// needed for constraint propagation and stay at the default).
-    pub fn verify_view(&self) -> hydra_verify::GraphView {
-        hydra_verify::GraphView {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| hydra_verify::input::NodeView {
-                    guid: n.guid,
-                    bind_name: n.bind_name.clone(),
-                    compat: n.compat.clone(),
-                    demand: hydra_verify::input::DEFAULT_FOOTPRINT,
-                    traffic: None,
-                })
-                .collect(),
-            edges: self
-                .edges
-                .iter()
-                .map(|e| hydra_verify::input::EdgeView {
-                    from: e.from.0,
-                    to: e.to.0,
-                    kind: e.constraint,
-                })
-                .collect(),
-        }
-    }
-
     /// Verifies a placement against compatibility and every constraint.
     ///
     /// # Errors
@@ -455,27 +428,23 @@ impl LayoutGraph {
     /// Builds the §5 ILP: returns the problem plus the `X[n][k]` variable
     /// grid (`None` where the compatibility mask forbids the pairing).
     ///
+    /// Variables are named `x_{n}_{k}` and rows `unique_{n}`,
+    /// `pull_{e}_{k}`, `gang_{e}`, `asym_{e}` and `cap_{k}` (`e` is the
+    /// edge index), as static [`Name`] tags rendered only on display.
+    ///
     /// # Errors
     ///
     /// Fails if an objective's capacity vector has the wrong length.
     pub fn to_ilp(&self, objective: &Objective) -> Result<(Problem, VarGrid), LayoutError> {
+        self.validate_objective(objective)?;
         let k_count = self.num_devices();
-        if let Objective::MaximizeBusUsage { capacities } = objective {
-            if capacities.len() != k_count {
-                return Err(LayoutError::BadObjective(format!(
-                    "capacity vector has {} entries for {} devices",
-                    capacities.len(),
-                    k_count
-                )));
-            }
-        }
         let mut p = Problem::new(Direction::Maximize);
         let mut x: VarGrid = Vec::with_capacity(self.nodes.len());
         for (n, node) in self.nodes.iter().enumerate() {
             let mut row = Vec::with_capacity(k_count);
             for k in 0..k_count {
                 if node.compat[k] {
-                    row.push(Some(p.add_binary(&format!("x_{n}_{k}"))));
+                    row.push(Some(p.add_binary(Name::at2("x", n, k))));
                 } else {
                     row.push(None);
                 }
@@ -486,7 +455,7 @@ impl LayoutGraph {
         // Eq. 1 — uniqueness per Offcode.
         for (n, row) in x.iter().enumerate() {
             let terms: Vec<(VarId, f64)> = row.iter().flatten().map(|&v| (v, 1.0)).collect();
-            p.add_constraint(&format!("unique_{n}"), terms, Sense::Eq, 1.0);
+            p.add_constraint(Name::at("unique", n), terms, Sense::Eq, 1.0);
         }
 
         // Constraint edges.
@@ -501,7 +470,7 @@ impl LayoutGraph {
                     for k in 0..k_count {
                         match (x[a][k], x[b][k]) {
                             (Some(va), Some(vb)) => p.add_constraint(
-                                &format!("pull_{ei}_{k}"),
+                                Name::at2("pull", ei, k),
                                 vec![(va, 1.0), (vb, -1.0)],
                                 Sense::Eq,
                                 0.0,
@@ -509,7 +478,7 @@ impl LayoutGraph {
                             (Some(v), None) | (None, Some(v)) => {
                                 // One side cannot be there: neither may be.
                                 p.add_constraint(
-                                    &format!("pull_{ei}_{k}"),
+                                    Name::at2("pull", ei, k),
                                     vec![(v, 1.0)],
                                     Sense::Eq,
                                     0.0,
@@ -524,14 +493,14 @@ impl LayoutGraph {
                     let mut terms: Vec<(VarId, f64)> = Vec::new();
                     terms.extend(x[a][1..].iter().flatten().map(|&v| (v, 1.0)));
                     terms.extend(x[b][1..].iter().flatten().map(|&v| (v, -1.0)));
-                    p.add_constraint(&format!("gang_{ei}"), terms, Sense::Eq, 0.0);
+                    p.add_constraint(Name::at("gang", ei), terms, Sense::Eq, 0.0);
                 }
                 // Eq. 4 — offload(a) <= offload(b).
                 ConstraintKind::AsymGang => {
                     let mut terms: Vec<(VarId, f64)> = Vec::new();
                     terms.extend(x[a][1..].iter().flatten().map(|&v| (v, 1.0)));
                     terms.extend(x[b][1..].iter().flatten().map(|&v| (v, -1.0)));
-                    p.add_constraint(&format!("asym_{ei}"), terms, Sense::Le, 0.0);
+                    p.add_constraint(Name::at("asym", ei), terms, Sense::Le, 0.0);
                 }
             }
         }
@@ -562,7 +531,7 @@ impl LayoutGraph {
                         .filter_map(|(n, row)| row[k].map(|v| (v, self.nodes[n].price)))
                         .collect();
                     if !terms.is_empty() {
-                        p.add_constraint(&format!("cap_{k}"), terms, Sense::Le, capacities[k]);
+                        p.add_constraint(Name::at("cap", k), terms, Sense::Le, capacities[k]);
                     }
                 }
             }
@@ -620,7 +589,13 @@ impl LayoutGraph {
     /// The all-host placement when `hydra-verify`'s narrowing pre-check
     /// proves it the only feasible one, so no search is needed.
     fn presolved(&self) -> Option<(Placement, SearchStats)> {
-        if !hydra_verify::Precheck::narrow(&self.verify_view()).host_only() {
+        let edges = self.edges.iter().map(|e| hydra_verify::input::EdgeView {
+            from: e.from.0,
+            to: e.to.0,
+            kind: e.constraint,
+        });
+        let compat = self.nodes.iter().map(|n| n.compat.as_slice());
+        if !hydra_verify::Precheck::over(compat, edges).host_only() {
             return None;
         }
         let placement = Placement(vec![DeviceId::HOST; self.nodes.len()]);
@@ -1118,6 +1093,53 @@ mod tests {
         let mut g = LayoutGraph::new();
         let a = g.add_node(node(1, vec![true, true]));
         g.add_edge(a, a, ConstraintKind::Pull);
+    }
+
+    #[test]
+    fn ilp_names_render_in_order() {
+        let mut g = LayoutGraph::new();
+        let compats = [
+            [true, true, true],
+            [true, true, false],
+            [true, true, true],
+            [true, false, true],
+        ];
+        for (i, compat) in compats.iter().enumerate() {
+            let mut n = node(i as u64 + 1, compat.to_vec());
+            n.price = 1.0 + i as f64;
+            g.add_node(n);
+        }
+        g.add_edge(NodeIdx(0), NodeIdx(1), ConstraintKind::Link);
+        g.add_edge(NodeIdx(1), NodeIdx(2), ConstraintKind::Pull);
+        g.add_edge(NodeIdx(0), NodeIdx(3), ConstraintKind::Gang);
+        g.add_edge(NodeIdx(2), NodeIdx(3), ConstraintKind::AsymGang);
+        let objective = Objective::MaximizeBusUsage {
+            capacities: vec![f64::INFINITY, 2.5, 4.0],
+        };
+        let (p, x) = g.to_ilp(&objective).unwrap();
+        let vars: Vec<String> = p.variables().iter().map(|v| v.name.to_string()).collect();
+        let want = [
+            "x_0_0", "x_0_1", "x_0_2", "x_1_0", "x_1_1", "x_2_0", "x_2_1", "x_2_2", "x_3_0",
+            "x_3_2",
+        ];
+        assert_eq!(vars, want);
+        let rows: Vec<String> = p.constraints().iter().map(|c| c.name.to_string()).collect();
+        let want = [
+            "unique_0", "unique_1", "unique_2", "unique_3", "pull_1_0", "pull_1_1", "pull_1_2",
+            "gang_2", "asym_3", "cap_1", "cap_2",
+        ];
+        assert_eq!(rows, want);
+
+        let mut values = vec![0.0; p.num_vars()];
+        values[x[2][1].unwrap().index()] = 2.0;
+        assert_eq!(
+            p.check_feasible(&values, 1e-9),
+            Err("bound violated for x_2_1".into())
+        );
+        assert_eq!(
+            p.check_feasible(&vec![0.0; p.num_vars()], 1e-9),
+            Err("constraint 'unique_0' violated: 0 = 1".into())
+        );
     }
 
     #[test]

@@ -12,8 +12,9 @@ use super::Runtime;
 use crate::error::RuntimeError;
 
 /// The structural verdict of the last [`Runtime::certify_deployment`],
-/// which [`Runtime::create_offcode`]'s gate reuses for the same root and
-/// closure.
+/// with the narrowed closure it was reached on, which
+/// [`Runtime::create_offcode`] takes for the same root and closure
+/// instead of verifying and copying the closure again.
 ///
 /// The verdict is keyed by `(root, order)` and never goes stale: every
 /// input of the four structural passes is fixed by that key. They read
@@ -30,26 +31,54 @@ pub(super) struct Gate(RefCell<Option<Verdict>>);
 struct Verdict {
     root: Guid,
     order: Vec<Guid>,
+    /// `order`'s depot ODFs with imports narrowed to `order`: the
+    /// closure the passes read.
+    odfs: Vec<OdfDocument>,
     /// The four structural passes' report.
     report: Report,
 }
 
+impl Verdict {
+    fn is_for(&self, root: Guid, order: &[Guid]) -> bool {
+        self.root == root && self.order == order
+    }
+}
+
 impl Gate {
-    /// Keeps `report` as the verdict on `root`'s closure `order`.
-    fn store(&self, root: Guid, order: &[Guid], report: Report) {
+    /// Keeps `report` as the verdict on `root`'s closure `order`, whose
+    /// narrowed ODFs are `odfs`.
+    fn store(&self, root: Guid, order: Vec<Guid>, odfs: Vec<OdfDocument>, report: Report) {
         *self.0.borrow_mut() = Some(Verdict {
             root,
-            order: order.to_vec(),
+            order,
+            odfs,
             report,
         });
     }
 
-    /// The stored verdict on `root`'s closure `order`, if one was stored
-    /// for exactly that closure.
-    pub(super) fn lookup(&self, root: Guid, order: &[Guid]) -> Option<Report> {
-        let verdict = self.0.borrow();
-        let verdict = verdict.as_ref()?;
-        (verdict.root == root && verdict.order == order).then(|| verdict.report.clone())
+    /// Hands out the stored closure ODFs and report if they were stored
+    /// for exactly `root`'s closure `order`, emptying the gate; on a miss
+    /// the gate keeps what it holds.
+    pub(super) fn take(
+        &mut self,
+        root: Guid,
+        order: &[Guid],
+    ) -> Option<(Vec<OdfDocument>, Report)> {
+        let slot = self.0.get_mut();
+        if !slot.as_ref()?.is_for(root, order) {
+            return None;
+        }
+        let verdict = slot.take()?;
+        Some((verdict.odfs, verdict.report))
+    }
+
+    /// Whether [`Gate::take`] would hit for `root`'s closure `order`.
+    #[cfg(test)]
+    pub(super) fn holds(&self, root: Guid, order: &[Guid]) -> bool {
+        self.0
+            .borrow()
+            .as_ref()
+            .is_some_and(|v| v.is_for(root, order))
     }
 }
 
@@ -79,20 +108,20 @@ impl Runtime {
     }
 
     /// `create_offcode`'s pre-flight gate: rejects `root`'s closure if
-    /// the four structural passes report an error. A certification of
-    /// this very closure ran the same passes over the same inputs, so
-    /// its verdict stands in for running them again.
+    /// the four structural passes report an error. `certified` is the
+    /// report a certification of this very closure reached with the same
+    /// passes over the same inputs; it stands in for running them again.
     pub(super) fn verify_gate(
         &self,
         root: Guid,
         order: &[Guid],
         odfs: &[OdfDocument],
+        certified: Option<Report>,
         now: SimTime,
     ) -> Result<(), RuntimeError> {
-        let report = match self.gate.lookup(root, order) {
-            Some(report) => report,
-            None => self.with_verify_input(root, order, odfs, |input| hydra_verify::verify(&input)),
-        };
+        let report = certified.unwrap_or_else(|| {
+            self.with_verify_input(root, order, odfs, |input| hydra_verify::verify(&input))
+        });
         self.record_verify_report(root, now, &report);
         if report.has_errors() {
             let rendered: Vec<String> = report.errors().map(ToString::to_string).collect();
@@ -130,7 +159,8 @@ impl Runtime {
     /// anything: the combined six-pass report plus the quantitative
     /// certificate (per-ring queue/latency bounds, per-chain latency,
     /// per-device utilization), costed from the live executive's
-    /// provider table. The structural report is kept for the gate.
+    /// provider table. The structural report and the narrowed closure
+    /// are kept for the gate.
     ///
     /// # Errors
     ///
@@ -141,7 +171,8 @@ impl Runtime {
         guid: Guid,
         now: SimTime,
     ) -> Result<Certification, RuntimeError> {
-        let (order, odfs) = self.deployment_closure(guid)?;
+        let order = self.deployment_closure(guid)?;
+        let odfs = self.narrowed_odfs(&order);
         let services = self.executive.service_table();
         let (cert, structural_report) = self.with_verify_input(guid, &order, &odfs, |verify| {
             let structural = hydra_verify::structural(&verify);
@@ -154,7 +185,7 @@ impl Runtime {
             (hydra_verify::certify_structural(structural, &input), report)
         });
         self.record_verify_report(guid, now, &cert.report);
-        self.gate.store(guid, &order, structural_report);
+        self.gate.store(guid, order, odfs, structural_report);
         Ok(cert)
     }
 }

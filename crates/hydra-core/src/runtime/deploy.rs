@@ -89,16 +89,22 @@ impl Runtime {
         if let Some(existing) = self.deployed_by_guid.get(&guid) {
             return Ok(*existing);
         }
-        // 1. Transitive closure, root first (DFS, de-duplicated).
-        let (order, odfs) = self.deployment_closure(guid)?;
+        // 1. Transitive closure, root first (DFS, de-duplicated). Its
+        // narrowed ODFs come from the gate when a certification of this
+        // very closure kept them.
+        let order = self.deployment_closure(guid)?;
         let root_label = self.depot[&guid].odf.bind_name.clone();
         self.recorder
             .span("deploy.closure", &root_label, now, order.len() as u64);
+        let (odfs, certified) = match self.gate.take(guid, &order) {
+            Some((odfs, report)) => (odfs, Some(report)),
+            None => (self.narrowed_odfs(&order), None),
+        };
 
         // 2. Static pre-flight verification (on by default): reject
         // provably broken deployments before anything is linked.
         if self.config.verify_deployments {
-            self.verify_gate(guid, &order, &odfs, now)?;
+            self.verify_gate(guid, &order, &odfs, certified, now)?;
         }
 
         // 3. Layout graph over the not-yet-deployed closure. Imports that
@@ -154,13 +160,9 @@ impl Runtime {
     }
 
     /// The not-yet-deployed transitive import closure of `guid`, root
-    /// first, plus the closure's ODFs with imports narrowed to the set
-    /// (imports of already-deployed Offcodes were satisfied at their own
-    /// deployment).
-    pub(super) fn deployment_closure(
-        &self,
-        guid: Guid,
-    ) -> Result<(Vec<Guid>, Vec<OdfDocument>), RuntimeError> {
+    /// first. [`Runtime::narrowed_odfs`] gives its ODFs (imports of
+    /// already-deployed Offcodes were satisfied at their own deployment).
+    pub(super) fn deployment_closure(&self, guid: Guid) -> Result<Vec<Guid>, RuntimeError> {
         let mut order: Vec<Guid> = Vec::new();
         let mut stack = vec![guid];
         while let Some(g) = stack.pop() {
@@ -173,8 +175,7 @@ impl Runtime {
                 stack.push(imp.guid);
             }
         }
-        let odfs = self.narrowed_odfs(&order);
-        Ok((order, odfs))
+        Ok(order)
     }
 
     /// The depot ODFs of `set`, in its order, each with its imports

@@ -168,8 +168,7 @@ impl Runtime {
             return Err(MigrateError::NotMigratable { bind_name }.into());
         };
         // Validate the target against the ODF's device classes.
-        let compat = self.devices.table().compatibility(&odf.targets);
-        if target.idx() >= compat.len() || !compat[target.idx()] {
+        if !self.devices.table().compatible(&odf.targets, target.idx()) {
             return Err(MigrateError::IncompatibleTarget { bind_name, target }.into());
         }
         // Reserve the target: link and load there with no fallback, so a

@@ -34,8 +34,8 @@ fn with_set() -> Runtime {
 
 /// Whether the gate would reuse a verdict for `root`'s closure now.
 fn hit(rt: &Runtime, root: u64) -> bool {
-    let (order, _) = rt.deployment_closure(Guid(root)).unwrap();
-    rt.gate.lookup(Guid(root), &order).is_some()
+    let order = rt.deployment_closure(Guid(root)).unwrap();
+    rt.gate.holds(Guid(root), &order)
 }
 
 fn certify(rt: &Runtime, root: u64) {
@@ -131,19 +131,29 @@ fn random_set(rt: &mut Runtime, bits: u64, guid: u64) -> Result<(), RuntimeError
 fn apply(rt: &mut Runtime, bits: u64, op: u32, fresh: bool) -> String {
     let guid = u64::from(op / 8 % 5) + 1;
     let now = SimTime::ZERO;
-    let create = |rt: &mut Runtime| {
+    let create = |rt: &mut Runtime, guid: u64| {
         if fresh {
             rt.gate = Gate::default();
         }
         format!("{:?}", rt.create_offcode(Guid(guid), now))
     };
+    let certify = |rt: &mut Runtime| format!("{:?}", rt.certify_deployment(Guid(guid), now));
     match op % 8 {
         0 => format!("{:?}", random_set(rt, bits, guid)),
-        1 => format!("{:?}", rt.certify_deployment(Guid(guid), now)),
-        2 => create(rt),
-        3 | 4 => {
-            let c = format!("{:?}", rt.certify_deployment(Guid(guid), now));
-            c + &create(rt)
+        1 => certify(rt),
+        2 => create(rt, guid),
+        3 => certify(rt) + &create(rt, guid),
+        4 => {
+            // Certify a root, deploy a member of its closure, then create
+            // the root: the verdict's root still matches, its closure no
+            // longer does.
+            let c = certify(rt);
+            let member = rt.deployment_closure(Guid(guid)).ok().and_then(|order| {
+                let members = order.get(1..).filter(|m| !m.is_empty())?;
+                Some(members[op as usize / 40 % members.len()])
+            });
+            let m = member.map_or_else(String::new, |m| create(rt, m.0));
+            c + &m + &create(rt, guid)
         }
         5 => format!("{:?}", rt.get_offcode(Guid(guid)).map(|id| rt.teardown(id))),
         6 => {

@@ -3,8 +3,10 @@
 //! Paper §5 formulates offloading-layout optimization as a 0/1 integer
 //! linear program and notes that "any ILP solver can then be used". This
 //! crate is that solver: a problem model with binaries, bounds and
-//! Le/Ge/Eq constraints ([`model`]), a dense two-phase primal simplex with
-//! Bland's anti-cycling rule for the LP relaxation ([`simplex`]), and an
+//! Le/Ge/Eq constraints whose variables and rows are named by [`Name`]
+//! tags, rendered only on display ([`model`]), a dense two-phase primal
+//! simplex with Bland's anti-cycling rule for the LP relaxation, whose
+//! phase 2 drops the artificial columns ([`simplex`]), and an
 //! exact branch-and-bound search with most-fractional branching and
 //! bound pruning ([`branch`]) that a reusable [`Search`] runs with every
 //! node's relaxation memoized, plus a brute-force enumeration oracle used
@@ -18,5 +20,5 @@ pub mod model;
 pub mod simplex;
 
 pub use branch::{solve_by_enumeration, solve_ilp, solve_ilp_warm, IlpResult, Search, SearchStats};
-pub use model::{Constraint, Direction, Outcome, Problem, Sense, Solution, VarId, Variable};
+pub use model::{Constraint, Direction, Name, Outcome, Problem, Sense, Solution, VarId, Variable};
 pub use simplex::solve_lp;

@@ -5,7 +5,14 @@
 //! uniqueness/Pull/Gang constraints, and an objective (maximized
 //! offloading or bus usage). [`Problem`] is the model those equations are
 //! built into; `hydra-ilp`'s solvers consume it.
+//!
+//! Variables and constraints are named by a [`Name`]: a stem plus up to
+//! two indices. With a static stem it is a borrowed tag, so building a
+//! problem allocates no name strings; a name is rendered only when a
+//! caller displays it, as [`Problem::check_feasible`] does for what it
+//! rejects.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Index of a decision variable within a [`Problem`].
@@ -16,6 +23,90 @@ impl VarId {
     /// The raw index.
     pub fn index(&self) -> usize {
         self.0
+    }
+}
+
+/// The name of a variable or constraint: a stem and up to two indices,
+/// rendered `stem`, `stem_i` or `stem_i_j` when displayed.
+///
+/// A static stem (a string literal, [`Name::at`], [`Name::at2`]) is a
+/// borrowed tag: naming allocates nothing. A stem built at run time is
+/// held owned.
+///
+/// ```
+/// use hydra_ilp::model::Name;
+///
+/// assert_eq!(Name::from("cap").to_string(), "cap");
+/// assert_eq!(Name::at("unique", 3).to_string(), "unique_3");
+/// assert_eq!(Name::at2("x", 2, 1).to_string(), "x_2_1");
+/// assert_eq!(Name::from(&format!("c{}", 4)).to_string(), "c4");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Name {
+    stem: Cow<'static, str>,
+    indices: [usize; 2],
+    arity: u8,
+}
+
+impl Name {
+    /// `stem_i`.
+    pub const fn at(stem: &'static str, i: usize) -> Self {
+        Name {
+            stem: Cow::Borrowed(stem),
+            indices: [i, 0],
+            arity: 1,
+        }
+    }
+
+    /// `stem_i_j`.
+    pub const fn at2(stem: &'static str, i: usize, j: usize) -> Self {
+        Name {
+            stem: Cow::Borrowed(stem),
+            indices: [i, j],
+            arity: 2,
+        }
+    }
+
+    fn plain(stem: Cow<'static, str>) -> Self {
+        Name {
+            stem,
+            indices: [0, 0],
+            arity: 0,
+        }
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(stem: &'static str) -> Self {
+        Name::plain(Cow::Borrowed(stem))
+    }
+}
+
+impl From<&String> for Name {
+    fn from(stem: &String) -> Self {
+        Name::plain(Cow::Owned(stem.clone()))
+    }
+}
+
+impl Name {
+    fn render(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(&self.stem)?;
+        for i in &self.indices[..usize::from(self.arity)] {
+            write!(out, "_{i}")?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if f.width().is_none() && f.precision().is_none() {
+            return self.render(f);
+        }
+        // Padding applies to the whole rendered name.
+        let mut text = String::new();
+        self.render(&mut text)?;
+        f.pad(&text)
     }
 }
 
@@ -44,7 +135,7 @@ impl fmt::Display for Sense {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Variable {
     /// Diagnostic name.
-    pub name: String,
+    pub name: Name,
     /// Lower bound (≥ 0 for the solvers in this crate).
     pub lower: f64,
     /// Upper bound (`f64::INFINITY` for unbounded).
@@ -57,7 +148,7 @@ pub struct Variable {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Diagnostic name.
-    pub name: String,
+    pub name: Name,
     /// Sparse coefficient list.
     pub terms: Vec<(VarId, f64)>,
     /// Sense.
@@ -122,13 +213,19 @@ impl Problem {
     ///
     /// Panics if `lower` is negative (the simplex here assumes `x ≥ 0`),
     /// `lower > upper`, or a bound is NaN.
-    pub fn add_var(&mut self, name: &str, lower: f64, upper: f64, integer: bool) -> VarId {
+    pub fn add_var(
+        &mut self,
+        name: impl Into<Name>,
+        lower: f64,
+        upper: f64,
+        integer: bool,
+    ) -> VarId {
         assert!(!lower.is_nan() && !upper.is_nan(), "NaN variable bound");
         assert!(lower >= 0.0, "variables must be non-negative");
         assert!(lower <= upper, "lower bound exceeds upper bound");
         let id = VarId(self.variables.len());
         self.variables.push(Variable {
-            name: name.to_owned(),
+            name: name.into(),
             lower,
             upper,
             integer,
@@ -137,7 +234,7 @@ impl Problem {
     }
 
     /// Adds a binary (0/1 integer) variable.
-    pub fn add_binary(&mut self, name: &str) -> VarId {
+    pub fn add_binary(&mut self, name: impl Into<Name>) -> VarId {
         self.add_var(name, 0.0, 1.0, true)
     }
 
@@ -155,14 +252,20 @@ impl Problem {
     ///
     /// Panics if any referenced variable does not exist or a coefficient
     /// is NaN.
-    pub fn add_constraint(&mut self, name: &str, terms: Vec<(VarId, f64)>, sense: Sense, rhs: f64) {
+    pub fn add_constraint(
+        &mut self,
+        name: impl Into<Name>,
+        terms: Vec<(VarId, f64)>,
+        sense: Sense,
+        rhs: f64,
+    ) {
         assert!(!rhs.is_nan(), "NaN rhs");
         for (v, c) in &terms {
             assert!(v.0 < self.variables.len(), "constraint var out of range");
             assert!(!c.is_nan(), "NaN coefficient");
         }
         self.constraints.push(Constraint {
-            name: name.to_owned(),
+            name: name.into(),
             terms,
             sense,
             rhs,

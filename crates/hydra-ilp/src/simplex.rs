@@ -13,6 +13,8 @@
 //! layout tableaus are mostly zeros. Skipping a zero can change only
 //! the sign of a zero entry; every nonzero entry, every pivot choice
 //! and so every vertex is exactly what the dense sweep computes.
+//! Phase 2 runs on the tableau with the artificial columns dropped, so
+//! its sweeps never visit them.
 
 use crate::model::{Direction, Outcome, Problem, Sense, Solution};
 
@@ -252,23 +254,36 @@ impl Tableau {
                     }
                 }
             }
-            // Forbid artificials from re-entering: clear their columns.
-            for (j, _) in self.artificial.iter().enumerate().filter(|(_, &a)| a) {
-                for row in self.t.chunks_exact_mut(w) {
-                    row[j] = 0.0;
-                }
-            }
+            // Forbid artificials from re-entering: drop their columns.
+            self.truncate_columns(n_real);
         }
 
         // Phase 2: original objective.
         self.cost.clear();
-        self.cost.resize(ncols, 0.0);
+        self.cost.resize(self.width - 1, 0.0);
         self.cost[..n].copy_from_slice(&c[..n]);
         self.build_zrow();
         if !self.pivot_to_optimality() {
             return RawOutcome::Unbounded;
         }
         RawOutcome::Optimal
+    }
+
+    /// Keeps each row's first `keep` columns and its rhs, dropping the
+    /// columns between. Phase 2 drops the artificial columns this way:
+    /// they are the last ones before the rhs, and no artificial may
+    /// re-enter the basis, so no phase-2 pricing, ratio test or pivot
+    /// needs them. A redundant row may keep its artificial basic at
+    /// zero; that index then lies past the tableau and costs zero.
+    fn truncate_columns(&mut self, keep: usize) {
+        let (w, nw) = (self.width, keep + 1);
+        for i in 0..self.basis.len() {
+            let rhs = self.t[i * w + w - 1];
+            self.t.copy_within(i * w..i * w + keep, i * nw);
+            self.t[i * nw + keep] = rhs;
+        }
+        self.t.truncate(self.basis.len() * nw);
+        self.width = nw;
     }
 
     /// Builds the reduced-cost row ζ_j = c_B·B⁻¹A_j − c_j and the

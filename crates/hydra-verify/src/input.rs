@@ -65,15 +65,21 @@ impl DeviceTable {
     /// matches one of the specs; the host entry is forced `true` (the
     /// runtime can always fall back to the host CPU).
     pub fn compatibility(&self, specs: &[DeviceClassSpec]) -> Vec<bool> {
-        let mut v: Vec<bool> = self
-            .devices
-            .iter()
-            .map(|d| specs.iter().any(|s| d.matches(s)))
-            .collect();
-        if let Some(host) = v.first_mut() {
-            *host = true;
-        }
-        v
+        (0..self.devices.len())
+            .map(|k| self.compatible(specs, k))
+            .collect()
+    }
+
+    /// Whether device `k` may run an Offcode targeting `specs`: the host
+    /// (index 0) always may, a device past the table never may, and any
+    /// other device may when it matches one of the specs. Equals
+    /// `compatibility(specs)[k]` for every installed `k`.
+    pub fn compatible(&self, specs: &[DeviceClassSpec], k: usize) -> bool {
+        k == 0
+            || self
+                .devices
+                .get(k)
+                .is_some_and(|d| specs.iter().any(|s| d.matches(s)))
     }
 
     /// How many installed devices satisfy one spec.
@@ -227,6 +233,29 @@ mod tests {
             t.compatibility(&[DeviceClassSpec::numbered(class_ids::GPU)]),
             vec![true, false, true]
         );
+    }
+
+    #[test]
+    fn one_device_query_agrees_with_compatibility() {
+        let t = table();
+        let nic = DeviceClassSpec::numbered(class_ids::NETWORK);
+        let mut intel_nic = nic.clone();
+        intel_nic.vendor = Some("Intel".into());
+        let gpu = DeviceClassSpec::numbered(class_ids::GPU);
+        let sets = [
+            vec![],
+            vec![nic.clone()],
+            vec![intel_nic],
+            vec![gpu.clone()],
+            vec![nic, gpu],
+        ];
+        for specs in &sets {
+            let compat = t.compatibility(specs);
+            for (k, &ok) in compat.iter().enumerate() {
+                assert_eq!(t.compatible(specs, k), ok, "device {k} of {specs:?}");
+            }
+            assert!(!t.compatible(specs, compat.len()), "past the table");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use hydra_odf::odf::ConstraintKind;
 
-use crate::input::GraphView;
+use crate::input::{EdgeView, GraphView};
 
 /// The fixpoint result: per-node sets of still-feasible non-host devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,14 +32,29 @@ pub struct Precheck {
 impl Precheck {
     /// Runs the narrowing fixpoint over the graph view.
     pub fn narrow(view: &GraphView) -> Self {
-        let mut feasible: Vec<BTreeSet<usize>> = (0..view.nodes.len())
-            .map(|n| view.offload_options(n).into_iter().collect())
+        let compat = view.nodes.iter().map(|n| n.compat.as_slice());
+        Self::over(compat, view.edges.iter().copied())
+    }
+
+    /// Runs the narrowing fixpoint over each node's compatibility vector
+    /// (index 0 is the host) and the constraint edges, which it walks
+    /// once per round: the same fixpoint as [`Precheck::narrow`], for a
+    /// caller that holds the graph in its own types.
+    pub fn over<'a>(
+        compat: impl Iterator<Item = &'a [bool]>,
+        edges: impl Iterator<Item = EdgeView> + Clone,
+    ) -> Self {
+        let mut feasible: Vec<BTreeSet<usize>> = compat
+            .map(|c| {
+                let offload = c.iter().enumerate().skip(1);
+                offload.filter_map(|(k, &ok)| ok.then_some(k)).collect()
+            })
             .collect();
         let mut rounds = 0;
         loop {
             rounds += 1;
             let mut changed = false;
-            for e in &view.edges {
+            for e in edges.clone() {
                 match e.kind {
                     ConstraintKind::Link => {}
                     ConstraintKind::Pull => {
@@ -98,7 +113,7 @@ impl Precheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{EdgeView, NodeView};
+    use crate::input::NodeView;
     use hydra_odf::odf::Guid;
 
     fn node(name: &str, compat: &[bool]) -> NodeView {

@@ -1,6 +1,6 @@
 //! Source-level regression lints: no `HashMap<Guid, …>` on hot paths,
 //! one enqueue site on the channel send side, and no string building in
-//! the channel's per-message modules.
+//! the channel's per-message modules or the ILP solver's search.
 //!
 //! GUID-keyed `HashMap`s hash a `u64` on every lookup and iterate in
 //! nondeterministic order — both properties this codebase has had to
@@ -22,8 +22,12 @@
 //!
 //! The per-message channel modules update the recorder through handles
 //! resolved when the channel is created, so they never need to build a
-//! label. `.to_owned()`, `.to_string()`, `format!` or `String::from` in
-//! their non-test code means a per-message allocation crept back in.
+//! label. The ILP's simplex and branch-and-bound run once per search
+//! node on every deploy and recovery; variables and rows carry name
+//! tags, rendered only when a caller displays one, so the search never
+//! needs a string either. `.to_owned()`, `.to_string()`, `format!` or
+//! `String::from` in the non-test code of any of these files means a
+//! per-message or per-node allocation crept back in.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -121,9 +125,11 @@ fn the_channel_send_side_has_one_enqueue_site() {
 fn the_per_message_channel_modules_build_no_strings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut violations = Vec::new();
-    for file in ["delivery", "batching", "reliability", "observe"] {
-        let rel = format!("crates/hydra-core/src/channel/{file}.rs");
-        let text = fs::read_to_string(root.join(&rel)).expect("channel module is readable");
+    let channel = ["delivery", "batching", "reliability", "observe"]
+        .map(|file| format!("crates/hydra-core/src/channel/{file}.rs"));
+    let ilp = ["simplex", "branch"].map(|file| format!("crates/hydra-ilp/src/{file}.rs"));
+    for rel in channel.iter().chain(&ilp) {
+        let text = fs::read_to_string(root.join(rel)).expect("linted module is readable");
         let code = text.split("#[cfg(test)]").next().unwrap_or_default();
         for (i, line) in code.lines().enumerate() {
             let line = line.trim();
@@ -139,8 +145,9 @@ fn the_per_message_channel_modules_build_no_strings() {
     }
     assert!(
         violations.is_empty(),
-        "string building on the per-message channel paths (resolve a \
-         recorder handle at channel creation instead):\n{}",
+        "string building on the per-message channel paths or in the ILP \
+         search (resolve a recorder handle at channel creation, or name \
+         with a tag, instead):\n{}",
         violations.join("\n")
     );
 }
