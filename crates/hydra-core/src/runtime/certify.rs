@@ -6,7 +6,7 @@ use std::cell::RefCell;
 
 use hydra_odf::odf::{Guid, OdfDocument};
 use hydra_sim::time::SimTime;
-use hydra_verify::{Certification, CertifyInput, Report, Severity, VerifyInput};
+use hydra_verify::{Certification, CertifyInput, PassStat, Report, Severity, VerifyInput};
 
 use super::Runtime;
 use crate::error::RuntimeError;
@@ -34,8 +34,36 @@ struct Verdict {
     /// `order`'s depot ODFs with imports narrowed to `order`: the
     /// closure the passes read.
     odfs: Vec<OdfDocument>,
-    /// The four structural passes' report.
-    report: Report,
+    /// What the gate reads of the four structural passes' report.
+    outcome: GateOutcome,
+}
+
+/// What the gate records and decides from a structural report: the pass
+/// statistics, the error and warning counts, and the rendered errors,
+/// present only when there are errors.
+#[derive(Debug)]
+pub(super) struct GateOutcome {
+    passes: Vec<PassStat>,
+    errors: usize,
+    warnings: usize,
+    rendered_errors: Option<String>,
+}
+
+impl GateOutcome {
+    /// The outcome of `report`, keeping its pass statistics.
+    fn of(report: &Report, passes: Vec<PassStat>) -> Self {
+        let errors = report.count(Severity::Error);
+        let rendered_errors = (errors > 0).then(|| {
+            let rendered: Vec<String> = report.errors().map(ToString::to_string).collect();
+            rendered.join("; ")
+        });
+        GateOutcome {
+            passes,
+            errors,
+            warnings: report.count(Severity::Warning),
+            rendered_errors,
+        }
+    }
 }
 
 impl Verdict {
@@ -45,31 +73,31 @@ impl Verdict {
 }
 
 impl Gate {
-    /// Keeps `report` as the verdict on `root`'s closure `order`, whose
+    /// Keeps `outcome` as the verdict on `root`'s closure `order`, whose
     /// narrowed ODFs are `odfs`.
-    fn store(&self, root: Guid, order: Vec<Guid>, odfs: Vec<OdfDocument>, report: Report) {
+    fn store(&self, root: Guid, order: Vec<Guid>, odfs: Vec<OdfDocument>, outcome: GateOutcome) {
         *self.0.borrow_mut() = Some(Verdict {
             root,
             order,
             odfs,
-            report,
+            outcome,
         });
     }
 
-    /// Hands out the stored closure ODFs and report if they were stored
+    /// Hands out the stored closure ODFs and outcome if they were stored
     /// for exactly `root`'s closure `order`, emptying the gate; on a miss
     /// the gate keeps what it holds.
     pub(super) fn take(
         &mut self,
         root: Guid,
         order: &[Guid],
-    ) -> Option<(Vec<OdfDocument>, Report)> {
+    ) -> Option<(Vec<OdfDocument>, GateOutcome)> {
         let slot = self.0.get_mut();
         if !slot.as_ref()?.is_for(root, order) {
             return None;
         }
         let verdict = slot.take()?;
-        Some((verdict.odfs, verdict.report))
+        Some((verdict.odfs, verdict.outcome))
     }
 
     /// Whether [`Gate::take`] would hit for `root`'s closure `order`.
@@ -109,58 +137,65 @@ impl Runtime {
 
     /// `create_offcode`'s pre-flight gate: rejects `root`'s closure if
     /// the four structural passes report an error. `certified` is the
-    /// report a certification of this very closure reached with the same
+    /// outcome a certification of this very closure reached with the same
     /// passes over the same inputs; it stands in for running them again.
     pub(super) fn verify_gate(
         &self,
         root: Guid,
         order: &[Guid],
         odfs: &[OdfDocument],
-        certified: Option<Report>,
+        certified: Option<GateOutcome>,
         now: SimTime,
     ) -> Result<(), RuntimeError> {
-        let report = certified.unwrap_or_else(|| {
-            self.with_verify_input(root, order, odfs, |input| hydra_verify::verify(&input))
+        let outcome = certified.unwrap_or_else(|| {
+            self.with_verify_input(root, order, odfs, |input| {
+                let mut report = hydra_verify::verify(&input);
+                let passes = std::mem::take(&mut report.passes);
+                GateOutcome::of(&report, passes)
+            })
         });
-        self.record_verify_report(root, now, &report);
-        if report.has_errors() {
-            let rendered: Vec<String> = report.errors().map(ToString::to_string).collect();
-            return Err(RuntimeError::Verification(rendered.join("; ")));
+        self.record_verify_report(root, now, &outcome.passes, outcome.errors, outcome.warnings);
+        match outcome.rendered_errors {
+            Some(rendered) => Err(RuntimeError::Verification(rendered)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Feeds a verification/certification report's pass statistics into
-    /// the observability recorder.
-    fn record_verify_report(&self, root: Guid, now: SimTime, report: &Report) {
+    /// Feeds a verification/certification report's pass statistics and
+    /// error and warning counts into the observability recorder.
+    fn record_verify_report(
+        &self,
+        root: Guid,
+        now: SimTime,
+        passes: &[PassStat],
+        errors: usize,
+        warnings: usize,
+    ) {
         let root_label = self
             .depot
             .get(&root)
             .map_or_else(String::new, |e| e.odf.bind_name.clone());
-        let total_work: u64 = report.passes.iter().map(|p| p.work_units).sum();
+        let total_work: u64 = passes.iter().map(|p| p.work_units).sum();
         self.recorder
             .span("deploy.verify", &root_label, now, total_work);
-        for pass in &report.passes {
+        for pass in passes {
             self.recorder
                 .counter_add("verify.pass_work", pass.name, pass.work_units);
             self.recorder
                 .counter_add("verify.diagnostics", pass.name, pass.diagnostics as u64);
         }
         self.recorder
-            .counter_add("verify.errors", "", report.count(Severity::Error) as u64);
-        self.recorder.counter_add(
-            "verify.warnings",
-            "",
-            report.count(Severity::Warning) as u64,
-        );
+            .counter_add("verify.errors", "", errors as u64);
+        self.recorder
+            .counter_add("verify.warnings", "", warnings as u64);
     }
 
     /// Certifies the deployment closure of `guid` without deploying
     /// anything: the combined six-pass report plus the quantitative
     /// certificate (per-ring queue/latency bounds, per-chain latency,
     /// per-device utilization), costed from the live executive's
-    /// provider table. The structural report and the narrowed closure
-    /// are kept for the gate.
+    /// provider table. The gate's outcome of the structural report and
+    /// the narrowed closure are kept for the gate.
     ///
     /// # Errors
     ///
@@ -174,18 +209,28 @@ impl Runtime {
         let order = self.deployment_closure(guid)?;
         let odfs = self.narrowed_odfs(&order);
         let services = self.executive.service_table();
-        let (cert, structural_report) = self.with_verify_input(guid, &order, &odfs, |verify| {
+        let (cert, outcome) = self.with_verify_input(guid, &order, &odfs, |verify| {
             let structural = hydra_verify::structural(&verify);
-            let report = structural.report.clone();
+            let outcome = GateOutcome::of(&structural.report, structural.report.passes.clone());
             let input = CertifyInput {
                 verify,
                 services: &services,
                 overlay: None,
             };
-            (hydra_verify::certify_structural(structural, &input), report)
+            (
+                hydra_verify::certify_structural(structural, &input),
+                outcome,
+            )
         });
-        self.record_verify_report(guid, now, &cert.report);
-        self.gate.store(guid, order, odfs, structural_report);
+        let report = &cert.report;
+        self.record_verify_report(
+            guid,
+            now,
+            &report.passes,
+            report.count(Severity::Error),
+            report.count(Severity::Warning),
+        );
+        self.gate.store(guid, order, odfs, outcome);
         Ok(cert)
     }
 }

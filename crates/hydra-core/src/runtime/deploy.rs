@@ -97,7 +97,7 @@ impl Runtime {
         self.recorder
             .span("deploy.closure", &root_label, now, order.len() as u64);
         let (odfs, certified) = match self.gate.take(guid, &order) {
-            Some((odfs, report)) => (odfs, Some(report)),
+            Some((odfs, outcome)) => (odfs, Some(outcome)),
             None => (self.narrowed_odfs(&order), None),
         };
 

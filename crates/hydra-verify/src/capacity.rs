@@ -6,9 +6,10 @@ use crate::diag::{Diagnostic, HvCode, Loc};
 use crate::input::{DeviceTable, GraphView};
 
 /// Runs the capacity pass; returns (diagnostics, work units).
-pub(crate) fn run(view: &GraphView, table: &DeviceTable) -> (Vec<Diagnostic>, u64) {
+pub(crate) fn run(view: &GraphView<'_>, table: &DeviceTable) -> (Vec<Diagnostic>, u64) {
     let mut diags = Vec::new();
     let work = (view.nodes.len() * table.devices.len().max(1)) as u64;
+    let compat = &view.compat;
 
     // Per-device aggregates; index 0 (the host) is skipped — host fallback
     // is the mechanism, not a failure.
@@ -16,25 +17,24 @@ pub(crate) fn run(view: &GraphView, table: &DeviceTable) -> (Vec<Diagnostic>, u6
         let mut pinned = 0u64;
         let mut pinned_count = 0usize;
         let mut total = 0u64;
-        for n in 0..view.nodes.len() {
-            let options = view.offload_options(n);
-            if !options.contains(&k) {
+        for (n, node) in view.nodes.iter().enumerate() {
+            if !compat.contains(n, k) {
                 continue;
             }
-            total = total.saturating_add(view.nodes[n].demand);
-            if options.len() == 1 {
-                pinned = pinned.saturating_add(view.nodes[n].demand);
+            total = total.saturating_add(node.demand);
+            if compat.len(n) == 1 {
+                pinned = pinned.saturating_add(node.demand);
                 pinned_count += 1;
             }
         }
-        let loc = Loc::Device {
+        let loc = || Loc::Device {
             index: k,
             name: dev.name.clone(),
         };
         if pinned > dev.offcode_memory {
             diags.push(Diagnostic::new(
                 HvCode::DeviceOvercommit,
-                loc,
+                loc(),
                 format!(
                     "{pinned_count} offcode(s) can only run here and together demand {pinned} bytes, but the device has {} — at least one is guaranteed to fall back to the host",
                     dev.offcode_memory
@@ -43,7 +43,7 @@ pub(crate) fn run(view: &GraphView, table: &DeviceTable) -> (Vec<Diagnostic>, u6
         } else if total > dev.offcode_memory {
             diags.push(Diagnostic::new(
                 HvCode::PotentialOvercommit,
-                loc,
+                loc(),
                 format!(
                     "worst-case demand of all compatible offcodes is {total} bytes against {} available",
                     dev.offcode_memory
@@ -54,21 +54,19 @@ pub(crate) fn run(view: &GraphView, table: &DeviceTable) -> (Vec<Diagnostic>, u6
 
     // Per-offcode: a footprint no target device can hold.
     for (n, node) in view.nodes.iter().enumerate() {
-        let options = view.offload_options(n);
-        if options.is_empty() {
-            continue;
-        }
-        let best = options
-            .iter()
-            .map(|&k| table.devices[k].offcode_memory)
+        let Some(best) = compat
+            .iter(n)
+            .map(|k| table.devices[k].offcode_memory)
             .max()
-            .unwrap_or(0);
+        else {
+            continue;
+        };
         if node.demand > best {
             diags.push(Diagnostic::new(
                 HvCode::OversizedOffcode,
                 Loc::Node {
                     index: n,
-                    bind_name: node.bind_name.clone(),
+                    bind_name: node.bind_name.to_owned(),
                 },
                 format!(
                     "footprint {} bytes exceeds every target device's memory (largest: {best}); it will always load on the host",
@@ -84,7 +82,7 @@ pub(crate) fn run(view: &GraphView, table: &DeviceTable) -> (Vec<Diagnostic>, u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{DeviceInfo, NodeView};
+    use crate::input::{test_view, DeviceInfo, NodeView};
     use hydra_odf::odf::{class_ids, Guid};
 
     fn table(nic_mem: u64) -> DeviceTable {
@@ -118,25 +116,25 @@ mod tests {
         }
     }
 
-    fn node(name: &str, compat: &[bool], demand: u64) -> NodeView {
-        NodeView {
+    fn node<'a>(name: &'a str, compat: &'a [bool], demand: u64) -> (NodeView<'a>, &'a [bool]) {
+        let node = NodeView {
             guid: Guid(name.len() as u64),
-            bind_name: name.into(),
-            compat: compat.to_vec(),
+            bind_name: name,
             demand,
             traffic: None,
-        }
+        };
+        (node, compat)
     }
 
     #[test]
     fn pinned_overcommit_is_an_error() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true, false], 600),
                 node("b", &[true, true, false], 600),
             ],
-            edges: vec![],
-        };
+            vec![],
+        );
         let (diags, _) = run(&view, &table(1000));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, HvCode::DeviceOvercommit);
@@ -146,13 +144,13 @@ mod tests {
     #[test]
     fn flexible_overcommit_is_a_warning() {
         // Both fit on the GPU, so nothing is *guaranteed* to spill.
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true, true], 600),
                 node("b", &[true, true, true], 600),
             ],
-            edges: vec![],
-        };
+            vec![],
+        );
         let (diags, _) = run(&view, &table(1000));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, HvCode::PotentialOvercommit);
@@ -160,10 +158,7 @@ mod tests {
 
     #[test]
     fn oversized_offcode_flagged() {
-        let view = GraphView {
-            nodes: vec![node("big", &[true, true, false], 5000)],
-            edges: vec![],
-        };
+        let view = test_view(vec![node("big", &[true, true, false], 5000)], vec![]);
         let (diags, _) = run(&view, &table(1000));
         assert!(diags.iter().any(|d| d.code == HvCode::DeviceOvercommit));
         assert!(diags.iter().any(|d| d.code == HvCode::OversizedOffcode));
@@ -171,13 +166,13 @@ mod tests {
 
     #[test]
     fn fitting_demand_is_clean() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true, false], 400),
                 node("b", &[true, false, true], 400),
             ],
-            edges: vec![],
-        };
+            vec![],
+        );
         let (diags, _) = run(&view, &table(1000));
         assert!(diags.is_empty(), "{diags:?}");
     }

@@ -18,7 +18,7 @@ use crate::input::GraphView;
 /// the nodes nothing imports. When no root exists at all (the whole set
 /// is cyclic) the reachability lint is skipped — the cycle itself is
 /// already reported.
-pub(crate) fn run(view: &GraphView, roots: Option<&[Guid]>) -> (Vec<Diagnostic>, u64) {
+pub(crate) fn run(view: &GraphView<'_>, roots: Option<&[Guid]>) -> (Vec<Diagnostic>, u64) {
     let mut diags = Vec::new();
     let work = (view.nodes.len() + view.edges.len()) as u64;
 
@@ -31,39 +31,38 @@ pub(crate) fn run(view: &GraphView, roots: Option<&[Guid]>) -> (Vec<Diagnostic>,
 /// HV030: directed cycles in the wait-for graph, found by DFS
 /// back-edge detection (deterministic: nodes and successors visited in
 /// index order; one diagnostic per distinct cycle entry point).
-fn wait_for_cycles(view: &GraphView, diags: &mut Vec<Diagnostic>) {
-    let adj = adjacency(view);
+fn wait_for_cycles(view: &GraphView<'_>, diags: &mut Vec<Diagnostic>) {
     // 0 = unvisited, 1 = on current DFS path, 2 = done.
     let mut state = vec![0u8; view.nodes.len()];
+    // (node, next successor offset); the nodes are the 1-states.
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..view.nodes.len() {
         if state[start] != 0 {
             continue;
         }
-        // (node, next successor offset); path mirrors the 1-states.
-        let mut stack = vec![(start, 0usize)];
-        let mut path = vec![start];
+        stack.push((start, 0));
         state[start] = 1;
         while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            if let Some(&w) = adj[v].get(*ci) {
+            if let Some(&w) = view.successors(v).get(*ci) {
                 *ci += 1;
                 match state[w] {
                     0 => {
                         state[w] = 1;
                         stack.push((w, 0));
-                        path.push(w);
                     }
                     1 => {
-                        let from = path.iter().position(|&p| p == w).unwrap_or(0);
-                        let names: Vec<&str> = path[from..]
+                        let from = stack.iter().position(|&(p, _)| p == w).unwrap_or(0);
+                        let names: Vec<&str> = stack[from..]
                             .iter()
-                            .chain(std::iter::once(&w))
-                            .map(|&n| view.nodes[n].bind_name.as_str())
+                            .map(|&(n, _)| n)
+                            .chain(std::iter::once(w))
+                            .map(|n| view.nodes[n].bind_name)
                             .collect();
                         diags.push(Diagnostic::new(
                             HvCode::ChannelDeadlock,
                             Loc::Node {
                                 index: w,
-                                bind_name: view.nodes[w].bind_name.clone(),
+                                bind_name: view.nodes[w].bind_name.to_owned(),
                             },
                             format!("synchronous wait-for cycle: {}", names.join(" -> ")),
                         ));
@@ -73,41 +72,23 @@ fn wait_for_cycles(view: &GraphView, diags: &mut Vec<Diagnostic>) {
             } else {
                 state[v] = 2;
                 stack.pop();
-                path.pop();
             }
         }
     }
 }
 
 /// HV031: nodes no deployment root can reach.
-fn unreachable_nodes(view: &GraphView, roots: Option<&[Guid]>, diags: &mut Vec<Diagnostic>) {
-    let root_idx: Vec<usize> = match roots {
-        Some(guids) => view
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| guids.contains(&n.guid))
-            .map(|(i, _)| i)
-            .collect(),
-        None => {
-            let mut imported = vec![false; view.nodes.len()];
-            for e in &view.edges {
-                imported[e.to] = true;
-            }
-            (0..view.nodes.len()).filter(|&n| !imported[n]).collect()
-        }
-    };
-    if root_idx.is_empty() {
+fn unreachable_nodes(view: &GraphView<'_>, roots: Option<&[Guid]>, diags: &mut Vec<Diagnostic>) {
+    let mut reach = vec![false; view.nodes.len()];
+    let mut queue: Vec<usize> = view.roots(roots).collect();
+    if queue.is_empty() {
         return;
     }
-    let adj = adjacency(view);
-    let mut reach = vec![false; view.nodes.len()];
-    let mut queue = root_idx;
     for &r in &queue {
         reach[r] = true;
     }
     while let Some(v) = queue.pop() {
-        for &w in &adj[v] {
+        for &w in view.successors(v) {
             if !reach[w] {
                 reach[w] = true;
                 queue.push(w);
@@ -120,7 +101,7 @@ fn unreachable_nodes(view: &GraphView, roots: Option<&[Guid]>, diags: &mut Vec<D
                 HvCode::UnreachableOffcode,
                 Loc::Node {
                     index: n,
-                    bind_name: node.bind_name.clone(),
+                    bind_name: node.bind_name.to_owned(),
                 },
                 "not reachable from any deployment root; it will never be instantiated",
             ));
@@ -128,33 +109,20 @@ fn unreachable_nodes(view: &GraphView, roots: Option<&[Guid]>, diags: &mut Vec<D
     }
 }
 
-/// Sorted, deduplicated successor lists over all import edges.
-pub(crate) fn adjacency(view: &GraphView) -> Vec<Vec<usize>> {
-    let mut adj = vec![Vec::new(); view.nodes.len()];
-    for e in &view.edges {
-        adj[e.from].push(e.to);
-    }
-    for a in &mut adj {
-        a.sort_unstable();
-        a.dedup();
-    }
-    adj
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{EdgeView, NodeView};
+    use crate::input::{test_view, EdgeView, NodeView};
     use hydra_odf::odf::ConstraintKind;
 
-    fn node(name: &str, guid: u64) -> NodeView {
-        NodeView {
+    fn node(name: &str, guid: u64) -> (NodeView<'_>, &'static [bool]) {
+        let node = NodeView {
             guid: Guid(guid),
-            bind_name: name.into(),
-            compat: vec![true, true],
+            bind_name: name,
             demand: 1024,
             traffic: None,
-        }
+        };
+        (node, &[true, true])
     }
 
     fn edge(from: usize, to: usize) -> EdgeView {
@@ -167,20 +135,20 @@ mod tests {
 
     #[test]
     fn dag_is_clean() {
-        let view = GraphView {
-            nodes: vec![node("a", 1), node("b", 2), node("c", 3)],
-            edges: vec![edge(0, 1), edge(0, 2), edge(1, 2)],
-        };
+        let view = test_view(
+            vec![node("a", 1), node("b", 2), node("c", 3)],
+            vec![edge(0, 1), edge(0, 2), edge(1, 2)],
+        );
         let (diags, _) = run(&view, None);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn cycle_is_a_deadlock() {
-        let view = GraphView {
-            nodes: vec![node("a", 1), node("b", 2), node("c", 3)],
-            edges: vec![edge(0, 1), edge(1, 2), edge(2, 1)],
-        };
+        let view = test_view(
+            vec![node("a", 1), node("b", 2), node("c", 3)],
+            vec![edge(0, 1), edge(1, 2), edge(2, 1)],
+        );
         let (diags, _) = run(&view, None);
         let dl: Vec<_> = diags
             .iter()
@@ -198,10 +166,10 @@ mod tests {
         // reachable. For a real orphan we need an imported node with an
         // unreachable importer — impossible with inferred roots, so use
         // explicit roots below and a cyclic pair here.
-        let view = GraphView {
-            nodes: vec![node("a", 1), node("b", 2), node("c", 3), node("d", 4)],
-            edges: vec![edge(0, 1), edge(2, 3), edge(3, 2)],
-        };
+        let view = test_view(
+            vec![node("a", 1), node("b", 2), node("c", 3), node("d", 4)],
+            vec![edge(0, 1), edge(2, 3), edge(3, 2)],
+        );
         let (diags, _) = run(&view, None);
         // c/d form a rootless cycle: deadlock fires, and neither is
         // reachable from the only root `a`.
@@ -217,10 +185,10 @@ mod tests {
 
     #[test]
     fn explicit_roots_narrow_reachability() {
-        let view = GraphView {
-            nodes: vec![node("a", 1), node("b", 2), node("c", 3)],
-            edges: vec![edge(0, 1)],
-        };
+        let view = test_view(
+            vec![node("a", 1), node("b", 2), node("c", 3)],
+            vec![edge(0, 1)],
+        );
         let (diags, _) = run(&view, Some(&[Guid(1)]));
         let unreachable: Vec<_> = diags
             .iter()
@@ -232,10 +200,10 @@ mod tests {
 
     #[test]
     fn fully_cyclic_set_skips_reachability() {
-        let view = GraphView {
-            nodes: vec![node("a", 1), node("b", 2)],
-            edges: vec![edge(0, 1), edge(1, 0)],
-        };
+        let view = test_view(
+            vec![node("a", 1), node("b", 2)],
+            vec![edge(0, 1), edge(1, 0)],
+        );
         let (diags, _) = run(&view, None);
         assert!(diags.iter().any(|d| d.code == HvCode::ChannelDeadlock));
         assert!(!diags.iter().any(|d| d.code == HvCode::UnreachableOffcode));

@@ -6,31 +6,33 @@
 use hydra_odf::odf::ConstraintKind;
 
 use crate::diag::{Diagnostic, HvCode, Loc};
-use crate::input::GraphView;
+use crate::index::Adjacency;
+use crate::input::{EdgeView, GraphView};
 use crate::precheck::Precheck;
 
 /// Runs the constraint pass; returns (diagnostics, work units).
-pub(crate) fn run(view: &GraphView, pre: &Precheck) -> (Vec<Diagnostic>, u64) {
+pub(crate) fn run(view: &GraphView<'_>, pre: &Precheck) -> (Vec<Diagnostic>, u64) {
     let mut diags = Vec::new();
     let work = (view.nodes.len() + view.edges.len()) as u64;
 
     gang_cycles(view, &mut diags);
     conflicting_edges(view, &mut diags);
 
+    let name = |n: usize| view.nodes[n].bind_name;
     for e in &view.edges {
-        let loc = Loc::Edge {
-            from: view.nodes[e.from].bind_name.clone(),
-            to: view.nodes[e.to].bind_name.clone(),
+        let loc = || Loc::Edge {
+            from: name(e.from).to_owned(),
+            to: name(e.to).to_owned(),
         };
         match e.kind {
             ConstraintKind::Pull => {
-                let a = view.offload_options(e.from);
-                let b = view.offload_options(e.to);
-                let disjoint = !a.iter().any(|d| b.contains(d));
-                if disjoint && (!a.is_empty() || !b.is_empty()) {
+                let compat = &view.compat;
+                if !compat.intersects(e.from, e.to)
+                    && (!compat.is_empty(e.from) || !compat.is_empty(e.to))
+                {
                     diags.push(Diagnostic::new(
                         HvCode::DisjointPull,
-                        loc,
+                        loc(),
                         "Pull endpoints have no feasible device in common; the constraint is only satisfiable on the host",
                     ));
                 }
@@ -44,18 +46,18 @@ pub(crate) fn run(view: &GraphView, pre: &Precheck) -> (Vec<Diagnostic>, u64) {
                     // host_side must be *intrinsically* host-only (not itself
                     // dragged there), so a propagation chain yields one
                     // root-cause diagnostic instead of one per hop.
-                    if pre.feasible[host_side].is_empty()
+                    if pre.feasible.is_empty(host_side)
                         && !pre.forced_host(view, host_side)
                         && pre.forced_host(view, peer)
                     {
                         diags.push(Diagnostic::new(
                             HvCode::GangForcedHost,
-                            loc.clone(),
+                            loc(),
                             format!(
                                 "'{}' cannot be offloaded, so the {} constraint pins '{}' to the host",
-                                view.nodes[host_side].bind_name,
+                                name(host_side),
                                 e.kind,
-                                view.nodes[peer].bind_name
+                                name(peer)
                             ),
                         ));
                     }
@@ -71,59 +73,61 @@ pub(crate) fn run(view: &GraphView, pre: &Precheck) -> (Vec<Diagnostic>, u64) {
 /// Flags directed cycles in the Gang/AsymGang subgraph (HV010). Import
 /// direction is importer → imported; any SCC with more than one node
 /// means the offload-coupling relation is circular.
-fn gang_cycles(view: &GraphView, diags: &mut Vec<Diagnostic>) {
-    let gang_edges: Vec<(usize, usize)> = view
-        .edges
-        .iter()
-        .filter(|e| matches!(e.kind, ConstraintKind::Gang | ConstraintKind::AsymGang))
-        .map(|e| (e.from, e.to))
-        .collect();
-    for scc in sccs(view.nodes.len(), &gang_edges) {
-        if scc.len() > 1 {
-            let names: Vec<&str> = scc
-                .iter()
-                .map(|&n| view.nodes[n].bind_name.as_str())
-                .collect();
-            diags.push(Diagnostic::new(
-                HvCode::GangCycle,
-                Loc::Node {
-                    index: scc[0],
-                    bind_name: view.nodes[scc[0]].bind_name.clone(),
-                },
-                format!("gang constraint cycle through {}", names.join(" -> ")),
-            ));
-        }
-    }
+fn gang_cycles(view: &GraphView<'_>, diags: &mut Vec<Diagnostic>) {
+    let gang = Adjacency::new(
+        view.nodes.len(),
+        view.edges
+            .iter()
+            .filter(|e| matches!(e.kind, ConstraintKind::Gang | ConstraintKind::AsymGang))
+            .map(|e| (e.from, e.to)),
+        true,
+    );
+    cyclic_sccs(view.nodes.len(), &gang, |scc| {
+        let names: Vec<&str> = scc.iter().map(|&n| view.nodes[n].bind_name).collect();
+        diags.push(Diagnostic::new(
+            HvCode::GangCycle,
+            Loc::Node {
+                index: scc[0],
+                bind_name: view.nodes[scc[0]].bind_name.to_owned(),
+            },
+            format!("gang constraint cycle through {}", names.join(" -> ")),
+        ));
+    });
 }
+
+const KINDS: [ConstraintKind; 4] = [
+    ConstraintKind::Link,
+    ConstraintKind::Pull,
+    ConstraintKind::Gang,
+    ConstraintKind::AsymGang,
+];
 
 /// Flags node pairs connected by parallel edges with differing constraint
 /// kinds (HV011): the resolver silently lets the strictest win.
-fn conflicting_edges(view: &GraphView, diags: &mut Vec<Diagnostic>) {
+fn conflicting_edges(view: &GraphView<'_>, diags: &mut Vec<Diagnostic>) {
+    let pair_of = |e: &EdgeView| (e.from.min(e.to), e.from.max(e.to));
+    let bit = |kind: ConstraintKind| 1u8 << kind as u8;
     for (i, a) in view.edges.iter().enumerate() {
-        let pair = (a.from.min(a.to), a.from.max(a.to));
-        let mut kinds = vec![a.kind];
-        let mut first_for_pair = true;
-        for b in &view.edges[..i] {
-            if (b.from.min(b.to), b.from.max(b.to)) == pair {
-                first_for_pair = false;
-            }
-        }
-        if !first_for_pair {
+        let pair = pair_of(a);
+        if view.edges[..i].iter().any(|b| pair_of(b) == pair) {
             continue;
         }
-        for b in &view.edges[i + 1..] {
-            if (b.from.min(b.to), b.from.max(b.to)) == pair && !kinds.contains(&b.kind) {
-                kinds.push(b.kind);
-            }
-        }
-        if kinds.len() > 1 {
-            let mut names: Vec<&str> = kinds.iter().map(ConstraintKind::as_str).collect();
+        let kinds = view.edges[i + 1..]
+            .iter()
+            .filter(|b| pair_of(b) == pair)
+            .fold(bit(a.kind), |kinds, b| kinds | bit(b.kind));
+        if kinds.count_ones() > 1 {
+            let mut names: Vec<&str> = KINDS
+                .into_iter()
+                .filter(|&k| kinds & bit(k) != 0)
+                .map(|k| k.as_str())
+                .collect();
             names.sort_unstable();
             diags.push(Diagnostic::new(
                 HvCode::ConflictingEdges,
                 Loc::Edge {
-                    from: view.nodes[pair.0].bind_name.clone(),
-                    to: view.nodes[pair.1].bind_name.clone(),
+                    from: view.nodes[pair.0].bind_name.to_owned(),
+                    to: view.nodes[pair.1].bind_name.to_owned(),
                 },
                 format!(
                     "parallel edges carry different constraints ({}); the strictest silently wins",
@@ -134,87 +138,74 @@ fn conflicting_edges(view: &GraphView, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Tarjan's strongly-connected components, iterative, deterministic
-/// (nodes visited in index order). Returns each SCC with its members in
+/// Tarjan's strongly-connected components, iterative, over `adj`; calls
+/// `found` with each component of more than one node, its members in
 /// ascending index order.
-fn sccs(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        adj[a].push(b);
-    }
-    for a in &mut adj {
-        a.sort_unstable();
-        a.dedup();
-    }
-
+fn cyclic_sccs(n: usize, adj: &Adjacency, mut found: impl FnMut(&[usize])) {
     const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
+    // Per node: (DFS index, low link, on the component stack).
+    let mut state = vec![(UNSET, 0usize, false); n];
     let mut stack = Vec::new();
+    let mut call: Vec<(usize, usize)> = Vec::new();
     let mut next_index = 0usize;
-    let mut out = Vec::new();
 
     for start in 0..n {
-        if index[start] != UNSET {
+        if state[start].0 != UNSET {
             continue;
         }
         // call stack: (node, next child offset)
-        let mut call = vec![(start, 0usize)];
+        call.push((start, 0));
         while let Some(&mut (v, ref mut ci)) = call.last_mut() {
             if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
+                state[v] = (next_index, next_index, true);
                 next_index += 1;
                 stack.push(v);
-                on_stack[v] = true;
             }
-            if let Some(&w) = adj[v].get(*ci) {
+            if let Some(&w) = adj.of(v).get(*ci) {
                 *ci += 1;
-                if index[w] == UNSET {
+                if state[w].0 == UNSET {
                     call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
+                } else if state[w].2 {
+                    state[v].1 = state[v].1.min(state[w].0);
                 }
             } else {
                 call.pop();
                 if let Some(&mut (p, _)) = call.last_mut() {
-                    low[p] = low[p].min(low[v]);
+                    state[p].1 = state[p].1.min(state[v].1);
                 }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+                if state[v].1 == state[v].0 {
+                    let at = stack
+                        .iter()
+                        .rposition(|&w| w == v)
+                        .expect("v is on the stack");
+                    for &w in &stack[at..] {
+                        state[w].2 = false;
                     }
-                    comp.sort_unstable();
-                    out.push(comp);
+                    if stack.len() - at > 1 {
+                        stack[at..].sort_unstable();
+                        found(&stack[at..]);
+                    }
+                    stack.truncate(at);
                 }
             }
         }
     }
-    out.sort();
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{EdgeView, NodeView};
+    use crate::input::{test_view, EdgeView, NodeView};
     use hydra_odf::odf::Guid;
 
-    fn node(name: &str, compat: &[bool]) -> NodeView {
-        NodeView {
+    fn node<'a>(name: &'a str, compat: &'a [bool]) -> (NodeView<'a>, &'a [bool]) {
+        let node = NodeView {
             guid: Guid(name.len() as u64),
-            bind_name: name.into(),
-            compat: compat.to_vec(),
+            bind_name: name,
             demand: 1024,
             traffic: None,
-        }
+        };
+        (node, compat)
     }
 
     fn edge(from: usize, to: usize, kind: ConstraintKind) -> EdgeView {
@@ -228,13 +219,13 @@ mod tests {
 
     #[test]
     fn gang_two_cycle_detected() {
-        let view = GraphView {
-            nodes: vec![node("a", &[true, true]), node("b", &[true, true])],
-            edges: vec![
+        let view = test_view(
+            vec![node("a", &[true, true]), node("b", &[true, true])],
+            vec![
                 edge(0, 1, ConstraintKind::Gang),
                 edge(1, 0, ConstraintKind::Gang),
             ],
-        };
+        );
         let diags = check(&view);
         assert_eq!(
             diags.iter().filter(|d| d.code == HvCode::GangCycle).count(),
@@ -244,71 +235,71 @@ mod tests {
 
     #[test]
     fn asym_gang_three_cycle_detected() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true]),
                 node("b", &[true, true]),
                 node("c", &[true, true]),
             ],
-            edges: vec![
+            vec![
                 edge(0, 1, ConstraintKind::AsymGang),
                 edge(1, 2, ConstraintKind::AsymGang),
                 edge(2, 0, ConstraintKind::AsymGang),
             ],
-        };
+        );
         let diags = check(&view);
         assert!(diags.iter().any(|d| d.code == HvCode::GangCycle));
     }
 
     #[test]
     fn gang_chain_is_clean() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true]),
                 node("b", &[true, true]),
                 node("c", &[true, true]),
             ],
-            edges: vec![
+            vec![
                 edge(0, 1, ConstraintKind::Gang),
                 edge(1, 2, ConstraintKind::AsymGang),
             ],
-        };
+        );
         assert!(check(&view).is_empty());
     }
 
     #[test]
     fn disjoint_pull_flagged_only_when_offloadable() {
-        let disjoint = GraphView {
-            nodes: vec![
+        let disjoint = test_view(
+            vec![
                 node("a", &[true, true, false]),
                 node("b", &[true, false, true]),
             ],
-            edges: vec![edge(0, 1, ConstraintKind::Pull)],
-        };
+            vec![edge(0, 1, ConstraintKind::Pull)],
+        );
         assert!(check(&disjoint)
             .iter()
             .any(|d| d.code == HvCode::DisjointPull));
 
         // Both host-only: Pull is trivially satisfied on the host.
-        let both_host = GraphView {
-            nodes: vec![
+        let both_host = test_view(
+            vec![
                 node("a", &[true, false, false]),
                 node("b", &[true, false, false]),
             ],
-            edges: vec![edge(0, 1, ConstraintKind::Pull)],
-        };
+            vec![edge(0, 1, ConstraintKind::Pull)],
+        );
         assert!(check(&both_host).is_empty());
     }
 
     #[test]
     fn conflicting_parallel_edges_flagged_once() {
-        let view = GraphView {
-            nodes: vec![node("a", &[true, true]), node("b", &[true, true])],
-            edges: vec![
+        let view = test_view(
+            vec![node("a", &[true, true]), node("b", &[true, true])],
+            vec![
                 edge(0, 1, ConstraintKind::Link),
                 edge(1, 0, ConstraintKind::Pull),
             ],
-        };
+        );
         let diags = check(&view);
         assert_eq!(
             diags
@@ -321,10 +312,10 @@ mod tests {
 
     #[test]
     fn gang_forced_host_warns_at_the_edge() {
-        let view = GraphView {
-            nodes: vec![node("a", &[true, false]), node("b", &[true, true])],
-            edges: vec![edge(0, 1, ConstraintKind::Gang)],
-        };
+        let view = test_view(
+            vec![node("a", &[true, false]), node("b", &[true, true])],
+            vec![edge(0, 1, ConstraintKind::Gang)],
+        );
         let diags = check(&view);
         assert!(diags.iter().any(|d| d.code == HvCode::GangForcedHost));
     }

@@ -30,12 +30,9 @@
 //! changing the diagnostics: a fault plan makes observed behavior worse,
 //! never the deployment more broken.
 
-use std::collections::BTreeSet;
-
 use hydra_obs::json_str;
 use hydra_odf::odf::{Guid, TrafficSpec};
 
-use crate::channels::adjacency;
 use crate::diag::{Diagnostic, HvCode, Loc};
 use crate::input::{DeviceTable, GraphView};
 use crate::precheck::Precheck;
@@ -218,7 +215,7 @@ impl FaultOverlay {
 }
 
 /// The effective arrival curve for a node: declared or defaulted.
-fn effective_traffic(view: &GraphView, n: usize) -> TrafficSpec {
+fn effective_traffic(view: &GraphView<'_>, n: usize) -> TrafficSpec {
     view.nodes[n].traffic.unwrap_or(TrafficSpec {
         rate_per_sec: DEFAULT_RATE_PER_SEC,
         burst: DEFAULT_BURST,
@@ -233,7 +230,7 @@ fn effective_traffic(view: &GraphView, n: usize) -> TrafficSpec {
 /// utilization entries so the differential harness can assert
 /// bracketing under faults too.
 pub(crate) fn run(
-    view: &GraphView,
+    view: &GraphView<'_>,
     pre: &Precheck,
     services: &ServiceTable,
     devices: &DeviceTable,
@@ -243,48 +240,47 @@ pub(crate) fn run(
     let mut diags = Vec::new();
     let n = view.nodes.len();
     let work = (n + view.edges.len()) as u64;
+    let node_loc = |j: usize| Loc::Node {
+        index: j,
+        bind_name: view.nodes[j].bind_name.to_owned(),
+    };
 
     // HV044: outbound callers running on the default curve.
-    let mut has_out = vec![false; n];
-    for e in &view.edges {
-        has_out[e.from] = true;
-    }
-    for (i, _) in has_out.iter().enumerate().filter(|&(_, out)| *out) {
-        if view.nodes[i].traffic.is_none() {
+    for (i, node) in view.nodes.iter().enumerate() {
+        if node.traffic.is_none() && !view.successors(i).is_empty() {
             diags.push(
                 Diagnostic::new(
                     HvCode::DefaultedTraffic,
-                    Loc::Node {
-                        index: i,
-                        bind_name: view.nodes[i].bind_name.clone(),
-                    },
+                    node_loc(i),
                     format!(
                         "no <traffic> element; certified with the default curve \
                          ({DEFAULT_RATE_PER_SEC}/s burst {DEFAULT_BURST} x {DEFAULT_MAX_BYTES}B)"
                     ),
                 )
-                .for_subject(view.nodes[i].guid),
+                .for_subject(node.guid),
             );
         }
     }
 
-    // Per-ring aggregation: every node with inbound edges serves a ring.
-    let mut channels = Vec::new();
+    // Per-ring aggregation: every node with inbound edges serves a ring,
+    // and each inbound edge adds its writer's curve.
+    let rings = (0..n).filter(|&j| !view.importers(j).is_empty()).count();
+    let mut channels = Vec::with_capacity(rings);
     for j in 0..n {
-        let inbound: Vec<usize> = view
-            .edges
-            .iter()
-            .filter(|e| e.to == j)
-            .map(|e| e.from)
-            .collect();
+        let inbound = view.importers(j);
         if inbound.is_empty() {
             continue;
         }
-        let writer_set: BTreeSet<usize> = inbound.iter().copied().collect();
+        // `inbound` is sorted, so each distinct writer starts a run.
+        let writers = inbound
+            .iter()
+            .enumerate()
+            .filter(|&(i, w)| i == 0 || inbound[i - 1] != *w)
+            .count() as u64;
         let mut agg_rate: u64 = 0;
         let mut burst_sum: u64 = 0;
         let mut max_bytes: u64 = 0;
-        for &w in &inbound {
+        for &w in inbound {
             let t = effective_traffic(view, w);
             agg_rate = agg_rate.saturating_add(t.rate_per_sec);
             burst_sum = burst_sum.saturating_add(t.burst);
@@ -296,16 +292,12 @@ pub(crate) fn run(
         let stable = u128::from(agg_rate) * u128::from(service_ns) <= 1_000_000_000u128;
         // Each writer can dump its full burst concurrently, plus one
         // message in service per writer.
-        let queue_bound = burst_sum.saturating_add(writer_set.len() as u64);
-        let loc = Loc::Node {
-            index: j,
-            bind_name: view.nodes[j].bind_name.clone(),
-        };
+        let queue_bound = burst_sum.saturating_add(writers);
         if !stable {
             diags.push(
                 Diagnostic::new(
                     HvCode::UnstableChannel,
-                    loc.clone(),
+                    node_loc(j),
                     format!(
                         "aggregate arrival rate {agg_rate}/s exceeds worst-case service \
                          rate ({service_ns}ns per {max_bytes}B message): backlog is unbounded"
@@ -317,7 +309,7 @@ pub(crate) fn run(
             diags.push(
                 Diagnostic::new(
                     HvCode::QueueBoundExceedsRing,
-                    loc,
+                    node_loc(j),
                     format!(
                         "worst-case queue depth {queue_bound} exceeds ring capacity {}: \
                          ring exhaustion is statically provable",
@@ -334,9 +326,9 @@ pub(crate) fn run(
         });
         channels.push(ChannelBound {
             node: j,
-            bind_name: view.nodes[j].bind_name.clone(),
+            bind_name: view.nodes[j].bind_name.to_owned(),
             guid_value: view.nodes[j].guid.0,
-            writers: writer_set.len() as u64,
+            writers,
             rate_per_sec: agg_rate,
             max_bytes,
             service_ns,
@@ -353,32 +345,30 @@ pub(crate) fn run(
     let mut busy_permille = vec![0u128; devices.devices.len()];
     for c in &channels {
         let j = c.node;
-        let mut placements: BTreeSet<usize> = pre.feasible[j].clone();
-        placements.insert(0);
         let mut load_ns: u128 = 0;
-        for e in view.edges.iter().filter(|e| e.to == j) {
-            let t = effective_traffic(view, e.from);
+        for &w in view.importers(j) {
+            let t = effective_traffic(view, w);
             load_ns +=
                 u128::from(t.rate_per_sec) * u128::from(services.device_occupancy_ns(t.max_bytes));
         }
-        for &k in &placements {
+        for k in std::iter::once(0).chain(pre.feasible.iter(j)) {
             if k < busy_permille.len() {
                 busy_permille[k] += load_ns;
             }
         }
     }
-    let mut device_bounds = Vec::new();
+    let mut device_bounds = Vec::with_capacity(devices.devices.len());
     for (k, dev) in devices.devices.iter().enumerate() {
         // load_ns is ns-per-second of busy time; /1e6 gives permille.
         let permille = u64::try_from(busy_permille[k] / 1_000_000u128).unwrap_or(u64::MAX);
-        let loc = Loc::Device {
+        let loc = || Loc::Device {
             index: k,
             name: dev.name.clone(),
         };
         if permille > 1000 {
             diags.push(Diagnostic::new(
                 HvCode::UtilizationOverrun,
-                loc,
+                loc(),
                 format!(
                     "certified sustained utilization {permille} permille exceeds 1000: \
                      the declared load cannot be served"
@@ -387,7 +377,7 @@ pub(crate) fn run(
         } else if permille > 800 {
             diags.push(Diagnostic::new(
                 HvCode::UtilizationHigh,
-                loc,
+                loc(),
                 format!("certified sustained utilization {permille} permille exceeds 800"),
             ));
         }
@@ -409,11 +399,9 @@ pub(crate) fn run(
     };
     if let Some(ov) = overlay {
         for c in &mut certificate.channels {
-            let j = c.node;
-            let extra = pre.feasible[j]
-                .iter()
-                .chain(std::iter::once(&0))
-                .map(|&k| ov.device_ns(k))
+            let extra = std::iter::once(0)
+                .chain(pre.feasible.iter(c.node))
+                .map(|k| ov.device_ns(k))
                 .max()
                 .unwrap_or(0);
             c.latency_bound_ns = c.latency_bound_ns.map(|l| l.saturating_add(extra));
@@ -426,116 +414,133 @@ pub(crate) fn run(
 
     // Chains: every maximal simple path from the deployment roots, with
     // latency as the sum of the (possibly widened) per-hop ring bounds.
-    let root_idx: Vec<usize> = match roots {
-        Some(guids) => (0..n)
-            .filter(|&i| guids.contains(&view.nodes[i].guid))
-            .collect(),
-        None => {
-            let mut imported = vec![false; n];
-            for e in &view.edges {
-                imported[e.to] = true;
-            }
-            (0..n).filter(|&i| !imported[i]).collect()
-        }
-    };
-    let adj = adjacency(view);
     // Per-node hop cost: a served ring's latency bound, `None` for an
     // unstable ring (no finite bound poisons the chain), zero for a
     // node that serves no ring (cannot appear as a hop, but total
     // correctly ignores it).
-    let ring_latency: Vec<Option<u64>> = (0..n)
-        .map(|j| {
-            certificate
-                .channels
-                .iter()
-                .find(|c| c.node == j)
-                .map_or(Some(0), |c| c.latency_bound_ns)
+    let mut ring_latency: Vec<Option<u64>> = vec![Some(0); n];
+    for c in &certificate.channels {
+        ring_latency[c.node] = c.latency_bound_ns;
+    }
+    let mut walk = ChainWalk {
+        view,
+        ring_latency: &ring_latency,
+        path: Vec::new(),
+        on_path: vec![false; n],
+        hops: Vec::new(),
+        found: Vec::new(),
+        truncated: false,
+    };
+    for r in view.roots(roots) {
+        walk.path.push(r);
+        walk.on_path[r] = true;
+        walk.extend();
+        walk.on_path[r] = false;
+        walk.path.pop();
+    }
+    let ChainWalk {
+        hops,
+        mut found,
+        truncated,
+        ..
+    } = walk;
+    let names = |c: &Chain| {
+        hops[c.hops.clone()]
+            .iter()
+            .map(|&i| view.nodes[i].bind_name)
+    };
+    found.sort_by(|a, b| names(a).cmp(names(b)));
+    found.dedup_by(|a, b| a.latency_bound_ns == b.latency_bound_ns && names(a).eq(names(b)));
+    certificate.chains = found
+        .iter()
+        .map(|c| ChainBound {
+            path: names(c).map(str::to_owned).collect(),
+            latency_bound_ns: c.latency_bound_ns,
         })
         .collect();
-    let mut chains = Vec::new();
-    let mut truncated = false;
-    for &r in &root_idx {
-        let mut path = vec![r];
-        let mut on_path = vec![false; n];
-        on_path[r] = true;
-        dfs_chains(
-            &adj,
-            view,
-            &ring_latency,
-            &mut path,
-            &mut on_path,
-            &mut chains,
-            &mut truncated,
-        );
-    }
-    chains.sort_by(|a, b| a.path.cmp(&b.path));
-    chains.dedup();
-    certificate.chains = chains;
     certificate.truncated = truncated;
 
     (diags, work, certificate)
 }
 
-/// Depth-first enumeration of maximal simple paths; records a chain when
-/// the tip has no unvisited successor.
-fn dfs_chains(
-    adj: &[Vec<usize>],
-    view: &GraphView,
-    ring_latency: &[Option<u64>],
-    path: &mut Vec<usize>,
-    on_path: &mut [bool],
-    chains: &mut Vec<ChainBound>,
-    truncated: &mut bool,
-) {
-    if chains.len() >= MAX_CHAINS {
-        *truncated = true;
-        return;
-    }
-    let v = *path.last().expect("path never empty");
-    let mut extended = false;
-    for &w in &adj[v] {
-        if on_path[w] {
-            continue;
+/// One maximal chain found by [`ChainWalk`]: its node indices are
+/// `hops[self.hops]`.
+struct Chain {
+    hops: std::ops::Range<usize>,
+    latency_bound_ns: Option<u64>,
+}
+
+/// Depth-first enumeration of maximal simple paths by node index; the
+/// bind names are read only once the chains are sorted.
+struct ChainWalk<'v, 'a> {
+    view: &'v GraphView<'a>,
+    ring_latency: &'v [Option<u64>],
+    /// The current path, root first.
+    path: Vec<usize>,
+    on_path: Vec<bool>,
+    /// Every recorded chain's node indices, back to back.
+    hops: Vec<usize>,
+    found: Vec<Chain>,
+    truncated: bool,
+}
+
+impl ChainWalk<'_, '_> {
+    /// Extends the current path by every unvisited successor of its tip;
+    /// records a chain when the tip has none.
+    fn extend(&mut self) {
+        if self.found.len() >= MAX_CHAINS {
+            self.truncated = true;
+            return;
         }
-        extended = true;
-        path.push(w);
-        on_path[w] = true;
-        dfs_chains(adj, view, ring_latency, path, on_path, chains, truncated);
-        on_path[w] = false;
-        path.pop();
-    }
-    if !extended && path.len() > 1 {
-        let mut total: Option<u64> = Some(0);
-        for &hop in path.iter().skip(1) {
-            total = match (total, ring_latency[hop]) {
-                (Some(t), Some(l)) => Some(t.saturating_add(l)),
-                _ => None,
-            };
+        let v = *self.path.last().expect("path never empty");
+        let mut extended = false;
+        for &w in self.view.successors(v) {
+            if self.on_path[w] {
+                continue;
+            }
+            extended = true;
+            self.path.push(w);
+            self.on_path[w] = true;
+            self.extend();
+            self.on_path[w] = false;
+            self.path.pop();
         }
-        chains.push(ChainBound {
-            path: path
-                .iter()
-                .map(|&i| view.nodes[i].bind_name.clone())
-                .collect(),
-            latency_bound_ns: total,
-        });
+        if !extended && self.path.len() > 1 {
+            let mut total: Option<u64> = Some(0);
+            for &hop in &self.path[1..] {
+                total = match (total, self.ring_latency[hop]) {
+                    (Some(t), Some(l)) => Some(t.saturating_add(l)),
+                    _ => None,
+                };
+            }
+            let start = self.hops.len();
+            self.hops.extend_from_slice(&self.path);
+            self.found.push(Chain {
+                hops: start..self.hops.len(),
+                latency_bound_ns: total,
+            });
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{EdgeView, NodeView};
+    use crate::input::{test_view, EdgeView, NodeView};
     use hydra_odf::odf::{class_ids, ConstraintKind};
 
-    fn node(name: &str, guid: u64, traffic: Option<TrafficSpec>) -> NodeView {
-        NodeView {
+    fn node(
+        name: &str,
+        guid: u64,
+        traffic: Option<TrafficSpec>,
+    ) -> (NodeView<'_>, &'static [bool]) {
+        let node = NodeView {
             guid: Guid(guid),
-            bind_name: name.into(),
-            compat: vec![true, true],
+            bind_name: name,
             demand: 1024,
             traffic,
-        }
+        };
+        (node, &[true, true])
     }
 
     fn edge(from: usize, to: usize) -> EdgeView {
@@ -595,13 +600,13 @@ mod tests {
 
     #[test]
     fn stable_ring_gets_finite_bounds() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, Some(spec(10_000, 2, 16 * 1024))),
                 node("b", 2, None),
             ],
-            edges: vec![edge(0, 1)],
-        };
+            vec![edge(0, 1)],
+        );
         let (diags, cert) = run_flow(&view, None);
         assert!(diags.iter().all(|d| d.code != HvCode::UnstableChannel));
         let c = cert.channel("b").unwrap();
@@ -616,13 +621,13 @@ mod tests {
 
     #[test]
     fn overload_fires_hv041_and_kills_latency() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, Some(spec(1_000_000, 1, 16 * 1024))),
                 node("b", 2, None),
             ],
-            edges: vec![edge(0, 1)],
-        };
+            vec![edge(0, 1)],
+        );
         let (diags, cert) = run_flow(&view, None);
         assert!(diags.iter().any(|d| d.code == HvCode::UnstableChannel));
         assert_eq!(cert.channel("b").unwrap().latency_bound_ns, None);
@@ -631,10 +636,10 @@ mod tests {
 
     #[test]
     fn burst_overflow_fires_hv040() {
-        let view = GraphView {
-            nodes: vec![node("a", 1, Some(spec(1_000, 100, 64))), node("b", 2, None)],
-            edges: vec![edge(0, 1)],
-        };
+        let view = test_view(
+            vec![node("a", 1, Some(spec(1_000, 100, 64))), node("b", 2, None)],
+            vec![edge(0, 1)],
+        );
         let (diags, cert) = run_flow(&view, None);
         assert!(diags
             .iter()
@@ -646,10 +651,10 @@ mod tests {
 
     #[test]
     fn defaulted_traffic_reports_hv044_for_writers_only() {
-        let view = GraphView {
-            nodes: vec![node("a", 1, None), node("b", 2, None)],
-            edges: vec![edge(0, 1)],
-        };
+        let view = test_view(
+            vec![node("a", 1, None), node("b", 2, None)],
+            vec![edge(0, 1)],
+        );
         let (diags, _) = run_flow(&view, None);
         let defaults: Vec<_> = diags
             .iter()
@@ -662,13 +667,13 @@ mod tests {
     #[test]
     fn utilization_charges_every_feasible_device() {
         // 60k msgs/s of 16 KiB: occupancy 26.384µs each → ~1583‰.
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, Some(spec(60_000, 1, 16 * 1024))),
                 node("b", 2, None),
             ],
-            edges: vec![edge(0, 1)],
-        };
+            vec![edge(0, 1)],
+        );
         let (diags, cert) = run_flow(&view, None);
         assert!(diags.iter().any(|d| d.code == HvCode::UtilizationOverrun));
         // Charged to the NIC (feasible) *and* the host (fallback).
@@ -678,13 +683,13 @@ mod tests {
 
     #[test]
     fn overlay_widens_certificate_not_diagnostics() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, Some(spec(10_000, 2, 16 * 1024))),
                 node("b", 2, None),
             ],
-            edges: vec![edge(0, 1)],
-        };
+            vec![edge(0, 1)],
+        );
         let (base_diags, base) = run_flow(&view, None);
         let overlay = FaultOverlay {
             disruptions: vec![(1, 400_000)],
@@ -703,13 +708,13 @@ mod tests {
 
     #[test]
     fn certificate_json_is_deterministic() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, Some(spec(10_000, 2, 16 * 1024))),
                 node("b", 2, None),
             ],
-            edges: vec![edge(0, 1)],
-        };
+            vec![edge(0, 1)],
+        );
         let (_, c1) = run_flow(&view, None);
         let (_, c2) = run_flow(&view, None);
         assert_eq!(c1.to_json(), c2.to_json());

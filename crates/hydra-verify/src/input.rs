@@ -12,6 +12,8 @@
 
 use hydra_odf::odf::{ConstraintKind, DeviceClassSpec, Guid, OdfDocument, TrafficSpec};
 
+use crate::index::{Adjacency, DeviceSets};
+
 /// Default worst-case footprint assumed for an Offcode whose ODF does not
 /// declare one (bytes). Matches the synthetic 8 KiB text + 1 KiB data
 /// object the runtime links for components without a real object file.
@@ -90,14 +92,11 @@ impl DeviceTable {
 
 /// One Offcode in the graph view.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NodeView {
+pub struct NodeView<'a> {
     /// The Offcode's GUID.
     pub guid: Guid,
     /// Its bind name (diagnostics).
-    pub bind_name: String,
-    /// `compat[k]` — may this Offcode run on device `k`? Index 0 is the
-    /// host and is always `true`.
-    pub compat: Vec<bool>,
+    pub bind_name: &'a str,
     /// Worst-case memory footprint in bytes.
     pub demand: u64,
     /// The declared arrival curve for this Offcode's outbound calls, if
@@ -117,16 +116,52 @@ pub struct EdgeView {
     pub kind: ConstraintKind,
 }
 
-/// A structural view of the offloading layout graph.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GraphView {
+/// A structural view of the offloading layout graph, indexed once for
+/// every pass: a GUID→node map, per-node successor and writer lists,
+/// and per-node compatible device sets.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GraphView<'a> {
     /// The nodes, in deployment-set order.
-    pub nodes: Vec<NodeView>,
+    pub nodes: Vec<NodeView<'a>>,
     /// The constraint edges.
     pub edges: Vec<EdgeView>,
+    /// `compat`'s set for node `n`: the non-host devices it may run on.
+    pub compat: DeviceSets,
+    /// `(guid, node)` for the first node with each GUID, sorted by GUID.
+    by_guid: Vec<(Guid, usize)>,
+    /// Successors over all edges, sorted and deduplicated.
+    out: Adjacency,
+    /// Importers over all edges, sorted, one entry per edge.
+    into: Adjacency,
 }
 
-impl GraphView {
+impl<'a> GraphView<'a> {
+    /// Indexes `nodes`, their compatible device sets (one per node) and
+    /// `edges`.
+    pub fn new(nodes: Vec<NodeView<'a>>, compat: DeviceSets, edges: Vec<EdgeView>) -> Self {
+        let by_guid = guid_index(&nodes);
+        GraphView::indexed(nodes, compat, edges, by_guid)
+    }
+
+    fn indexed(
+        nodes: Vec<NodeView<'a>>,
+        compat: DeviceSets,
+        edges: Vec<EdgeView>,
+        by_guid: Vec<(Guid, usize)>,
+    ) -> Self {
+        assert_eq!(compat.nodes(), nodes.len(), "one device set per node");
+        let out = Adjacency::new(nodes.len(), edges.iter().map(|e| (e.from, e.to)), true);
+        let into = Adjacency::new(nodes.len(), edges.iter().map(|e| (e.to, e.from)), false);
+        GraphView {
+            nodes,
+            edges,
+            compat,
+            by_guid,
+            out,
+            into,
+        }
+    }
+
     /// Builds the view straight from an ODF set and a device table.
     ///
     /// Requires a *well-formed* set (unique GUIDs, imports resolved
@@ -137,26 +172,40 @@ impl GraphView {
     /// Per-node demand comes from `demands` when given (parallel to
     /// `odfs`), else from the ODF's declared footprint, else
     /// [`DEFAULT_FOOTPRINT`].
-    pub fn from_odfs(odfs: &[OdfDocument], table: &DeviceTable, demands: Option<&[u64]>) -> Self {
-        let mut view = GraphView::default();
-        for (i, odf) in odfs.iter().enumerate() {
-            view.nodes.push(NodeView {
-                guid: odf.guid,
-                bind_name: odf.bind_name.clone(),
-                compat: table.compatibility(&odf.targets),
-                demand: demands
-                    .and_then(|d| d.get(i).copied())
-                    .or(odf.footprint)
-                    .unwrap_or(DEFAULT_FOOTPRINT),
-                traffic: odf.traffic,
-            });
-        }
+    pub fn from_odfs(
+        odfs: &'a [OdfDocument],
+        table: &DeviceTable,
+        demands: Option<&[u64]>,
+    ) -> Self {
+        let mut compat = DeviceSets::new(odfs.len(), table.devices.len());
+        let nodes: Vec<NodeView<'a>> = odfs
+            .iter()
+            .enumerate()
+            .map(|(i, odf)| {
+                for k in 1..table.devices.len() {
+                    if table.compatible(&odf.targets, k) {
+                        compat.insert(i, k);
+                    }
+                }
+                NodeView {
+                    guid: odf.guid,
+                    bind_name: &odf.bind_name,
+                    demand: demands
+                        .and_then(|d| d.get(i).copied())
+                        .or(odf.footprint)
+                        .unwrap_or(DEFAULT_FOOTPRINT),
+                    traffic: odf.traffic,
+                }
+            })
+            .collect();
+        let by_guid = guid_index(&nodes);
+        let imports = odfs.iter().map(|o| o.imports.len()).sum();
+        let mut edges = Vec::with_capacity(imports);
         for (i, odf) in odfs.iter().enumerate() {
             for imp in &odf.imports {
-                // First ODF with the GUID wins, like the runtime's depot.
-                if let Some(j) = odfs.iter().position(|o| o.guid == imp.guid) {
+                if let Some(j) = lookup(&by_guid, imp.guid) {
                     if i != j {
-                        view.edges.push(EdgeView {
+                        edges.push(EdgeView {
                             from: i,
                             to: j,
                             kind: imp.constraint,
@@ -165,19 +214,59 @@ impl GraphView {
                 }
             }
         }
-        view
+        GraphView::indexed(nodes, compat, edges, by_guid)
     }
 
-    /// Non-host devices node `n` is compatible with.
-    pub fn offload_options(&self, n: usize) -> Vec<usize> {
-        self.nodes[n]
-            .compat
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter_map(|(k, &ok)| ok.then_some(k))
-            .collect()
+    /// The first node with `guid`, if any.
+    pub fn node(&self, guid: Guid) -> Option<usize> {
+        lookup(&self.by_guid, guid)
     }
+
+    /// Node `v`'s successors: the distinct nodes it imports, ascending.
+    pub fn successors(&self, v: usize) -> &[usize] {
+        self.out.of(v)
+    }
+
+    /// Node `v`'s importers, ascending, once per edge into `v`: a node
+    /// that imports `v` twice appears twice.
+    pub fn importers(&self, v: usize) -> &[usize] {
+        self.into.of(v)
+    }
+
+    /// The deployment roots' node indices, ascending: the nodes whose
+    /// GUID is in `roots`, or, with `None`, the nodes nothing imports.
+    pub fn roots<'r>(&'r self, roots: Option<&'r [Guid]>) -> impl Iterator<Item = usize> + 'r {
+        (0..self.nodes.len()).filter(move |&n| match roots {
+            Some(guids) => guids.contains(&self.nodes[n].guid),
+            None => self.importers(n).is_empty(),
+        })
+    }
+}
+
+/// `(guid, node)` for the first node with each GUID, sorted by GUID:
+/// the first node with a GUID wins, like the runtime's depot.
+fn guid_index(nodes: &[NodeView<'_>]) -> Vec<(Guid, usize)> {
+    let mut by_guid: Vec<(Guid, usize)> =
+        nodes.iter().enumerate().map(|(i, n)| (n.guid, i)).collect();
+    by_guid.sort_unstable();
+    by_guid.dedup_by_key(|&mut (guid, _)| guid);
+    by_guid
+}
+
+fn lookup(by_guid: &[(Guid, usize)], guid: Guid) -> Option<usize> {
+    let at = by_guid.binary_search_by_key(&guid, |&(g, _)| g).ok()?;
+    Some(by_guid[at].1)
+}
+
+/// A view over `nodes`, each with its compatibility vector (index 0 is
+/// the host), and `edges`.
+#[cfg(test)]
+pub(crate) fn test_view<'a>(
+    nodes: Vec<(NodeView<'a>, &[bool])>,
+    edges: Vec<EdgeView>,
+) -> GraphView<'a> {
+    let compat = DeviceSets::from_rows(nodes.iter().map(|&(_, c)| c));
+    GraphView::new(nodes.into_iter().map(|(n, _)| n).collect(), compat, edges)
 }
 
 #[cfg(test)]
@@ -272,12 +361,31 @@ mod tests {
                 priority: 0,
             });
         let b = OdfDocument::new("b", Guid(2));
-        let view = GraphView::from_odfs(&[a, b], &table(), None);
+        let odfs = [a, b];
+        let view = GraphView::from_odfs(&odfs, &table(), None);
         assert_eq!(view.nodes.len(), 2);
         assert_eq!(view.nodes[0].demand, 4096);
         assert_eq!(view.nodes[1].demand, DEFAULT_FOOTPRINT);
         assert_eq!(view.edges.len(), 1);
-        assert_eq!(view.offload_options(0), vec![1]);
-        assert!(view.offload_options(1).is_empty());
+        assert_eq!(view.compat.iter(0).collect::<Vec<_>>(), vec![1]);
+        assert!(view.compat.is_empty(1));
+        assert_eq!(view.successors(0), &[1]);
+        assert_eq!(view.importers(1), &[0]);
+        assert_eq!(view.roots(None).collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn the_first_node_with_a_guid_wins() {
+        let odfs = [
+            OdfDocument::new("a", Guid(7)),
+            OdfDocument::new("b", Guid(3)),
+            OdfDocument::new("c", Guid(7)),
+        ];
+        let view = GraphView::from_odfs(&odfs, &table(), None);
+        assert_eq!(view.node(Guid(7)), Some(0));
+        assert_eq!(view.node(Guid(3)), Some(1));
+        assert_eq!(view.node(Guid(4)), None);
+        let roots = [Guid(7)];
+        assert_eq!(view.roots(Some(&roots)).collect::<Vec<_>>(), vec![0, 2]);
     }
 }

@@ -32,6 +32,7 @@
 
 pub mod diag;
 pub mod flow;
+pub mod index;
 pub mod input;
 pub mod precheck;
 pub mod service;
@@ -46,6 +47,7 @@ use hydra_odf::odf::{Guid, OdfDocument};
 
 pub use diag::{Diagnostic, HvCode, Loc, PassStat, Report, Severity};
 pub use flow::{Certificate, ChainBound, ChannelBound, DeviceBound, FaultOverlay};
+pub use index::DeviceSets;
 pub use input::{DeviceInfo, DeviceTable, GraphView};
 pub use precheck::Precheck;
 pub use service::{ServiceModel, ServiceTable};
@@ -69,24 +71,27 @@ pub struct VerifyInput<'a> {
 /// feasibility fixpoint they built, which certification's quantitative
 /// passes reuse.
 #[derive(Debug)]
-pub struct Structural {
+pub struct Structural<'a> {
     /// The manifest, constraints, capacity and channels findings.
     pub report: Report,
-    /// The deployment's constraint graph.
-    pub view: GraphView,
+    /// The deployment's constraint graph and its index.
+    pub view: GraphView<'a>,
     /// The narrowed per-node feasible device sets.
     pub pre: Precheck,
 }
 
 /// Runs the four structural passes (manifest, constraints, capacity,
 /// channels) in order: the shared front of [`verify`] and [`certify`].
-pub fn structural(input: &VerifyInput<'_>) -> Structural {
-    let mut report = Report::default();
+pub fn structural<'a>(input: &VerifyInput<'a>) -> Structural<'a> {
+    let mut report = Report {
+        diagnostics: Vec::new(),
+        passes: Vec::with_capacity(6),
+    };
+    let view = GraphView::from_odfs(input.odfs, input.devices, input.demands);
 
-    let (diags, work) = manifest::run(input.odfs, input.devices);
+    let (diags, work) = manifest::run(input.odfs, &view, input.devices);
     report.absorb("manifest", work, diags);
 
-    let view = GraphView::from_odfs(input.odfs, input.devices, input.demands);
     let pre = Precheck::narrow(&view);
 
     let (diags, work) = constraints::run(&view, &pre);
@@ -144,7 +149,7 @@ pub fn certify(input: &CertifyInput<'_>) -> Certification {
 /// Finishes a certification from the structural passes' outcome on
 /// `input.verify`: runs the flow and rings passes over its graph view and
 /// fixpoint and appends their findings to its report.
-pub fn certify_structural(structural: Structural, input: &CertifyInput<'_>) -> Certification {
+pub fn certify_structural(structural: Structural<'_>, input: &CertifyInput<'_>) -> Certification {
     let Structural {
         mut report,
         view,

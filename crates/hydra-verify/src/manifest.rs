@@ -2,103 +2,103 @@
 //! GUID/bind-name collisions, dangling or duplicate imports, and target
 //! sets that no installed device can satisfy.
 
-use std::collections::BTreeMap;
-
-use hydra_odf::odf::{class_ids, Guid, OdfDocument};
+use hydra_odf::odf::{class_ids, OdfDocument};
 
 use crate::diag::{Diagnostic, HvCode, Loc};
-use crate::input::DeviceTable;
+use crate::input::{DeviceTable, GraphView};
 
-/// Runs the manifest pass; returns (diagnostics, work units).
-pub(crate) fn run(odfs: &[OdfDocument], table: &DeviceTable) -> (Vec<Diagnostic>, u64) {
+/// Runs the manifest pass over `odfs` and their graph `view` (which
+/// resolves GUIDs, the first ODF with a GUID winning); returns
+/// (diagnostics, work units).
+pub(crate) fn run(
+    odfs: &[OdfDocument],
+    view: &GraphView<'_>,
+    table: &DeviceTable,
+) -> (Vec<Diagnostic>, u64) {
     let mut diags = Vec::new();
-    let mut work = 0u64;
+    let mut work = odfs.len() as u64;
+    let odf_loc = |odf: &OdfDocument| Loc::Odf {
+        bind_name: odf.bind_name.clone(),
+    };
 
-    let mut by_guid: BTreeMap<Guid, &str> = BTreeMap::new();
-    let mut by_name: BTreeMap<&str, Guid> = BTreeMap::new();
-    for odf in odfs {
-        work += 1;
-        if let Some(first) = by_guid.get(&odf.guid) {
+    for (i, odf) in odfs.iter().enumerate() {
+        let first = view.node(odf.guid).expect("every node's GUID resolves");
+        if first != i {
             diags.push(Diagnostic::new(
                 HvCode::DuplicateGuid,
-                Loc::Odf {
-                    bind_name: odf.bind_name.clone(),
-                },
-                format!("{} already used by '{first}'", odf.guid),
+                odf_loc(odf),
+                format!("{} already used by '{}'", odf.guid, odfs[first].bind_name),
             ));
-        } else {
-            by_guid.insert(odf.guid, &odf.bind_name);
         }
-        if let Some(first) = by_name.get(odf.bind_name.as_str()) {
+    }
+    // By (bind name, position): the first ODF with a name leads its run.
+    let mut by_name: Vec<usize> = (0..odfs.len()).collect();
+    by_name.sort_unstable_by_key(|&i| (odfs[i].bind_name.as_str(), i));
+    let mut lead = 0;
+    for at in 1..by_name.len() {
+        let (first, odf) = (&odfs[by_name[lead]], &odfs[by_name[at]]);
+        if odf.bind_name == first.bind_name {
             diags.push(Diagnostic::new(
                 HvCode::DuplicateBindName,
-                Loc::Odf {
-                    bind_name: odf.bind_name.clone(),
-                },
-                format!("bind name also declared by the ODF with {first}"),
+                odf_loc(odf),
+                format!("bind name also declared by the ODF with {}", first.guid),
             ));
         } else {
-            by_name.insert(&odf.bind_name, odf.guid);
+            lead = at;
         }
     }
 
     for odf in odfs {
-        let mut seen: Vec<(Guid, &str)> = Vec::new();
-        for imp in &odf.imports {
+        for (k, imp) in odf.imports.iter().enumerate() {
             work += 1;
-            let loc = Loc::Import {
+            let loc = || Loc::Import {
                 bind_name: odf.bind_name.clone(),
                 import: imp.bind_name.clone(),
             };
             if imp.guid == odf.guid {
                 diags.push(Diagnostic::new(
                     HvCode::SelfImport,
-                    loc.clone(),
+                    loc(),
                     format!("imports its own {}", imp.guid),
                 ));
-            } else if !by_guid.contains_key(&imp.guid) {
+            } else if view.node(imp.guid).is_none() {
                 diags.push(Diagnostic::new(
                     HvCode::DanglingImport,
-                    loc.clone(),
+                    loc(),
                     format!("{} is not in the deployment set", imp.guid),
                 ));
             }
-            if seen.contains(&(imp.guid, imp.constraint.as_str())) {
+            let earlier = &odf.imports[..k];
+            if earlier
+                .iter()
+                .any(|e| e.guid == imp.guid && e.constraint == imp.constraint)
+            {
                 diags.push(Diagnostic::new(
                     HvCode::DuplicateImport,
-                    loc,
+                    loc(),
                     format!("repeated {} import of {}", imp.constraint, imp.guid),
                 ));
-            } else {
-                seen.push((imp.guid, imp.constraint.as_str()));
             }
         }
     }
 
     for odf in odfs {
-        let loc = Loc::Odf {
-            bind_name: odf.bind_name.clone(),
-        };
-        let offloadable: Vec<_> = odf
-            .targets
-            .iter()
-            .filter(|t| t.id != class_ids::HOST_CPU)
-            .collect();
-        if offloadable.is_empty() {
+        let mut offloadable = odf.targets.iter().filter(|t| t.id != class_ids::HOST_CPU);
+        if offloadable.clone().next().is_none() {
             diags.push(Diagnostic::new(
                 HvCode::HostOnlyTargets,
-                loc.clone(),
+                odf_loc(odf),
                 "no non-host target device classes declared",
             ));
             continue;
         }
         let mut any_feasible = false;
-        for spec in &offloadable {
+        for spec in &mut offloadable {
             work += 1;
             if table.feasible_count(spec) == 0 {
                 diags.push(Diagnostic::new(
                     HvCode::UnsatisfiableTargetSpec,
-                    loc.clone(),
+                    odf_loc(odf),
                     format!(
                         "device class '{}' (id 0x{:04x}) matches no installed device",
                         spec.name, spec.id
@@ -111,7 +111,7 @@ pub(crate) fn run(odfs: &[OdfDocument], table: &DeviceTable) -> (Vec<Diagnostic>
         if !any_feasible {
             diags.push(Diagnostic::new(
                 HvCode::NoFeasibleDevice,
-                loc,
+                odf_loc(odf),
                 "none of the declared target classes matches an installed device; every deployment will use the host",
             ));
         }
@@ -124,7 +124,7 @@ pub(crate) fn run(odfs: &[OdfDocument], table: &DeviceTable) -> (Vec<Diagnostic>
 mod tests {
     use super::*;
     use crate::input::DeviceInfo;
-    use hydra_odf::odf::{ConstraintKind, DeviceClassSpec, Import};
+    use hydra_odf::odf::{ConstraintKind, DeviceClassSpec, Guid, Import};
 
     fn table() -> DeviceTable {
         DeviceTable {
@@ -159,6 +159,11 @@ mod tests {
         }
     }
 
+    fn check(odfs: &[OdfDocument]) -> (Vec<Diagnostic>, u64) {
+        let table = table();
+        run(odfs, &GraphView::from_odfs(odfs, &table, None), &table)
+    }
+
     fn codes(diags: &[Diagnostic]) -> Vec<HvCode> {
         diags.iter().map(|d| d.code).collect()
     }
@@ -171,7 +176,7 @@ mod tests {
             OdfDocument::new("a", Guid(1))
                 .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         ];
-        let (diags, _) = run(&odfs, &table());
+        let (diags, _) = check(&odfs);
         assert!(codes(&diags).contains(&HvCode::DuplicateGuid));
         assert!(codes(&diags).contains(&HvCode::DuplicateBindName));
     }
@@ -188,7 +193,7 @@ mod tests {
         .chain([OdfDocument::new("b", Guid(2))
             .with_target(DeviceClassSpec::numbered(class_ids::NETWORK))])
         .collect::<Vec<_>>();
-        let (diags, _) = run(&odfs, &table());
+        let (diags, _) = check(&odfs);
         let c = codes(&diags);
         assert!(c.contains(&HvCode::DanglingImport));
         assert!(c.contains(&HvCode::SelfImport));
@@ -205,7 +210,7 @@ mod tests {
                 .with_target(DeviceClassSpec::numbered(class_ids::GPU))
                 .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         ];
-        let (diags, _) = run(&odfs, &table());
+        let (diags, _) = check(&odfs);
         let for_odf = |name: &str| {
             diags
                 .iter()
@@ -230,7 +235,7 @@ mod tests {
             OdfDocument::new("peer-2", Guid(2))
                 .with_target(DeviceClassSpec::numbered(class_ids::NETWORK)),
         ];
-        let (diags, work) = run(&odfs, &table());
+        let (diags, work) = check(&odfs);
         assert!(diags.is_empty(), "{diags:?}");
         assert!(work > 0);
     }

@@ -14,26 +14,24 @@
 //!   empty `b` clears `a`.
 //! - `Link` — no placement coupling.
 
-use std::collections::BTreeSet;
-
 use hydra_odf::odf::ConstraintKind;
 
+use crate::index::DeviceSets;
 use crate::input::{EdgeView, GraphView};
 
 /// The fixpoint result: per-node sets of still-feasible non-host devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Precheck {
-    /// `feasible[n]` — non-host device indices node `n` may still use.
-    pub feasible: Vec<BTreeSet<usize>>,
+    /// Node `n`'s set: the non-host devices it may still use.
+    pub feasible: DeviceSets,
     /// Fixpoint iterations (for pass accounting).
     pub rounds: u64,
 }
 
 impl Precheck {
     /// Runs the narrowing fixpoint over the graph view.
-    pub fn narrow(view: &GraphView) -> Self {
-        let compat = view.nodes.iter().map(|n| n.compat.as_slice());
-        Self::over(compat, view.edges.iter().copied())
+    pub fn narrow(view: &GraphView<'_>) -> Self {
+        Self::fixpoint(view.compat.clone(), view.edges.iter().copied())
     }
 
     /// Runs the narrowing fixpoint over each node's compatibility vector
@@ -44,12 +42,10 @@ impl Precheck {
         compat: impl Iterator<Item = &'a [bool]>,
         edges: impl Iterator<Item = EdgeView> + Clone,
     ) -> Self {
-        let mut feasible: Vec<BTreeSet<usize>> = compat
-            .map(|c| {
-                let offload = c.iter().enumerate().skip(1);
-                offload.filter_map(|(k, &ok)| ok.then_some(k)).collect()
-            })
-            .collect();
+        Self::fixpoint(DeviceSets::from_rows(compat), edges)
+    }
+
+    fn fixpoint(mut feasible: DeviceSets, edges: impl Iterator<Item = EdgeView> + Clone) -> Self {
         let mut rounds = 0;
         loop {
             rounds += 1;
@@ -57,33 +53,20 @@ impl Precheck {
             for e in edges.clone() {
                 match e.kind {
                     ConstraintKind::Link => {}
-                    ConstraintKind::Pull => {
-                        let inter: BTreeSet<usize> = feasible[e.from]
-                            .intersection(&feasible[e.to])
-                            .copied()
-                            .collect();
-                        if feasible[e.from] != inter {
-                            feasible[e.from].clone_from(&inter);
-                            changed = true;
-                        }
-                        if feasible[e.to] != inter {
-                            feasible[e.to] = inter;
-                            changed = true;
-                        }
-                    }
+                    ConstraintKind::Pull => changed |= feasible.intersect_both(e.from, e.to),
                     ConstraintKind::Gang => {
-                        if feasible[e.from].is_empty() && !feasible[e.to].is_empty() {
-                            feasible[e.to].clear();
+                        if feasible.is_empty(e.from) && !feasible.is_empty(e.to) {
+                            feasible.clear(e.to);
                             changed = true;
                         }
-                        if feasible[e.to].is_empty() && !feasible[e.from].is_empty() {
-                            feasible[e.from].clear();
+                        if feasible.is_empty(e.to) && !feasible.is_empty(e.from) {
+                            feasible.clear(e.from);
                             changed = true;
                         }
                     }
                     ConstraintKind::AsymGang => {
-                        if feasible[e.to].is_empty() && !feasible[e.from].is_empty() {
-                            feasible[e.from].clear();
+                        if feasible.is_empty(e.to) && !feasible.is_empty(e.from) {
+                            feasible.clear(e.from);
                             changed = true;
                         }
                     }
@@ -100,30 +83,30 @@ impl Precheck {
     /// placement is provably the only feasible one and an ILP solve is
     /// pointless. Vacuously `true` for an empty graph.
     pub fn host_only(&self) -> bool {
-        self.feasible.iter().all(BTreeSet::is_empty)
+        self.feasible.all_empty()
     }
 
     /// Whether node `n` *had* offload options before narrowing but lost
     /// them all to constraint propagation.
-    pub fn forced_host(&self, view: &GraphView, n: usize) -> bool {
-        self.feasible[n].is_empty() && !view.offload_options(n).is_empty()
+    pub fn forced_host(&self, view: &GraphView<'_>, n: usize) -> bool {
+        self.feasible.is_empty(n) && !view.compat.is_empty(n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::NodeView;
+    use crate::input::{test_view, NodeView};
     use hydra_odf::odf::Guid;
 
-    fn node(name: &str, compat: &[bool]) -> NodeView {
-        NodeView {
+    fn node<'a>(name: &'a str, compat: &'a [bool]) -> (NodeView<'a>, &'a [bool]) {
+        let node = NodeView {
             guid: Guid(name.len() as u64),
-            bind_name: name.into(),
-            compat: compat.to_vec(),
+            bind_name: name,
             demand: 1024,
             traffic: None,
-        }
+        };
+        (node, compat)
     }
 
     fn edge(from: usize, to: usize, kind: ConstraintKind) -> EdgeView {
@@ -132,13 +115,13 @@ mod tests {
 
     #[test]
     fn pull_intersects_both_sides() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true, false]),
                 node("b", &[true, false, true]),
             ],
-            edges: vec![edge(0, 1, ConstraintKind::Pull)],
-        };
+            vec![edge(0, 1, ConstraintKind::Pull)],
+        );
         let pre = Precheck::narrow(&view);
         assert!(pre.host_only(), "disjoint pull narrows both to empty");
         assert!(pre.forced_host(&view, 0));
@@ -147,13 +130,13 @@ mod tests {
 
     #[test]
     fn gang_clears_peer_of_host_only_node() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, false, false]),
                 node("b", &[true, false, true]),
             ],
-            edges: vec![edge(0, 1, ConstraintKind::Gang)],
-        };
+            vec![edge(0, 1, ConstraintKind::Gang)],
+        );
         let pre = Precheck::narrow(&view);
         assert!(pre.host_only());
         assert!(!pre.forced_host(&view, 0), "a never had options");
@@ -163,38 +146,41 @@ mod tests {
     #[test]
     fn asym_gang_is_one_directional() {
         // a --AsymGang--> b with b host-only clears a...
-        let forward = GraphView {
-            nodes: vec![
+        let forward = test_view(
+            vec![
                 node("a", &[true, false, true]),
                 node("b", &[true, false, false]),
             ],
-            edges: vec![edge(0, 1, ConstraintKind::AsymGang)],
-        };
+            vec![edge(0, 1, ConstraintKind::AsymGang)],
+        );
         assert!(Precheck::narrow(&forward).host_only());
         // ...but b --AsymGang--> a leaves a free to offload.
-        let backward = GraphView {
-            edges: vec![edge(1, 0, ConstraintKind::AsymGang)],
-            ..forward
-        };
+        let backward = test_view(
+            vec![
+                node("a", &[true, false, true]),
+                node("b", &[true, false, false]),
+            ],
+            vec![edge(1, 0, ConstraintKind::AsymGang)],
+        );
         let pre = Precheck::narrow(&backward);
         assert!(!pre.host_only());
-        assert_eq!(pre.feasible[0].len(), 1);
+        assert_eq!(pre.feasible.len(0), 1);
     }
 
     #[test]
     fn propagation_chains_to_fixpoint() {
         // c is host-only; Gang(b, c) clears b; Pull(a, b) then clears a.
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true, true]),
                 node("b", &[true, true, true]),
                 node("c", &[true, false, false]),
             ],
-            edges: vec![
+            vec![
                 edge(0, 1, ConstraintKind::Pull),
                 edge(1, 2, ConstraintKind::Gang),
             ],
-        };
+        );
         let pre = Precheck::narrow(&view);
         assert!(pre.host_only());
         assert!(pre.rounds >= 2);
@@ -202,16 +188,16 @@ mod tests {
 
     #[test]
     fn unconstrained_nodes_keep_their_options() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", &[true, true, false]),
                 node("b", &[true, false, true]),
             ],
-            edges: vec![edge(0, 1, ConstraintKind::Link)],
-        };
+            vec![edge(0, 1, ConstraintKind::Link)],
+        );
         let pre = Precheck::narrow(&view);
         assert!(!pre.host_only());
-        assert_eq!(pre.feasible[0], BTreeSet::from([1]));
-        assert_eq!(pre.feasible[1], BTreeSet::from([2]));
+        assert_eq!(pre.feasible.iter(0).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(pre.feasible.iter(1).collect::<Vec<_>>(), vec![2]);
     }
 }

@@ -20,105 +20,76 @@
 //!   warning;
 //! - both host-only → the host dispatch loop serializes them; clean.
 
-use std::collections::BTreeSet;
-
-use crate::channels::adjacency;
 use crate::diag::{Diagnostic, HvCode, Loc};
 use crate::input::GraphView;
 use crate::precheck::Precheck;
 
 /// Runs the ring-race pass; returns (diagnostics, work units).
-pub(crate) fn run(view: &GraphView, pre: &Precheck) -> (Vec<Diagnostic>, u64) {
+pub(crate) fn run(view: &GraphView<'_>, pre: &Precheck) -> (Vec<Diagnostic>, u64) {
     let n = view.nodes.len();
-    let adj = adjacency(view);
     let mut work = (n + view.edges.len()) as u64;
-
-    // reach[a] — every node reachable from a along import edges.
-    let mut reach: Vec<Vec<bool>> = Vec::with_capacity(n);
-    for a in 0..n {
-        let mut seen = vec![false; n];
-        let mut stack = vec![a];
-        seen[a] = true;
-        while let Some(v) = stack.pop() {
-            for &w in &adj[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        reach.push(seen);
-    }
-
-    // The placement set race analysis reasons over: the narrowed feasible
-    // devices, or the host when narrowing left nothing.
-    let placements = |x: usize| -> BTreeSet<usize> {
-        if pre.feasible[x].is_empty() {
-            BTreeSet::from([0])
-        } else {
-            pre.feasible[x].clone()
-        }
-    };
+    let mut reach = Reach::new(view);
+    let feasible = &pre.feasible;
 
     let mut diags = Vec::new();
     for j in 0..n {
-        let writers: BTreeSet<usize> = view
-            .edges
-            .iter()
-            .filter(|e| e.to == j)
-            .map(|e| e.from)
-            .collect();
-        if writers.len() < 2 {
-            continue;
-        }
-        let ws: Vec<usize> = writers.into_iter().collect();
-        for (i, &a) in ws.iter().enumerate() {
-            for &b in &ws[i + 1..] {
+        // The distinct writers: `importers` is sorted, so repeats are
+        // adjacent.
+        let inbound = view.importers(j);
+        let writers = || {
+            inbound
+                .iter()
+                .enumerate()
+                .filter(|&(i, w)| i == 0 || inbound[i - 1] != *w)
+                .map(|(_, &w)| w)
+        };
+        for (i, a) in writers().enumerate() {
+            for b in writers().skip(i + 1) {
                 work += 1;
-                if reach[a][b] || reach[b][a] {
+                if reach.reaches(a, b) || reach.reaches(b, a) {
                     continue; // ordered: one transitively waits on the other
                 }
-                let pa = placements(a);
-                let pb = placements(b);
+                // The placement set race analysis reasons over: the
+                // narrowed feasible devices, or the host when narrowing
+                // left nothing.
+                let pinned = if feasible.is_empty(a) || feasible.is_empty(b) {
+                    (feasible.is_empty(a) && feasible.is_empty(b)).then_some(0)
+                } else {
+                    let single = feasible.same(a, b) && feasible.len(a) == 1;
+                    single.then(|| feasible.iter(a).next().expect("len checked"))
+                };
+                if pinned == Some(0) {
+                    continue; // host dispatch serializes the posts
+                }
                 let loc = Loc::Node {
                     index: j,
-                    bind_name: view.nodes[j].bind_name.clone(),
+                    bind_name: view.nodes[j].bind_name.to_owned(),
                 };
                 let pair = format!(
                     "{} and {}",
                     view.nodes[a].bind_name, view.nodes[b].bind_name
                 );
-                if pa == pb && pa.len() == 1 {
-                    let only = *pa.iter().next().expect("len checked");
-                    if only == 0 {
-                        continue; // host dispatch serializes the posts
-                    }
-                    diags.push(
-                        Diagnostic::new(
-                            HvCode::MigrationAliasRace,
-                            loc,
-                            format!(
-                                "unordered writers {pair} share this ring; both pin to \
-                                 device {only}, but a migration transient can alias the \
-                                 live endpoint"
-                            ),
-                        )
-                        .for_subject(view.nodes[j].guid),
-                    );
-                } else {
-                    diags.push(
-                        Diagnostic::new(
-                            HvCode::RingWriteRace,
-                            loc,
-                            format!(
-                                "unordered writers {pair} post to this ring from \
-                                 placements that can differ: descriptor interleaving \
-                                 is possible"
-                            ),
-                        )
-                        .for_subject(view.nodes[j].guid),
-                    );
-                }
+                let diag = match pinned {
+                    Some(only) => Diagnostic::new(
+                        HvCode::MigrationAliasRace,
+                        loc,
+                        format!(
+                            "unordered writers {pair} share this ring; both pin to \
+                             device {only}, but a migration transient can alias the \
+                             live endpoint"
+                        ),
+                    ),
+                    None => Diagnostic::new(
+                        HvCode::RingWriteRace,
+                        loc,
+                        format!(
+                            "unordered writers {pair} post to this ring from \
+                             placements that can differ: descriptor interleaving \
+                             is possible"
+                        ),
+                    ),
+                };
+                diags.push(diag.for_subject(view.nodes[j].guid));
             }
         }
     }
@@ -126,20 +97,62 @@ pub(crate) fn run(view: &GraphView, pre: &Precheck) -> (Vec<Diagnostic>, u64) {
     (diags, work)
 }
 
+/// Reachability along import edges, one row per source node, each
+/// computed the first time a writer pair asks for it. A deployment
+/// whose rings all have one writer asks for none.
+struct Reach<'v, 'a> {
+    view: &'v GraphView<'a>,
+    /// `rows[a]`: every node reachable from `a` (itself included).
+    rows: Vec<Option<Vec<bool>>>,
+}
+
+impl<'v, 'a> Reach<'v, 'a> {
+    fn new(view: &'v GraphView<'a>) -> Self {
+        Reach {
+            view,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Whether `b` is reachable from `a`.
+    fn reaches(&mut self, a: usize, b: usize) -> bool {
+        let n = self.view.nodes.len();
+        if self.rows.is_empty() {
+            self.rows.resize(n, None);
+        }
+        let view = self.view;
+        let row = self.rows[a].get_or_insert_with(|| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![a];
+            seen[a] = true;
+            while let Some(v) = stack.pop() {
+                for &w in view.successors(v) {
+                    if !seen[w] {
+                        seen[w] = true;
+                        stack.push(w);
+                    }
+                }
+            }
+            seen
+        });
+        row[b]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{EdgeView, NodeView};
+    use crate::input::{test_view, EdgeView, NodeView};
     use hydra_odf::odf::{ConstraintKind, Guid};
 
-    fn node(name: &str, guid: u64, compat: &[bool]) -> NodeView {
-        NodeView {
+    fn node<'a>(name: &'a str, guid: u64, compat: &'a [bool]) -> (NodeView<'a>, &'a [bool]) {
+        let node = NodeView {
             guid: Guid(guid),
-            bind_name: name.into(),
-            compat: compat.to_vec(),
+            bind_name: name,
             demand: 1024,
             traffic: None,
-        }
+        };
+        (node, compat)
     }
 
     fn edge(from: usize, to: usize) -> EdgeView {
@@ -158,14 +171,14 @@ mod tests {
     #[test]
     fn differing_placements_fire_hv050() {
         // a can run on device 1, b on device 2, both post to sink.
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, &[true, true, false]),
                 node("b", 2, &[true, false, true]),
                 node("sink", 3, &[true, true, true]),
             ],
-            edges: vec![edge(0, 2), edge(1, 2)],
-        };
+            vec![edge(0, 2), edge(1, 2)],
+        );
         let diags = run_race(&view);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, HvCode::RingWriteRace);
@@ -175,27 +188,27 @@ mod tests {
     #[test]
     fn ordering_edge_serializes_the_pair() {
         // a -> b -> sink and a -> sink: a waits on b transitively.
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, &[true, true, false]),
                 node("b", 2, &[true, false, true]),
                 node("sink", 3, &[true, true, true]),
             ],
-            edges: vec![edge(0, 1), edge(1, 2), edge(0, 2)],
-        };
+            vec![edge(0, 1), edge(1, 2), edge(0, 2)],
+        );
         assert!(run_race(&view).is_empty());
     }
 
     #[test]
     fn same_device_pin_downgrades_to_hv051() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, &[true, true]),
                 node("b", 2, &[true, true]),
                 node("sink", 3, &[true, true]),
             ],
-            edges: vec![edge(0, 2), edge(1, 2)],
-        };
+            vec![edge(0, 2), edge(1, 2)],
+        );
         let diags = run_race(&view);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, HvCode::MigrationAliasRace);
@@ -203,14 +216,14 @@ mod tests {
 
     #[test]
     fn host_only_writers_are_clean() {
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, &[true]),
                 node("b", 2, &[true]),
                 node("sink", 3, &[true]),
             ],
-            edges: vec![edge(0, 2), edge(1, 2)],
-        };
+            vec![edge(0, 2), edge(1, 2)],
+        );
         assert!(run_race(&view).is_empty());
     }
 
@@ -218,14 +231,14 @@ mod tests {
     fn shared_multi_device_set_is_still_a_race() {
         // Both writers could go to either device — the solver may split
         // them, so the pair races.
-        let view = GraphView {
-            nodes: vec![
+        let view = test_view(
+            vec![
                 node("a", 1, &[true, true, true]),
                 node("b", 2, &[true, true, true]),
                 node("sink", 3, &[true, true, true]),
             ],
-            edges: vec![edge(0, 2), edge(1, 2)],
-        };
+            vec![edge(0, 2), edge(1, 2)],
+        );
         let diags = run_race(&view);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, HvCode::RingWriteRace);
