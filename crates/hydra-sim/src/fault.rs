@@ -318,7 +318,10 @@ fn parse_duration(token: &str) -> Result<SimDuration, String> {
     let value: u64 = digits
         .parse()
         .map_err(|_| format!("bad duration {token:?}"))?;
-    Ok(SimDuration::from_nanos(value.saturating_mul(mult)))
+    let nanos = value
+        .checked_mul(mult)
+        .ok_or_else(|| format!("duration {token:?} overflows u64 nanoseconds"))?;
+    Ok(SimDuration::from_nanos(nanos))
 }
 
 fn render_duration(d: SimDuration) -> String {
@@ -489,6 +492,26 @@ mod tests {
         let err = FaultPlan::parse("at 1m device 2 crash\n").unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("suffix"), "{}", err.message);
+    }
+
+    #[test]
+    fn overflowing_durations_are_rejected() {
+        for text in [
+            "seed 1\nat 20000000000s device 1 crash\n",
+            "seed 1\nat 1ms device 1 stall 18446744073709552ms\n",
+            "seed 1\nat 18446744073709552us device 1 crash\n",
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains("overflows"), "{}", err.message);
+        }
+        // The largest representable durations still parse.
+        let plan = FaultPlan::parse("at 18446744073s device 1 stall 18446744073709ms\n")
+            .expect("in range");
+        assert_eq!(
+            plan.events()[0].at,
+            SimTime::from_millis(18_446_744_073_000)
+        );
     }
 
     #[test]
