@@ -15,7 +15,7 @@ pub struct DeviceSets {
 
 impl DeviceSets {
     /// `nodes` empty sets over a table of `devices` entries.
-    pub fn new(nodes: usize, devices: usize) -> Self {
+    pub(crate) fn new(nodes: usize, devices: usize) -> Self {
         let words = devices.div_ceil(64);
         DeviceSets {
             nodes,
@@ -26,7 +26,7 @@ impl DeviceSets {
 
     /// One set per compatibility vector (`row[k]`: may the node run on
     /// device `k`?), without the host entry at index 0.
-    pub fn from_rows<'a>(rows: impl Iterator<Item = &'a [bool]>) -> Self {
+    pub(crate) fn from_rows<'a>(rows: impl Iterator<Item = &'a [bool]>) -> Self {
         let mut sets = DeviceSets::default();
         for row in rows {
             let words = row.len().div_ceil(64);
@@ -67,7 +67,7 @@ impl DeviceSets {
     }
 
     /// Adds device `k` to node `n`'s set.
-    pub fn insert(&mut self, n: usize, k: usize) {
+    pub(crate) fn insert(&mut self, n: usize, k: usize) {
         self.row_mut(n)[k / 64] |= 1 << (k % 64);
     }
 
@@ -84,7 +84,7 @@ impl DeviceSets {
     }
 
     /// Whether every set is empty (vacuously so with no nodes).
-    pub fn all_empty(&self) -> bool {
+    pub(crate) fn all_empty(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
     }
 
@@ -108,12 +108,12 @@ impl DeviceSets {
     }
 
     /// Whether node `a`'s set equals node `b`'s.
-    pub fn same(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn same(&self, a: usize, b: usize) -> bool {
         self.row(a) == self.row(b)
     }
 
     /// Whether nodes `a` and `b` share a device.
-    pub fn intersects(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn intersects(&self, a: usize, b: usize) -> bool {
         self.row(a).iter().zip(self.row(b)).any(|(x, y)| x & y != 0)
     }
 

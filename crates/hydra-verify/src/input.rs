@@ -136,13 +136,8 @@ pub struct GraphView<'a> {
 }
 
 impl<'a> GraphView<'a> {
-    /// Indexes `nodes`, their compatible device sets (one per node) and
-    /// `edges`.
-    pub fn new(nodes: Vec<NodeView<'a>>, compat: DeviceSets, edges: Vec<EdgeView>) -> Self {
-        let by_guid = guid_index(&nodes);
-        GraphView::indexed(nodes, compat, edges, by_guid)
-    }
-
+    /// Indexes `nodes`, their compatible device sets (one per node),
+    /// `edges`, and the GUID map built from `nodes`.
     fn indexed(
         nodes: Vec<NodeView<'a>>,
         compat: DeviceSets,
@@ -218,24 +213,27 @@ impl<'a> GraphView<'a> {
     }
 
     /// The first node with `guid`, if any.
-    pub fn node(&self, guid: Guid) -> Option<usize> {
+    pub(crate) fn node(&self, guid: Guid) -> Option<usize> {
         lookup(&self.by_guid, guid)
     }
 
     /// Node `v`'s successors: the distinct nodes it imports, ascending.
-    pub fn successors(&self, v: usize) -> &[usize] {
+    pub(crate) fn successors(&self, v: usize) -> &[usize] {
         self.out.of(v)
     }
 
     /// Node `v`'s importers, ascending, once per edge into `v`: a node
     /// that imports `v` twice appears twice.
-    pub fn importers(&self, v: usize) -> &[usize] {
+    pub(crate) fn importers(&self, v: usize) -> &[usize] {
         self.into.of(v)
     }
 
     /// The deployment roots' node indices, ascending: the nodes whose
     /// GUID is in `roots`, or, with `None`, the nodes nothing imports.
-    pub fn roots<'r>(&'r self, roots: Option<&'r [Guid]>) -> impl Iterator<Item = usize> + 'r {
+    pub(crate) fn roots<'r>(
+        &'r self,
+        roots: Option<&'r [Guid]>,
+    ) -> impl Iterator<Item = usize> + 'r {
         (0..self.nodes.len()).filter(move |&n| match roots {
             Some(guids) => guids.contains(&self.nodes[n].guid),
             None => self.importers(n).is_empty(),
@@ -266,7 +264,9 @@ pub(crate) fn test_view<'a>(
     edges: Vec<EdgeView>,
 ) -> GraphView<'a> {
     let compat = DeviceSets::from_rows(nodes.iter().map(|&(_, c)| c));
-    GraphView::new(nodes.into_iter().map(|(n, _)| n).collect(), compat, edges)
+    let nodes: Vec<NodeView<'a>> = nodes.into_iter().map(|(n, _)| n).collect();
+    let by_guid = guid_index(&nodes);
+    GraphView::indexed(nodes, compat, edges, by_guid)
 }
 
 #[cfg(test)]

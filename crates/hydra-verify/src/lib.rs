@@ -47,7 +47,6 @@ use hydra_odf::odf::{Guid, OdfDocument};
 
 pub use diag::{Diagnostic, HvCode, Loc, PassStat, Report, Severity};
 pub use flow::{Certificate, ChainBound, ChannelBound, DeviceBound, FaultOverlay};
-pub use index::DeviceSets;
 pub use input::{DeviceInfo, DeviceTable, GraphView};
 pub use precheck::Precheck;
 pub use service::{ServiceModel, ServiceTable};
