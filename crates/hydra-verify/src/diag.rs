@@ -327,7 +327,8 @@ impl fmt::Display for Diagnostic {
 /// Per-pass accounting, surfaced into `hydra-obs` by the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStat {
-    /// The pass name (`manifest`, `constraints`, `capacity`, `channels`).
+    /// The pass name (`manifest`, `constraints`, `capacity`, `channels`,
+    /// `flow`, `rings`).
     pub name: &'static str,
     /// Diagnostics the pass emitted.
     pub diagnostics: usize,

@@ -3,7 +3,8 @@
 //! `hydra-verify` analyses a set of ODF manifests plus a device table
 //! *before* anything is linked or offloaded, and reports findings as
 //! stable `HVxxx` diagnostics (see [`diag::HvCode`] for the catalog).
-//! Four passes run in a fixed order:
+//! Six passes run in a fixed order; [`verify`] runs the first four, the
+//! structural ones, and [`certify`] all six:
 //!
 //! 1. **manifest** — GUID/bind-name collisions, dangling/self/duplicate
 //!    imports, target sets no installed device satisfies;
@@ -13,15 +14,24 @@
 //! 3. **capacity** — worst-case memory demand per device vs the device
 //!    table (overcommit the greedy resolver would silently absorb);
 //! 4. **channels** — the synchronous wait-for graph: static deadlock
-//!    cycles and Offcodes unreachable from any deployment root.
+//!    cycles and Offcodes unreachable from any deployment root;
+//! 5. **flow** — arrival/service-curve propagation into per-ring queue
+//!    and latency bounds, per-chain latency and per-device utilization
+//!    (the [`Certificate`]);
+//! 6. **rings** — unordered writers sharing a descriptor ring.
 //!
 //! The crate sits *below* `hydra-core` so the runtime can call
 //! [`verify`] as a pre-flight gate; it therefore works on structural
 //! mirrors ([`input::DeviceTable`], [`input::GraphView`]) rather than
-//! runtime types. [`precheck::Precheck`] — a sound narrowing fixpoint
-//! over feasible device sets — doubles as the ILP infeasibility
-//! pre-check: when it proves the all-host placement is the only feasible
-//! one, the branch-and-bound solve is skipped entirely.
+//! runtime types. [`structural`] builds one [`input::GraphView`] per
+//! deployment and every pass reads it: a GUID→node map, sorted
+//! successor and importer lists, and per-node compatible device sets as
+//! bitsets ([`index::DeviceSets`]). A pass builds a location, a name or a
+//! message only for a finding it emits, so a clean deployment allocates
+//! little beyond the index and the certificate. [`precheck::Precheck`] —
+//! a sound narrowing fixpoint over feasible device sets — doubles as the
+//! ILP infeasibility pre-check: when it proves the all-host placement is
+//! the only feasible one, the branch-and-bound solve is skipped entirely.
 //!
 //! Output is deterministic end to end: diagnostics are sorted and
 //! deduplicated, and [`diag::Report::to_json`] renders byte-identical
