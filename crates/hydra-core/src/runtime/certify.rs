@@ -50,15 +50,15 @@ pub(super) struct GateOutcome {
 }
 
 impl GateOutcome {
-    /// The outcome of `report`, keeping its pass statistics.
-    fn of(report: &Report, passes: Vec<PassStat>) -> Self {
+    /// The outcome of `report`.
+    fn of(report: &Report) -> Self {
         let errors = report.count(Severity::Error);
         let rendered_errors = (errors > 0).then(|| {
             let rendered: Vec<String> = report.errors().map(ToString::to_string).collect();
             rendered.join("; ")
         });
         GateOutcome {
-            passes,
+            passes: report.passes.clone(),
             errors,
             warnings: report.count(Severity::Warning),
             rendered_errors,
@@ -149,9 +149,7 @@ impl Runtime {
     ) -> Result<(), RuntimeError> {
         let outcome = certified.unwrap_or_else(|| {
             self.with_verify_input(root, order, odfs, |input| {
-                let mut report = hydra_verify::verify(&input);
-                let passes = std::mem::take(&mut report.passes);
-                GateOutcome::of(&report, passes)
+                GateOutcome::of(&hydra_verify::verify(&input))
             })
         });
         self.record_verify_report(root, now, &outcome.passes, outcome.errors, outcome.warnings);
@@ -211,7 +209,7 @@ impl Runtime {
         let services = self.executive.service_table();
         let (cert, outcome) = self.with_verify_input(guid, &order, &odfs, |verify| {
             let structural = hydra_verify::structural(&verify);
-            let outcome = GateOutcome::of(&structural.report, structural.report.passes.clone());
+            let outcome = GateOutcome::of(&structural.report);
             let input = CertifyInput {
                 verify,
                 services: &services,

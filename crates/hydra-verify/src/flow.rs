@@ -271,12 +271,7 @@ pub(crate) fn run(
         if inbound.is_empty() {
             continue;
         }
-        // `inbound` is sorted, so each distinct writer starts a run.
-        let writers = inbound
-            .iter()
-            .enumerate()
-            .filter(|&(i, w)| i == 0 || inbound[i - 1] != *w)
-            .count() as u64;
+        let writers = view.writers(j).count() as u64;
         let mut agg_rate: u64 = 0;
         let mut burst_sum: u64 = 0;
         let mut max_bytes: u64 = 0;

@@ -125,7 +125,7 @@ pub struct GraphView<'a> {
     pub nodes: Vec<NodeView<'a>>,
     /// The constraint edges.
     pub edges: Vec<EdgeView>,
-    /// `compat`'s set for node `n`: the non-host devices it may run on.
+    /// Node `n`'s set: the non-host devices it may run on.
     pub compat: DeviceSets,
     /// `(guid, node)` for the first node with each GUID, sorted by GUID.
     by_guid: Vec<(Guid, usize)>,
@@ -226,6 +226,14 @@ impl<'a> GraphView<'a> {
     /// that imports `v` twice appears twice.
     pub(crate) fn importers(&self, v: usize) -> &[usize] {
         self.into.of(v)
+    }
+
+    /// Node `v`'s distinct importers, ascending: the writers of the
+    /// ring it serves.
+    pub(crate) fn writers(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let all = self.importers(v);
+        let first = |&(i, w): &(usize, &usize)| i == 0 || all[i - 1] != *w;
+        all.iter().enumerate().filter(first).map(|(_, &w)| w)
     }
 
     /// The deployment roots' node indices, ascending: the nodes whose

@@ -33,18 +33,8 @@ pub(crate) fn run(view: &GraphView<'_>, pre: &Precheck) -> (Vec<Diagnostic>, u64
 
     let mut diags = Vec::new();
     for j in 0..n {
-        // The distinct writers: `importers` is sorted, so repeats are
-        // adjacent.
-        let inbound = view.importers(j);
-        let writers = || {
-            inbound
-                .iter()
-                .enumerate()
-                .filter(|&(i, w)| i == 0 || inbound[i - 1] != *w)
-                .map(|(_, &w)| w)
-        };
-        for (i, a) in writers().enumerate() {
-            for b in writers().skip(i + 1) {
+        for (i, a) in view.writers(j).enumerate() {
+            for b in view.writers(j).skip(i + 1) {
                 work += 1;
                 if reach.reaches(a, b) || reach.reaches(b, a) {
                     continue; // ordered: one transitively waits on the other
