@@ -34,7 +34,7 @@ pub struct CertifyResult {
     pub certification: Certification,
 }
 
-fn certify_odfs(
+pub(crate) fn certify_odfs(
     odfs: &[hydra_odf::odf::OdfDocument],
     overlay: Option<&hydra_verify::FaultOverlay>,
 ) -> Certification {

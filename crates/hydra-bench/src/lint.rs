@@ -106,7 +106,7 @@ pub(crate) fn check_deployment_file<T>(
     check: impl FnOnce(&[OdfDocument]) -> T,
     report: impl FnOnce(&mut T) -> &mut Report,
 ) -> T {
-    let (odfs, parse_diags) = match fs::read_to_string(path) {
+    let parsed = match fs::read_to_string(path) {
         Ok(text) => parse_deployment_file(&text),
         Err(e) => (
             Vec::new(),
@@ -117,6 +117,16 @@ pub(crate) fn check_deployment_file<T>(
             )],
         ),
     };
+    check_parsed(parsed, check, report)
+}
+
+/// Runs `check` on the ODFs that parsed and folds the parse diagnostics
+/// into its report (reached through `report`) as a `parse` pass.
+fn check_parsed<T>(
+    (odfs, parse_diags): (Vec<OdfDocument>, Vec<Diagnostic>),
+    check: impl FnOnce(&[OdfDocument]) -> T,
+    report: impl FnOnce(&mut T) -> &mut Report,
+) -> T {
     let mut checked = check(&odfs);
     if !parse_diags.is_empty() {
         report(&mut checked).absorb("parse", 1, parse_diags);
@@ -207,6 +217,8 @@ pub fn render_human(results: &[LintResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::{self, certify_odfs, CertifyResult};
+    use proptest::prelude::*;
 
     #[test]
     fn builtin_deployments_are_clean() {
@@ -347,6 +359,95 @@ mod tests {
             assert!(odfs.is_empty());
             assert_eq!(diags, [hv009(Loc::Set, message)]);
             assert_eq!(diags[0].code.code(), "HV009");
+        }
+    }
+
+    /// The deployments under `fixtures/` and `fixtures/certify/`.
+    fn fixture_deployments() -> Vec<String> {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures");
+        let mut texts = Vec::new();
+        for dir in [root.to_owned(), format!("{root}/certify")] {
+            let mut paths: Vec<_> = fs::read_dir(&dir)
+                .expect("fixtures directory")
+                .map(|entry| entry.expect("fixture entry").path())
+                .filter(|path| path.extension().is_some_and(|e| e == "xml"))
+                .collect();
+            paths.sort();
+            texts.extend(
+                paths
+                    .iter()
+                    .map(|p| fs::read_to_string(p).expect("fixture reads")),
+            );
+        }
+        texts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// A byte-mutated fixture goes through the `lint` and `certify`
+        /// file paths, parse to rendered JSON, without a panic, and each
+        /// document that fails to parse is one `HV009` in both reports
+        /// and reaches their JSON.
+        #[test]
+        fn mutated_deployment_files_never_panic_and_fail_as_hv009(
+            which in any::<usize>(),
+            in_number in any::<bool>(),
+            positions in proptest::collection::vec(any::<usize>(), 1..4),
+            len in 0usize..12,
+            junk in prop_oneof!["[<>/=&;#x!?\"' a-c\n-]{0,6}", "[0-9a-cx-]{1,3}"],
+        ) {
+            let fixtures = fixture_deployments();
+            prop_assert!(fixtures.len() >= 6, "fixtures found: {}", fixtures.len());
+            let mut bytes = fixtures[which % fixtures.len()].clone().into_bytes();
+            // Replace `len` bytes with `junk` at each position or, one time
+            // in two, a digit of a number, which more often keeps the XML
+            // whole and breaks an ODF instead.
+            for at in positions {
+                let (at, len) = if in_number {
+                    let digits: Vec<usize> =
+                        (0..bytes.len()).filter(|&i| bytes[i].is_ascii_digit()).collect();
+                    (digits[at % digits.len()], 1)
+                } else {
+                    (at % (bytes.len() + 1), len)
+                };
+                let end = (at + len).min(bytes.len());
+                bytes.splice(at..end, junk.bytes());
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let failures = match DeploymentFile::parse(&text) {
+                Err(_) => 1,
+                Ok(DeploymentFile::Single(odf)) => usize::from(odf.is_err()),
+                Ok(DeploymentFile::Wrapped(odfs)) if odfs.is_empty() => 1,
+                Ok(DeploymentFile::Wrapped(odfs)) => odfs.iter().filter(|o| o.is_err()).count(),
+            };
+            let lint = check_parsed(parse_deployment_file(&text), verify_set, |r| r);
+            let certified = check_parsed(
+                parse_deployment_file(&text),
+                |odfs| certify_odfs(odfs, None),
+                |c| &mut c.report,
+            );
+            for report in [&lint, &certified.report] {
+                let hv009 = report
+                    .diagnostics
+                    .iter()
+                    .filter(|d| d.code == HvCode::ParseError)
+                    .count();
+                prop_assert_eq!(hv009, failures, "{}", text);
+            }
+            let rendered = [
+                render_json(&[LintResult {
+                    name: "mutated".into(),
+                    report: lint,
+                }]),
+                certify::render_json(&[CertifyResult {
+                    name: "mutated".into(),
+                    certification: certified,
+                }]),
+            ];
+            for json in rendered {
+                prop_assert_eq!(json.contains("\"code\":\"HV009\""), failures > 0);
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use crate::xml::{self, take_attr, Attribute, Element, Node, Raw, Sink, XmlError};
+use crate::xml::{self, take_attr, Attribute, Raw, Sink, XmlError};
 
 /// A globally unique identifier for Offcodes and interfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -317,112 +317,80 @@ impl OdfDocument {
         reader.finish()
     }
 
-    /// Serializes back to ODF XML. The output re-parses to an equal
-    /// document (round-trip property).
+    /// Serializes back to ODF XML, indented two spaces per level.
+    ///
+    /// [`OdfDocument::parse`] reads the output back as an equal document
+    /// for every document it returns. A document built by hand reads
+    /// back equal only if:
+    /// - its bind name is not empty (an empty one reads back as
+    ///   [`OdfError::Missing`]);
+    /// - no bind name, include, file or device-class field starts or
+    ///   ends with whitespace, and no include or file starts or ends
+    ///   with `"` (the reader strips them);
+    /// - its traffic burst is not 0 (the reader reads 0 as 1).
     pub fn to_xml(&self) -> String {
-        let text_el = |name: &str, text: &str| Element {
-            name: name.into(),
-            attributes: vec![],
-            children: vec![Node::Text(text.into())],
-        };
-        let mut package_children = vec![
-            Node::Element(text_el("bindname", &self.bind_name)),
-            Node::Element(text_el("GUID", &self.guid.0.to_string())),
-        ];
+        let mut w = xml::Writer::default();
+        w.open("offcode", &[]);
+        w.open("package", &[]);
+        w.leaf("bindname", &self.bind_name);
+        w.leaf("GUID", &self.guid.0.to_string());
         if let Some(fp) = self.footprint {
-            package_children.push(Node::Element(text_el("footprint", &fp.to_string())));
+            w.leaf("footprint", &fp.to_string());
         }
         if !self.interfaces.is_empty() {
-            package_children.push(Node::Element(Element {
-                name: "interface".into(),
-                attributes: vec![],
-                children: self
-                    .interfaces
-                    .iter()
-                    .map(|i| Node::Element(text_el("include", i)))
-                    .collect(),
-            }));
+            w.open("interface", &[]);
+            for include in &self.interfaces {
+                w.leaf("include", include);
+            }
+            w.close("interface");
         }
-        let mut children = vec![Node::Element(Element {
-            name: "package".into(),
-            attributes: vec![],
-            children: package_children,
-        })];
+        w.close("package");
         if !self.imports.is_empty() {
-            children.push(Node::Element(Element {
-                name: "sw-env".into(),
-                attributes: vec![],
-                children: self
-                    .imports
-                    .iter()
-                    .map(|imp| {
-                        let mut c = Vec::new();
-                        if !imp.file.is_empty() {
-                            c.push(Node::Element(text_el("file", &imp.file)));
-                        }
-                        c.push(Node::Element(text_el("bindname", &imp.bind_name)));
-                        c.push(Node::Element(Element {
-                            name: "reference".into(),
-                            attributes: vec![
-                                ("type".into(), imp.constraint.as_str().into()),
-                                ("pri".into(), imp.priority.to_string()),
-                            ],
-                            children: vec![],
-                        }));
-                        c.push(Node::Element(text_el("GUID", &imp.guid.0.to_string())));
-                        Node::Element(Element {
-                            name: "import".into(),
-                            attributes: vec![],
-                            children: c,
-                        })
-                    })
-                    .collect(),
-            }));
+            w.open("sw-env", &[]);
+            for imp in &self.imports {
+                w.open("import", &[]);
+                if !imp.file.is_empty() {
+                    w.leaf("file", &imp.file);
+                }
+                w.leaf("bindname", &imp.bind_name);
+                w.empty(
+                    "reference",
+                    &[
+                        ("type", imp.constraint.as_str()),
+                        ("pri", &imp.priority.to_string()),
+                    ],
+                );
+                w.leaf("GUID", &imp.guid.0.to_string());
+                w.close("import");
+            }
+            w.close("sw-env");
         }
         if !self.targets.is_empty() {
-            children.push(Node::Element(Element {
-                name: "targets".into(),
-                attributes: vec![],
-                children: self
-                    .targets
-                    .iter()
-                    .map(|t| {
-                        let mut c = vec![Node::Element(text_el("name", &t.name))];
-                        if let Some(b) = &t.bus {
-                            c.push(Node::Element(text_el("bus", b)));
-                        }
-                        if let Some(m) = &t.mac {
-                            c.push(Node::Element(text_el("mac", m)));
-                        }
-                        if let Some(v) = &t.vendor {
-                            c.push(Node::Element(text_el("vendor", v)));
-                        }
-                        Node::Element(Element {
-                            name: "device-class".into(),
-                            attributes: vec![("id".into(), format!("0x{:04x}", t.id))],
-                            children: c,
-                        })
-                    })
-                    .collect(),
-            }));
+            w.open("targets", &[]);
+            for t in &self.targets {
+                w.open("device-class", &[("id", &format!("0x{:04x}", t.id))]);
+                w.leaf("name", &t.name);
+                for (tag, value) in [("bus", &t.bus), ("mac", &t.mac), ("vendor", &t.vendor)] {
+                    if let Some(value) = value {
+                        w.leaf(tag, value);
+                    }
+                }
+                w.close("device-class");
+            }
+            w.close("targets");
         }
         if let Some(t) = self.traffic {
-            children.push(Node::Element(Element {
-                name: "traffic".into(),
-                attributes: vec![
-                    ("rate".into(), t.rate_per_sec.to_string()),
-                    ("burst".into(), t.burst.to_string()),
-                    ("bytes".into(), t.max_bytes.to_string()),
+            w.empty(
+                "traffic",
+                &[
+                    ("rate", &t.rate_per_sec.to_string()),
+                    ("burst", &t.burst.to_string()),
+                    ("bytes", &t.max_bytes.to_string()),
                 ],
-                children: vec![],
-            }));
+            );
         }
-        Element {
-            name: "offcode".into(),
-            attributes: vec![],
-            children,
-        }
-        .to_xml()
+        w.close("offcode");
+        w.finish()
     }
 }
 
@@ -903,9 +871,11 @@ impl RawClass<'_> {
     }
 }
 
-/// A path-like text field: trimmed, then stripped of surrounding quotes.
+/// A path-like text field, stripped of surrounding whitespace and quotes
+/// together, so that `"  x  "` reads as `x`.
 fn unquoted(text: &str) -> String {
-    text.trim().trim_matches('"').to_owned()
+    text.trim_matches(|c: char| c == '"' || c.is_whitespace())
+        .to_owned()
 }
 
 /// Well-known device class ids used throughout the reproduction.

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::odf::{parse_u64, Guid};
-use crate::xml::{self, take_attr, Attribute, Element, Raw, Sink, XmlError};
+use crate::xml::{self, take_attr, Attribute, Raw, Sink, XmlError};
 
 /// Primitive types marshalable across a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,49 +179,32 @@ impl InterfaceSpec {
         reader.finish()
     }
 
-    /// Serializes back to WSDL-lite XML (round-trips through
-    /// [`InterfaceSpec::parse`]).
+    /// Serializes back to WSDL-lite XML, indented two spaces per level.
+    ///
+    /// The output re-parses to an equal spec through
+    /// [`InterfaceSpec::parse`] when the spec is one the reader can
+    /// return: every parsed spec is. A spec built by hand with two
+    /// operations of one name writes, but reads back as
+    /// [`WsdlError::DuplicateOperation`].
     pub fn to_xml(&self) -> String {
-        use crate::xml::Node;
-        let ops = self
-            .operations
-            .iter()
-            .map(|op| {
-                let mut children: Vec<Node> = op
-                    .inputs
-                    .iter()
-                    .map(|(n, t)| {
-                        Node::Element(Element {
-                            name: "input".into(),
-                            attributes: vec![
-                                ("name".into(), n.clone()),
-                                ("type".into(), t.as_str().into()),
-                            ],
-                            children: vec![],
-                        })
-                    })
-                    .collect();
-                children.push(Node::Element(Element {
-                    name: "output".into(),
-                    attributes: vec![("type".into(), op.output.as_str().into())],
-                    children: vec![],
-                }));
-                Node::Element(Element {
-                    name: "operation".into(),
-                    attributes: vec![("name".into(), op.name.clone())],
-                    children,
-                })
-            })
-            .collect();
-        Element {
-            name: "interface".into(),
-            attributes: vec![
-                ("name".into(), self.name.clone()),
-                ("guid".into(), self.guid.0.to_string()),
-            ],
-            children: ops,
+        let mut w = xml::Writer::default();
+        let guid = self.guid.0.to_string();
+        let attributes = [("name", self.name.as_str()), ("guid", guid.as_str())];
+        if self.operations.is_empty() {
+            w.empty("interface", &attributes);
+            return w.finish();
         }
-        .to_xml()
+        w.open("interface", &attributes);
+        for op in &self.operations {
+            w.open("operation", &[("name", &op.name)]);
+            for (name, ty) in &op.inputs {
+                w.empty("input", &[("name", name), ("type", ty.as_str())]);
+            }
+            w.empty("output", &[("type", op.output.as_str())]);
+            w.close("operation");
+        }
+        w.close("interface");
+        w.finish()
     }
 }
 

@@ -1,28 +1,33 @@
-//! A minimal XML parser.
+//! A minimal XML reader and writer.
 //!
 //! Offcode Description Files are XML (paper §3.3). The reproduction ships
-//! its own small parser rather than an external dependency: elements,
+//! its own small reader rather than an external dependency: elements,
 //! attributes (quoted *or* unquoted — the paper's own ODF sample writes
 //! `type=Pull pri=0`), text, comments, processing instructions, and the
 //! five predefined entities.
 //!
-//! There is one parser, the crate-internal `read`: a strict
+//! The reader, [`read`], is the crate's one public XML entry: a strict
 //! well-formedness reader with positioned errors that walks the input's
-//! bytes once and reports what it finds to a `Sink` as events — a start
-//! tag with its attributes, a run of character data, a decoded entity or
-//! character reference, and an end tag. Names, text runs and attribute
-//! values are borrowed from the input (a value is copied only when it
-//! holds a reference); whitespace and name bytes are classified without
-//! decoding a character, and a line/column is computed only when an
-//! error is raised. Elements may nest at most [`MAX_DEPTH`] deep; the
+//! bytes once and reports what it finds to a [`Sink`] as events — a
+//! start tag with its attributes, a run of character data, a decoded
+//! entity or character reference, and an end tag. Names, text runs and
+//! attribute values are borrowed from the input (a value is copied only
+//! when it holds a reference); whitespace and name bytes are classified
+//! without decoding a character, and a line/column is computed only when
+//! an error is raised. Elements may nest at most [`MAX_DEPTH`] deep; the
 //! names of open elements are kept on a heap stack, so no input can
 //! exhaust the call stack.
 //!
-//! Its consumers are [`parse`], which builds an [`Element`] tree, and the
-//! typed readers behind [`OdfDocument::parse`](crate::odf::OdfDocument::parse),
+//! Its sinks are the typed readers behind
+//! [`OdfDocument::parse`](crate::odf::OdfDocument::parse),
 //! [`InterfaceSpec::parse`](crate::wsdl::InterfaceSpec::parse) and
-//! [`DeploymentFile::parse`](crate::odf::DeploymentFile::parse), which keep
-//! only the fields they read and never build the tree.
+//! [`DeploymentFile::parse`](crate::odf::DeploymentFile::parse), which
+//! keep only the fields they read; no element tree is built.
+//!
+//! The writer behind [`OdfDocument::to_xml`](crate::odf::OdfDocument::to_xml)
+//! and [`InterfaceSpec::to_xml`](crate::wsdl::InterfaceSpec::to_xml) is
+//! crate-private: it writes tags and escaped text straight into a
+//! `String`, one tag per line, two spaces of indentation per open element.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -59,170 +64,18 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-/// An XML element.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Element {
-    /// Tag name.
-    pub name: String,
-    /// Attributes in document order.
-    pub attributes: Vec<(String, String)>,
-    /// Child nodes in document order.
-    pub children: Vec<Node>,
-}
-
-/// A node in the document tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
-    /// A child element.
-    Element(Element),
-    /// Character data (entity-decoded, whitespace preserved).
-    Text(String),
-}
-
-impl Element {
-    /// The value of attribute `name`, if present.
-    pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attributes
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The first child element with the given tag name.
-    pub fn child(&self, name: &str) -> Option<&Element> {
-        self.children.iter().find_map(|n| match n {
-            Node::Element(e) if e.name == name => Some(e),
-            _ => None,
-        })
-    }
-
-    /// All child elements with the given tag name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.children.iter().filter_map(move |n| match n {
-            Node::Element(e) if e.name == name => Some(e),
-            _ => None,
-        })
-    }
-
-    /// All child elements regardless of name.
-    pub fn child_elements(&self) -> impl Iterator<Item = &Element> {
-        self.children.iter().filter_map(|n| match n {
-            Node::Element(e) => Some(e),
-            Node::Text(_) => None,
-        })
-    }
-
-    /// The concatenated text content of this element (direct children
-    /// only), trimmed.
-    pub fn text(&self) -> String {
-        let mut s = String::new();
-        for n in &self.children {
-            if let Node::Text(t) = n {
-                s.push_str(t);
-            }
-        }
-        s.trim().to_owned()
-    }
-
-    /// Serializes the element back to XML (entity-escaping text and
-    /// attribute values, always quoting).
-    pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        out.push_str(&pad);
-        out.push('<');
-        out.push_str(&self.name);
-        for (k, v) in &self.attributes {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(&escape(v));
-            out.push('"');
-        }
-        if self.children.is_empty() {
-            out.push_str("/>\n");
-            return;
-        }
-        let only_text = self.children.iter().all(|c| matches!(c, Node::Text(_)));
-        out.push('>');
-        if only_text {
-            out.push_str(&escape(&self.text()));
-        } else {
-            out.push('\n');
-            for c in &self.children {
-                match c {
-                    Node::Element(e) => e.write(out, depth + 1),
-                    Node::Text(t) => {
-                        let t = t.trim();
-                        if !t.is_empty() {
-                            out.push_str(&"  ".repeat(depth + 1));
-                            out.push_str(&escape(t));
-                            out.push('\n');
-                        }
-                    }
-                }
-            }
-            out.push_str(&pad);
-        }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push_str(">\n");
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The deepest element nesting [`parse`] accepts; the root element is at
+/// The deepest element nesting [`read`] accepts; the root element is at
 /// depth 1. An ODF nests at most 4 deep, 5 inside a `<deployment>`
-/// wrapper. The bound keeps a hostile document from building a tree
-/// whose recursive drop, comparison or serialization would overflow the
-/// stack.
+/// wrapper. The bound turns hostile nesting into a positioned error,
+/// which `repro lint` and `repro certify` report as `HV009`. No
+/// production code builds a tree; the bound keeps the tests' DOM and the
+/// recursive reference parser it is compared with shallow enough for
+/// recursive descent, drop, comparison and serialization.
 pub const MAX_DEPTH: usize = 128;
-
-/// Parses a complete document, returning the root element.
-///
-/// # Errors
-///
-/// Returns a positioned [`XmlError`] on any well-formedness violation,
-/// and on elements nested deeper than [`MAX_DEPTH`].
-///
-/// # Examples
-///
-/// ```
-/// let root = hydra_odf::xml::parse("<a x=1><b>hi</b></a>").unwrap();
-/// assert_eq!(root.name, "a");
-/// assert_eq!(root.attr("x"), Some("1"));
-/// assert_eq!(root.child("b").unwrap().text(), "hi");
-/// ```
-pub fn parse(input: &str) -> Result<Element, XmlError> {
-    let mut tree = Tree::default();
-    read(input, &mut tree)?;
-    Ok(tree
-        .root
-        .expect("a document that reads without error has ended its root"))
-}
 
 /// An attribute as [`read`] reports it: the name, and the entity-decoded
 /// value, borrowed from the input unless it holds a reference.
-pub(crate) type Attribute<'a> = (&'a str, Cow<'a, str>);
+pub type Attribute<'a> = (&'a str, Cow<'a, str>);
 
 /// An attribute's value or an element's text as a typed reader keeps it
 /// until its checks run: absent, or borrowed from the input while it is
@@ -230,7 +83,7 @@ pub(crate) type Attribute<'a> = (&'a str, Cow<'a, str>);
 pub(crate) type Raw<'a> = Option<Cow<'a, str>>;
 
 /// A consumer of the events [`read`] reports, in document order.
-pub(crate) trait Sink<'a> {
+pub trait Sink<'a> {
     /// A start tag, once it has been read through its `>` or `/>`. The
     /// sink may move values out of `attributes`.
     fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]);
@@ -250,8 +103,30 @@ pub(crate) trait Sink<'a> {
 ///
 /// # Errors
 ///
-/// The same as [`parse`].
-pub(crate) fn read<'a>(input: &'a str, sink: &mut impl Sink<'a>) -> Result<(), XmlError> {
+/// Returns a positioned [`XmlError`] on any well-formedness violation,
+/// and on elements nested deeper than [`MAX_DEPTH`].
+///
+/// # Examples
+///
+/// ```
+/// use hydra_odf::xml::{self, Attribute, Sink};
+///
+/// #[derive(Default)]
+/// struct Names(Vec<String>);
+///
+/// impl<'a> Sink<'a> for Names {
+///     fn start(&mut self, name: &'a str, _attributes: &mut [Attribute<'a>]) {
+///         self.0.push(name.to_owned());
+///     }
+///     fn end(&mut self) {}
+/// }
+///
+/// let mut names = Names::default();
+/// xml::read("<a x=1><b>hi</b><c/></a>", &mut names).unwrap();
+/// assert_eq!(names.0, ["a", "b", "c"]);
+/// assert!(xml::read("<a><b></a>", &mut Names::default()).is_err());
+/// ```
+pub fn read<'a>(input: &'a str, sink: &mut impl Sink<'a>) -> Result<(), XmlError> {
     let mut r = Reader {
         src: input,
         pos: 0,
@@ -282,74 +157,6 @@ pub(crate) fn take_attr<'a>(attributes: &mut [Attribute<'a>], name: &str) -> Raw
         .iter_mut()
         .find(|(k, _)| *k == name)
         .map(|(_, v)| std::mem::take(v))
-}
-
-/// The DOM sink behind [`parse`].
-#[derive(Default)]
-struct Tree {
-    /// Elements whose start tag has been read, innermost last.
-    open: Vec<Open>,
-    /// The root, once it has ended.
-    root: Option<Element>,
-}
-
-/// An element whose start tag has been read.
-struct Open {
-    element: Element,
-    /// Character data since the last child element, not yet a node.
-    text: String,
-}
-
-impl Open {
-    fn flush_text(&mut self) {
-        if !self.text.is_empty() {
-            let text = std::mem::take(&mut self.text);
-            self.element.children.push(Node::Text(text));
-        }
-    }
-}
-
-impl<'a> Sink<'a> for Tree {
-    fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]) {
-        if let Some(parent) = self.open.last_mut() {
-            parent.flush_text();
-        }
-        let attributes = attributes
-            .iter_mut()
-            .map(|(k, v)| ((*k).to_owned(), std::mem::take(v).into_owned()))
-            .collect();
-        self.open.push(Open {
-            element: Element {
-                name: name.to_owned(),
-                attributes,
-                children: Vec::new(),
-            },
-            text: String::new(),
-        });
-    }
-
-    fn text(&mut self, run: &'a str) {
-        if let Some(open) = self.open.last_mut() {
-            open.text.push_str(run);
-        }
-    }
-
-    fn reference(&mut self, c: char) {
-        if let Some(open) = self.open.last_mut() {
-            open.text.push(c);
-        }
-    }
-
-    fn end(&mut self) {
-        let Some(mut done) = self.open.pop() else {
-            return;
-        };
-        done.flush_text();
-        match self.open.last_mut() {
-            Some(parent) => parent.element.children.push(Node::Element(done.element)),
-            None => self.root = Some(done.element),
-        }
-    }
 }
 
 /// A cursor over the document's bytes. `pos` always sits on a character
@@ -725,31 +532,154 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// XML text written directly, one tag per line: each open element
+/// indents what it holds by two spaces, and attribute values and text
+/// are escaped. The writer behind `OdfDocument::to_xml` and
+/// `InterfaceSpec::to_xml`.
+#[derive(Default)]
+pub(crate) struct Writer {
+    out: String,
+    /// Elements opened and not yet closed.
+    depth: usize,
+}
+
+impl Writer {
+    /// `<name …>` on its own line. What follows, up to the matching
+    /// [`close`](Self::close), is indented one level deeper.
+    pub(crate) fn open(&mut self, name: &str, attributes: &[(&str, &str)]) {
+        self.start_tag(name, attributes);
+        self.out.push_str(">\n");
+        self.depth += 1;
+    }
+
+    /// `</name>`, closing the innermost open element.
+    pub(crate) fn close(&mut self, name: &str) {
+        self.depth -= 1;
+        self.indent();
+        self.end_tag(name);
+    }
+
+    /// An element with no content: `<name …/>`.
+    pub(crate) fn empty(&mut self, name: &str, attributes: &[(&str, &str)]) {
+        self.start_tag(name, attributes);
+        self.out.push_str("/>\n");
+    }
+
+    /// An element holding only `text`, trimmed: `<name>text</name>`, and
+    /// `<name></name>` when nothing is left.
+    pub(crate) fn leaf(&mut self, name: &str, text: &str) {
+        self.start_tag(name, &[]);
+        self.out.push('>');
+        escape(&mut self.out, text.trim());
+        self.end_tag(name);
+    }
+
+    /// The text written.
+    pub(crate) fn finish(self) -> String {
+        self.out
+    }
+
+    fn indent(&mut self) {
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    fn start_tag(&mut self, name: &str, attributes: &[(&str, &str)]) {
+        self.indent();
+        self.out.push('<');
+        self.out.push_str(name);
+        for (key, value) in attributes {
+            self.out.push(' ');
+            self.out.push_str(key);
+            self.out.push_str("=\"");
+            escape(&mut self.out, value);
+            self.out.push('"');
+        }
+    }
+
+    fn end_tag(&mut self, name: &str) {
+        self.out.push_str("</");
+        self.out.push_str(name);
+        self.out.push_str(">\n");
+    }
+}
+
+/// Appends `text` to `out` with the five predefined entities escaped.
+fn escape(out: &mut String, text: &str) {
+    for c in text.chars() {
+        match c {
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '&' => out.push_str("&amp;"),
+            '"' => out.push_str("&quot;"),
+            '\'' => out.push_str("&apos;"),
+            c => out.push(c),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The events [`read`] reports, written out: a start tag with its
+    /// attributes, text runs and references as decoded, and `</>` for
+    /// an end.
+    #[derive(Default)]
+    struct Log(String);
+
+    impl<'a> Sink<'a> for Log {
+        fn start(&mut self, name: &'a str, attributes: &mut [Attribute<'a>]) {
+            self.0.push('<');
+            self.0.push_str(name);
+            for (k, v) in attributes.iter() {
+                self.0.push_str(&format!(" {k}=[{v}]"));
+            }
+            self.0.push('>');
+        }
+
+        fn text(&mut self, run: &'a str) {
+            self.0.push_str(run);
+        }
+
+        fn reference(&mut self, c: char) {
+            self.0.push(c);
+        }
+
+        fn end(&mut self) {
+            self.0.push_str("</>");
+        }
+    }
+
+    fn events(doc: &str) -> Result<String, XmlError> {
+        let mut log = Log::default();
+        read(doc, &mut log)?;
+        Ok(log.0)
+    }
+
     #[test]
     fn parses_nested_elements() {
-        let root = parse("<a><b><c/></b><b/></a>").unwrap();
-        assert_eq!(root.name, "a");
-        assert_eq!(root.children_named("b").count(), 2);
-        assert!(root.child("b").unwrap().child("c").is_some());
+        assert_eq!(
+            events("<a><b><c/></b><b/></a>").unwrap(),
+            "<a><b><c></></><b></></>"
+        );
     }
 
     #[test]
     fn parses_attributes_quoted_and_unquoted() {
-        let root = parse(r#"<dev id=0x0001 name="Network Device" kind='nic'/>"#).unwrap();
-        assert_eq!(root.attr("id"), Some("0x0001"));
-        assert_eq!(root.attr("name"), Some("Network Device"));
-        assert_eq!(root.attr("kind"), Some("nic"));
-        assert_eq!(root.attr("missing"), None);
+        assert_eq!(
+            events(r#"<dev id=0x0001 name="Network Device" kind='nic'/>"#).unwrap(),
+            "<dev id=[0x0001] name=[Network Device] kind=[nic]></>"
+        );
     }
 
     #[test]
     fn parses_text_and_entities() {
-        let root = parse("<p>a &lt;b&gt; &amp; c &#65; &#x42;</p>").unwrap();
-        assert_eq!(root.text(), "a <b> & c A B");
+        assert_eq!(
+            events("<p>a &lt;b&gt; &amp; c &#65; &#x42;</p>").unwrap(),
+            "<p>a <b> & c A B</>"
+        );
     }
 
     #[test]
@@ -759,75 +689,75 @@ mod tests {
 <!-- header comment -->
 <root><!-- inner --><child/></root>
 <!-- trailing -->"#;
-        let root = parse(doc).unwrap();
-        assert_eq!(root.name, "root");
-        assert!(root.child("child").is_some());
+        assert_eq!(events(doc).unwrap(), "<root><child></></>");
     }
 
     #[test]
     fn mixed_content_preserved() {
-        let root = parse("<p>pre<b>mid</b>post</p>").unwrap();
-        assert_eq!(root.children.len(), 3);
-        assert!(matches!(&root.children[0], Node::Text(t) if t == "pre"));
-        assert!(matches!(&root.children[2], Node::Text(t) if t == "post"));
+        assert_eq!(
+            events("<p>pre<b>mid</b>post</p>").unwrap(),
+            "<p>pre<b>mid</>post</>"
+        );
     }
 
     #[test]
     fn error_on_mismatched_tags() {
-        let err = parse("<a><b></a></b>").unwrap_err();
+        let err = events("<a><b></a></b>").unwrap_err();
         assert!(err.message.contains("mismatched"), "{err}");
     }
 
     #[test]
     fn error_on_unclosed() {
-        let err = parse("<a><b>").unwrap_err();
+        let err = events("<a><b>").unwrap_err();
         assert!(err.message.contains("unclosed"), "{err}");
     }
 
     #[test]
     fn error_on_duplicate_attribute() {
-        let err = parse(r#"<a x="1" x="2"/>"#).unwrap_err();
+        let err = events(r#"<a x="1" x="2"/>"#).unwrap_err();
         assert!(err.message.contains("duplicate"), "{err}");
     }
 
     #[test]
     fn error_on_trailing_content() {
-        let err = parse("<a/><b/>").unwrap_err();
+        let err = events("<a/><b/>").unwrap_err();
         assert!(err.message.contains("after document root"), "{err}");
     }
 
     #[test]
     fn error_on_unterminated_trailing_comment() {
-        let err = parse("<a/>\n<!-- never closed").unwrap_err();
+        let err = events("<a/>\n<!-- never closed").unwrap_err();
         assert_eq!(err.message, "unterminated comment");
         assert_eq!(err.pos, Pos { line: 2, col: 18 }, "{err}");
         // The same error, at the same place, as in the prolog.
-        let prolog = parse("\n<!-- never closed").unwrap_err();
+        let prolog = events("\n<!-- never closed").unwrap_err();
         assert_eq!(prolog, err);
     }
 
     #[test]
     fn error_on_unterminated_trailing_pi() {
-        let err = parse("<a/><!-- closed --> <?pi never closed").unwrap_err();
+        let err = events("<a/><!-- closed --> <?pi never closed").unwrap_err();
         assert_eq!(err.message, "unterminated processing instruction");
         assert_eq!(err.pos, Pos { line: 1, col: 38 }, "{err}");
-        let prolog = parse("<!-- closed --> <?pi never closed").unwrap_err();
+        let prolog = events("<!-- closed --> <?pi never closed").unwrap_err();
         assert_eq!(prolog.message, err.message);
         assert_eq!(prolog.pos.col, 34);
     }
 
     #[test]
     fn error_positions_are_useful() {
-        let err = parse("<a>\n  <b x=></b>\n</a>").unwrap_err();
+        let err = events("<a>\n  <b x=></b>\n</a>").unwrap_err();
         assert_eq!(err.pos.line, 2);
     }
 
     #[test]
     fn unknown_entity_rejected() {
-        let err = parse("<a>&nope;</a>").unwrap_err();
+        let err = events("<a>&nope;</a>").unwrap_err();
         assert!(err.message.contains("unknown entity"), "{err}");
     }
 
+    /// The writer's text reads back as the same events as the document
+    /// it writes out by hand.
     #[test]
     fn serialization_round_trips() {
         let doc = r#"<odf version="2">
@@ -837,15 +767,28 @@ mod tests {
   <import type="Pull" pri="0"/>
   <note>a &lt;tricky&gt; &amp; "quoted" value</note>
 </odf>"#;
-        let root = parse(doc).unwrap();
-        let re = parse(&root.to_xml()).unwrap();
-        assert_eq!(root, re);
+        let mut w = Writer::default();
+        w.open("odf", &[("version", "2")]);
+        w.open("package", &[("guid", "123")]);
+        w.leaf("bindname", "hydra.net.Socket");
+        w.close("package");
+        w.empty("import", &[("type", "Pull"), ("pri", "0")]);
+        w.leaf("note", r#"a <tricky> & "quoted" value"#);
+        w.close("odf");
+        let written = w.finish();
+        assert_eq!(
+            written,
+            doc.replace(r#""quoted""#, "&quot;quoted&quot;") + "\n"
+        );
+        assert_eq!(events(&written), events(doc));
     }
 
     #[test]
     fn whitespace_only_text_is_kept_as_node_but_trimmed_by_text() {
-        let root = parse("<a>\n  \n</a>").unwrap();
-        assert_eq!(root.text(), "");
+        assert_eq!(events("<a>\n  \n</a>").unwrap(), "<a>\n  \n</>");
+        let mut w = Writer::default();
+        w.leaf("a", "\n  \n");
+        assert_eq!(w.finish(), "<a></a>\n");
     }
 
     #[test]
@@ -875,19 +818,14 @@ mod tests {
     </device-class>
   </targets>
 </offcode>"#;
-        let root = parse(doc).unwrap();
-        assert_eq!(root.name, "offcode");
-        let import = root.child("sw-env").unwrap().child("import").unwrap();
-        assert_eq!(
-            import.child("reference").unwrap().attr("type"),
-            Some("Pull")
-        );
-        let dc = root
-            .child("targets")
-            .unwrap()
-            .child("device-class")
-            .unwrap();
-        assert_eq!(dc.attr("id"), Some("0x0001"));
-        assert_eq!(dc.child("name").unwrap().text(), "Network Device");
+        let log = events(doc).unwrap();
+        assert!(log.starts_with("<offcode>"), "{log}");
+        for part in [
+            "<reference type=[Pull] pri=[0]></>",
+            "<device-class id=[0x0001]>",
+            "<name>Network Device</>",
+        ] {
+            assert!(log.contains(part), "no {part} in {log}");
+        }
     }
 }

@@ -1,13 +1,22 @@
 //! The DOM readers: the named oracle for the typed ODF, WSDL and
-//! deployment-file readers.
+//! deployment-file readers, with the DOM they walk ([`dom`]) and the
+//! tree writers that are the direct writer's oracle ([`tree_writers`]).
 //!
 //! Before the typed readers, `OdfDocument::parse` and
-//! `InterfaceSpec::parse` were `xml::parse` followed by these
-//! `from_element` functions, which walk the finished `Element` tree. They
-//! are kept here verbatim but for one change made to both sides together:
-//! a `reference` `pri` above 255 or a `device-class` `id` above
-//! `u32::MAX` is invalid instead of silently truncated. The typed readers
-//! must return the same `Result`, errors included, on every document.
+//! `InterfaceSpec::parse` were `xml::parse` (now [`dom::parse`])
+//! followed by these `from_element` functions, which walk the finished
+//! `Element` tree. They are kept here verbatim but for two changes made
+//! to both sides together:
+//!
+//! - a `reference` `pri` above 255 or a `device-class` `id` above
+//!   `u32::MAX` is invalid instead of silently truncated;
+//! - an `include` or an import's `file` is stripped of whitespace and
+//!   `"` together, to a fixpoint, instead of trimmed first and unquoted
+//!   second, so that `"  x  "` reads as `x` and a parsed ODF writes and
+//!   reads back unchanged.
+//!
+//! The typed readers must return the same `Result`, errors included, on
+//! every document.
 
 #![allow(dead_code)]
 
@@ -16,23 +25,28 @@ use hydra_odf::odf::{
     TrafficSpec,
 };
 use hydra_odf::wsdl::{InterfaceSpec, OperationSpec, TypeTag, WsdlError};
-use hydra_odf::xml::{self, Element, XmlError};
+use hydra_odf::xml::XmlError;
+
+pub mod dom;
+pub mod tree_writers;
+
+use dom::Element;
 
 /// `OdfDocument::parse` as it was: the DOM, then [`odf_from_element`].
 pub fn odf(text: &str) -> Result<OdfDocument, OdfError> {
-    odf_from_element(&xml::parse(text)?)
+    odf_from_element(&dom::parse(text)?)
 }
 
 /// `InterfaceSpec::parse` as it was: the DOM, then
 /// [`interface_from_element`].
 pub fn interface(text: &str) -> Result<InterfaceSpec, WsdlError> {
-    interface_from_element(&xml::parse(text)?)
+    interface_from_element(&dom::parse(text)?)
 }
 
 /// The deployment file as `repro lint` read it from the DOM: each
 /// `<offcode>` child of a `<deployment>` root, or the root itself.
 pub fn deployment(text: &str) -> Result<DeploymentFile, XmlError> {
-    let root = xml::parse(text)?;
+    let root = dom::parse(text)?;
     Ok(if root.name == "deployment" {
         DeploymentFile::Wrapped(
             root.children_named("offcode")
@@ -107,7 +121,11 @@ pub fn odf_from_element(root: &Element) -> Result<OdfDocument, OdfError> {
     let mut interfaces = Vec::new();
     if let Some(iface) = package.child("interface") {
         for inc in iface.children_named("include") {
-            interfaces.push(inc.text().trim_matches('"').to_owned());
+            interfaces.push(
+                inc.text()
+                    .trim_matches(|c: char| c == '"' || c.is_whitespace())
+                    .to_owned(),
+            );
         }
     }
     let footprint = match package.child("footprint") {
@@ -168,7 +186,11 @@ fn parse_traffic(t: &Element) -> Result<TrafficSpec, OdfError> {
 fn parse_import(imp: &Element) -> Result<Import, OdfError> {
     let file = imp
         .child("file")
-        .map(|e| e.text().trim_matches('"').to_owned())
+        .map(|e| {
+            e.text()
+                .trim_matches(|c: char| c == '"' || c.is_whitespace())
+                .to_owned()
+        })
         .unwrap_or_default();
     let bind_name = imp
         .child("bindname")

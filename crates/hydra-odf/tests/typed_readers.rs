@@ -13,7 +13,8 @@
 //! non-`<offcode>` child), numbers at the edge of their range, and
 //! semantic errors placed before XML errors. Half of the documents are
 //! then mutated byte-wise. Every reader must return the same `Result` as
-//! its DOM counterpart, errors included.
+//! its DOM counterpart, errors included, and every document that parses
+//! must write and read back unchanged.
 
 mod dom_readers;
 
@@ -55,6 +56,7 @@ const NAMES: &[&str] = &[
     "a&amp;b",
     "&lt;x&gt;",
     "\"/offcodes/x.wsdl\"",
+    "\"  /offcodes/padded.wsdl  \"",
     "&#65;",
     "\u{A0}nb\u{A0}",
 ];
@@ -481,6 +483,23 @@ proptest! {
     #[test]
     fn typed_readers_agree_with_dom_readers_on_shaped_documents(doc in Shaped) {
         dom_readers::assert_typed_readers_agree(&doc);
+    }
+
+    /// `parse(to_xml(parse(t))) == parse(t)` for every ODF, interface
+    /// and wrapped ODF that parses.
+    #[test]
+    fn parsed_documents_write_and_read_back_unchanged(doc in Shaped) {
+        if let Ok(odf) = OdfDocument::parse(&doc) {
+            prop_assert_eq!(OdfDocument::parse(&odf.to_xml()), Ok(odf));
+        }
+        if let Ok(spec) = InterfaceSpec::parse(&doc) {
+            prop_assert_eq!(InterfaceSpec::parse(&spec.to_xml()), Ok(spec));
+        }
+        if let Ok(DeploymentFile::Wrapped(odfs)) = DeploymentFile::parse(&doc) {
+            for odf in odfs.into_iter().flatten() {
+                prop_assert_eq!(OdfDocument::parse(&odf.to_xml()), Ok(odf));
+            }
+        }
     }
 }
 

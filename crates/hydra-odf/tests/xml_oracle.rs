@@ -9,19 +9,22 @@
 //! attributes, entities and character references, multi-byte UTF-8 and
 //! Unicode whitespace, then truncated or byte-mutated — go through both
 //! parsers, which must return the same `Result`, down to the error's
-//! position and message. Every fixture's ODF and WSDL interpretation must
-//! agree too, and `parse → to_xml → parse` must reach a fixpoint. On
-//! every generated document and fixture, the typed ODF, WSDL and
-//! deployment-file readers must also return what the DOM readers in
-//! [`dom_readers`] return. The
-//! reference recurses, so every document here stays within
-//! [`MAX_DEPTH`]; the depth bound itself is tested on its own.
+//! position and message. The byte cursor, `xml::read`, builds no tree
+//! of its own: it is compared through the test-side DOM in
+//! [`dom_readers::dom`], a sink over its events. Every fixture's ODF and
+//! WSDL interpretation must agree too, and `parse → to_xml → parse` must
+//! reach a fixpoint. On every generated document and fixture, the typed
+//! ODF, WSDL and deployment-file readers must also return what the DOM
+//! readers in [`dom_readers`] return. The reference recurses, so every
+//! document here stays within [`MAX_DEPTH`]; the depth bound itself is
+//! tested on its own.
 
 mod dom_readers;
 
+use dom_readers::dom::{self, Element};
 use hydra_odf::odf::OdfDocument;
 use hydra_odf::wsdl::{InterfaceSpec, OperationSpec, TypeTag};
-use hydra_odf::xml::{self, Element, XmlError, MAX_DEPTH};
+use hydra_odf::xml::{XmlError, MAX_DEPTH};
 use hydra_odf::Guid;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -30,22 +33,14 @@ use proptest::test_runner::TestRng;
 /// both parsers together: `skip_misc` returns an unterminated comment or
 /// PI after the root as an error instead of accepting it.
 mod reference {
-    use hydra_odf::xml::{Element, Node, Pos, XmlError};
+    use crate::dom_readers::dom::{Element, Node};
+    use hydra_odf::xml::{Pos, XmlError};
 
     /// Parses a complete document, returning the root element.
     ///
     /// # Errors
     ///
     /// Returns a positioned [`XmlError`] on any well-formedness violation.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let root = hydra_odf::xml::parse("<a x=1><b>hi</b></a>").unwrap();
-    /// assert_eq!(root.name, "a");
-    /// assert_eq!(root.attr("x"), Some("1"));
-    /// assert_eq!(root.child("b").unwrap().text(), "hi");
-    /// ```
     pub fn parse(input: &str) -> Result<Element, XmlError> {
         let mut p = Parser::new(input);
         p.skip_prolog()?;
@@ -380,7 +375,7 @@ mod reference {
 }
 
 fn both(doc: &str) -> Result<Element, XmlError> {
-    let new = xml::parse(doc);
+    let new = dom::parse(doc);
     assert_eq!(new, reference::parse(doc), "parsers disagree on {doc:?}");
     dom_readers::assert_typed_readers_agree(doc);
     new
@@ -402,9 +397,9 @@ fn skeleton(e: &Element) -> String {
 /// A parsed tree serializes to a document that parses back to the same
 /// elements, and from there `to_xml` and `parse` are exact inverses.
 fn check_round_trip(tree: &Element) {
-    let once = xml::parse(&tree.to_xml()).expect("serialized tree parses");
+    let once = dom::parse(&tree.to_xml()).expect("serialized tree parses");
     assert_eq!(skeleton(&once), skeleton(tree));
-    assert_eq!(xml::parse(&once.to_xml()).as_ref(), Ok(&once));
+    assert_eq!(dom::parse(&once.to_xml()).as_ref(), Ok(&once));
 }
 
 const NAMES: &[&str] = &[
@@ -660,7 +655,7 @@ fn generated_documents_cover_accepts_and_every_error() {
     let mut accepted = 0;
     let mut messages = std::collections::BTreeSet::new();
     for _ in 0..3000 {
-        match xml::parse(&Documents.sample(&mut rng)) {
+        match dom::parse(&Documents.sample(&mut rng)) {
             Ok(_) => accepted += 1,
             Err(e) => {
                 let kind: String = e
@@ -746,13 +741,13 @@ fn nesting_past_the_bound_is_a_positioned_error() {
     // An open or an empty element one level too deep, positioned at its
     // `<`.
     for doc in [nested(MAX_DEPTH + 1, "x"), nested(MAX_DEPTH, "<b/>")] {
-        let err = xml::parse(&doc).expect_err("one level too deep");
+        let err = dom::parse(&doc).expect_err("one level too deep");
         assert!(err.message.contains("deeper than"), "{err}");
         assert_eq!((err.pos.line, err.pos.col as usize), (1, 3 * MAX_DEPTH + 1));
     }
     // Far past the bound: an error, not a stack overflow.
     let doc = nested(100_000, "");
-    let err = xml::parse(&doc).expect_err("far too deep");
+    let err = dom::parse(&doc).expect_err("far too deep");
     assert_eq!(err.pos.col as usize, 3 * MAX_DEPTH + 1);
 }
 
@@ -781,7 +776,7 @@ fn fixtures_interpret_identically_under_both_parsers() {
     assert!(docs.len() >= 6, "fixtures found: {}", docs.len());
     let mut odfs = 0;
     for (path, text) in &docs {
-        let new = xml::parse(text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let new = dom::parse(text).unwrap_or_else(|e| panic!("{path}: {e}"));
         let old = reference::parse(text).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(new, old, "{path}");
         check_round_trip(&new);

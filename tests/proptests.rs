@@ -15,9 +15,10 @@ use hydra::media::entropy::{
 };
 use hydra::media::frame::RawFrame;
 use hydra::media::transform::{dequantize, forward, inverse, quantize};
-use hydra::odf::odf::{ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument, TrafficSpec};
+use hydra::odf::odf::{
+    ConstraintKind, DeploymentFile, DeviceClassSpec, Guid, Import, OdfDocument, TrafficSpec,
+};
 use hydra::odf::wsdl::{InterfaceSpec, OperationSpec, TypeTag};
-use hydra::odf::xml;
 
 /// Infixes for the ODF round trip's text fields: none, characters the
 /// serializer must escape, and non-ASCII text.
@@ -288,21 +289,24 @@ proptest! {
         }
     }
 
+    /// Text goes out escaped and comes back exact: through an attribute
+    /// (an interface name) and through text (an ODF bind name, fenced
+    /// by `x` so that the reader's trim leaves it whole).
     #[test]
     fn xml_text_escaping_round_trips(text in "[ -~]{0,64}") {
-        let el = xml::Element {
-            name: "t".into(),
-            attributes: vec![("a".into(), text.clone())],
-            children: vec![xml::Node::Text(text.clone())],
-        };
-        let parsed = xml::parse(&el.to_xml()).expect("serializer output parses");
-        prop_assert_eq!(parsed.attr("a").expect("attr present"), text.as_str());
-        prop_assert_eq!(parsed.text(), text.trim());
+        let spec = InterfaceSpec::new(text.clone(), Guid(1));
+        let parsed = InterfaceSpec::parse(&spec.to_xml()).expect("writer output parses");
+        prop_assert_eq!(parsed.name, text.as_str());
+        let fenced = format!("x{text}x");
+        let odf = OdfDocument::new(fenced.clone(), Guid(1));
+        let parsed = OdfDocument::parse(&odf.to_xml()).expect("writer output parses");
+        prop_assert_eq!(parsed.bind_name, fenced);
     }
 
     #[test]
     fn xml_parse_never_panics(doc in "[ -~]{0,128}") {
-        let _ = xml::parse(&doc);
+        let _ = DeploymentFile::parse(&doc);
+        let _ = InterfaceSpec::parse(&doc);
     }
 
     // ---- HOF objects ---------------------------------------------------------
