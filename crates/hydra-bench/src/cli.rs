@@ -202,10 +202,25 @@ fn faults_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> io::Re
         None => Ok(fault_demo_plan()),
         Some(path) => std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|text| {
-                FaultPlan::parse(&text).map_err(|e| format!("bad fault schedule {path}: {e}"))
-            }),
+            .and_then(|text| parse_plan(path, &text)),
     };
+    replay_faults(plan, want_trace, out, err)
+}
+
+/// The `.faults` text read from `path` as a plan, or the message
+/// `faults` prints when it does not parse.
+fn parse_plan(path: &str, text: &str) -> Result<FaultPlan, String> {
+    FaultPlan::parse(text).map_err(|e| format!("bad fault schedule {path}: {e}"))
+}
+
+/// The second half of `faults`: replays `plan` on the fault demo and
+/// prints its JSON (or trace), or prints why there is no plan.
+fn replay_faults(
+    plan: Result<FaultPlan, String>,
+    want_trace: bool,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> io::Result<Run> {
     let plan = match plan {
         Ok(plan) => plan,
         Err(e) => {
@@ -432,4 +447,117 @@ fn bench_summary(_: &SuiteConfig) -> String {
         eng.demo.wall_ns_per_message()
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const NIC_CRASH: &str = include_str!("../../../fixtures/faults/nic_crash.faults");
+
+    /// Runs `faults` on `text` as if read from a file: a plan that does
+    /// not parse must fail with one `repro:` line and no output, and one
+    /// that parses must replay to one JSON object. Returns whether it
+    /// parsed.
+    fn replay_text(text: &str) -> bool {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let plan = parse_plan("hostile.faults", text);
+        let parsed = plan.is_ok();
+        let run = replay_faults(plan, false, &mut out, &mut err).expect("buffers accept writes");
+        let (out, err) = (
+            String::from_utf8(out).unwrap(),
+            String::from_utf8(err).unwrap(),
+        );
+        assert_eq!(run.ok, parsed, "{text}\n{err}");
+        if parsed {
+            assert!(err.is_empty(), "{err}");
+            assert!(run.snapshot.is_some());
+            assert!(out.starts_with("{\n") && out.ends_with("}\n"), "{out}");
+            assert!(
+                out.contains("\"schedule\"") && out.contains("\"audit\""),
+                "{out}"
+            );
+            assert_eq!(out.matches('{').count(), out.matches('}').count(), "{out}");
+        } else {
+            assert!(out.is_empty(), "{out}");
+            assert!(
+                err.starts_with("repro: bad fault schedule hostile.faults"),
+                "{err}"
+            );
+            assert_eq!(err.lines().count(), 1, "{err}");
+        }
+        parsed
+    }
+
+    /// Times from the start of the run to the end of simulated time.
+    const TIMES: [&str; 6] = [
+        "0ns",
+        "500us",
+        "2ms",
+        "40ms",
+        "18446744073s",
+        "18446744073709551615ns",
+    ];
+    const KINDS: [&str; 4] = ["crash", "stall 3ms", "loss-burst 4", "ring-exhaustion 2"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The committed NIC-crash plan with bytes replaced, inserted or
+        /// cut, or, one time in two, with digits of its numbers
+        /// replaced, which more often keeps the plan parsable and moves
+        /// the seed, the time or the device: no panic, whatever the
+        /// text.
+        #[test]
+        fn mutated_fault_plans_never_panic(
+            in_number in any::<bool>(),
+            positions in proptest::collection::vec(any::<usize>(), 1..4),
+            len in 0usize..4,
+            junk in "[0-9a-z# \n-]{0,5}",
+            digits in "[0-9]{1,3}",
+        ) {
+            let mut bytes = NIC_CRASH.as_bytes().to_vec();
+            for at in positions {
+                let (at, len, with) = if in_number {
+                    let numbers: Vec<usize> =
+                        (0..bytes.len()).filter(|&i| bytes[i].is_ascii_digit()).collect();
+                    (numbers[at % numbers.len()], 1, &digits)
+                } else {
+                    (at % (bytes.len() + 1), len, &junk)
+                };
+                let end = (at + len).min(bytes.len());
+                bytes.splice(at..end, with.bytes());
+            }
+            replay_text(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Grammar-shaped plans: crashes (and other faults) of every
+        /// device, the host and devices past the demo's three included,
+        /// at times up to the end of simulated time. Every one parses,
+        /// and its recovery runs through `LayoutGraph::repair` under an
+        /// arbitrary crash set.
+        #[test]
+        fn grammar_shaped_fault_plans_replay_to_json(
+            seed in any::<u64>(),
+            events in proptest::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let mut text = format!("seed {seed}\n");
+            for e in events {
+                let device = e % 6;
+                let at = TIMES[(e >> 8) as usize % TIMES.len()];
+                let kind = if e >> 16 & 1 == 0 { "crash" } else { KINDS[(e >> 17) as usize % KINDS.len()] };
+                text.push_str(&format!("at {at} device {device} {kind}\n"));
+            }
+            prop_assert!(replay_text(&text), "{}", text);
+        }
+    }
+
+    /// Every programmable device of the demo crashing at once: each
+    /// Offcode falls back to the host.
+    #[test]
+    fn crashing_every_device_replays_to_json() {
+        let text = "seed 1\nat 1ms device 1 crash\nat 1ms device 2 crash\nat 1ms device 3 crash\n";
+        assert!(replay_text(text));
+    }
 }

@@ -167,6 +167,13 @@ impl<'p> Search<'p> {
         self.relaxations_solved
     }
 
+    /// How many simplex pivots those relaxations took, over phase 1, the
+    /// drive-out of artificials and phase 2: an exact measure of the LP
+    /// work a search did, the same on every machine.
+    pub fn pivots(&self) -> u64 {
+        self.tableau.pivots()
+    }
+
     /// The root LP relaxation: [`solve_lp`](crate::solve_lp) of the
     /// problem, solved at most once per search.
     pub fn root_relaxation(&mut self) -> &Outcome {

@@ -4,9 +4,10 @@
 //! linear program and notes that "any ILP solver can then be used". This
 //! crate is that solver: a problem model with binaries, bounds and
 //! Le/Ge/Eq constraints whose variables and rows are named by [`Name`]
-//! tags, rendered only on display ([`model`]), a dense two-phase primal
+//! tags, rendered only on display ([`model`]), a two-phase primal
 //! simplex with Bland's anti-cycling rule for the LP relaxation, whose
-//! phase 2 drops the artificial columns ([`simplex`]), and an
+//! pivots skip the dense tableau's zeros and whose phase 2 ignores the
+//! artificial columns in place ([`simplex`]), and an
 //! exact branch-and-bound search with most-fractional branching and
 //! bound pruning ([`branch`]) that a reusable [`Search`] runs with every
 //! node's relaxation memoized, plus a brute-force enumeration oracle used

@@ -1,20 +1,43 @@
-//! A dense two-phase primal simplex solver.
+//! A two-phase primal simplex on a dense tableau that skips its zeros.
 //!
 //! Solves the LP relaxation of a [`Problem`]: maximize (or minimize) a
 //! linear objective over non-negative variables with linear constraints
 //! and finite bounds. Bounds are folded into explicit constraints — layout
-//! ILPs are small (tens of variables), so the dense tableau with Bland's
+//! ILPs are small (tens of variables), so the tableau with Bland's
 //! anti-cycling rule is simple, exact enough at `f64`, and fast.
 //!
 //! The tableau is one flat row-major `Vec<f64>` in a reusable
-//! `Tableau`, so a branch-and-bound search allocates it once. A pivot
-//! updates only the rows a dense sweep would (entering-column entry
-//! above `EPS`) and, in each, only the pivot row's nonzero columns:
-//! layout tableaus are mostly zeros. Skipping a zero can change only
-//! the sign of a zero entry; every nonzero entry, every pivot choice
-//! and so every vertex is exactly what the dense sweep computes.
-//! Phase 2 runs on the tableau with the artificial columns dropped, so
-//! its sweeps never visit them.
+//! `Tableau`, so a branch-and-bound search allocates it once, scratch
+//! buffers included. Layout tableaus are mostly zeros (at a pivot of a
+//! `deploy_recover` relaxation, about 4% of the cells), so a pivot pays
+//! only for the entries a dense sweep would change:
+//!
+//! - The entering column is gathered once: the rows whose entry is above
+//!   `EPS` in magnitude, the only rows the dense sweep updates.
+//! - The pivot row is compacted to its nonzero entries. Only those are
+//!   divided by the pivot and subtracted from the gathered rows and from
+//!   the reduced costs.
+//! - Both compactions write every candidate and advance the cursor only
+//!   past a kept one, so no branch depends on a cell's value.
+//! - The ratio test divides every candidate row's rhs first, then runs
+//!   Bland's comparison over the stored ratios, so the divisions
+//!   pipeline.
+//! - Phase 2 ignores the artificial columns where they lie. They are the
+//!   last columns before the rhs, no artificial may re-enter the basis,
+//!   and nothing in phase 2 reads them, so pricing, the pivot-row scan
+//!   and the reduced-cost row stop at the first artificial column and
+//!   take the rhs on its own. The columns are neither updated nor copied
+//!   out.
+//!
+//! Each pivot is still the dense one. Every entry the sweep changes gets
+//! the same IEEE operations in the same order (`a - f * b`, no fused
+//! multiply-add). Where this kernel skips a cell the sweep visits, the
+//! sweep would only have subtracted a zero product, which can change no
+//! more than the sign of a zero entry. So every pricing and ratio
+//! choice, every pivot and every vertex is what the dense sweep
+//! computes. The dense kernel this one replaced
+//! is kept in `crates/hydra-ilp/tests/reference/` as the oracle: outcomes
+//! must match it bit for bit, after the same number of pivots.
 
 use crate::model::{Direction, Outcome, Problem, Sense, Solution};
 
@@ -68,6 +91,18 @@ fn bound_rows(bounds: &[(f64, f64)]) -> impl Iterator<Item = (usize, Sense, f64)
     })
 }
 
+/// Writes `items` into `out` in order and returns how many it kept. Each
+/// item is stored at the cursor, which then advances only past a kept
+/// one, so the loop has no branch that depends on the data.
+fn compact<T>(out: &mut [T], items: impl Iterator<Item = (T, bool)>) -> usize {
+    let mut kept = 0;
+    for (item, keep) in items {
+        out[kept] = item;
+        kept += usize::from(keep);
+    }
+    kept
+}
+
 /// A reusable simplex workspace: the flat tableau, basis and scratch
 /// rows, kept across solves.
 #[derive(Debug, Default)]
@@ -77,19 +112,33 @@ pub(crate) struct Tableau {
     /// Entries per row: the `ncols` structural, slack and artificial
     /// columns plus the rhs.
     width: usize,
+    /// The columns the current phase prices and pivots over: all of
+    /// them in phase 1; in phase 2 the structural and slack ones, which
+    /// precede the artificials. The rhs is always taken on its own.
+    active: usize,
     /// The basic column of each row.
     basis: Vec<usize>,
     /// Whether each column is an artificial.
     artificial: Vec<bool>,
-    /// The current phase's objective over all columns.
+    /// The current phase's objective over the active columns.
     cost: Vec<f64>,
-    /// The reduced-cost row, objective value in the rhs slot.
+    /// The reduced-cost row, objective value in the rhs slot. Phase 2
+    /// leaves its artificial entries as they were.
     zrow: Vec<f64>,
     /// The entering column's `(row, value)` entries above `EPS` in
-    /// magnitude: the rows a pivot on it updates.
+    /// magnitude, the first `column_len` of them: the rows a pivot on it
+    /// updates. Holds one slot per row.
     column: Vec<(usize, f64)>,
-    /// The pivot row's nonzero `(column, value)` entries.
+    column_len: usize,
+    /// The pivot row's nonzero `(column, value)` entries, while it
+    /// pivots. Holds one slot per column.
     pivot_nz: Vec<(usize, f64)>,
+    /// The ratio test's `(row, rhs / entry)` candidates. Holds one slot
+    /// per row.
+    ratios: Vec<(usize, f64)>,
+    /// Pivots made by every solve so far: phase 1, the drive-out of
+    /// artificials and phase 2.
+    pivots: u64,
 }
 
 enum RawOutcome {
@@ -99,6 +148,11 @@ enum RawOutcome {
 }
 
 impl Tableau {
+    /// Pivots made by every solve on this workspace so far.
+    pub(crate) fn pivots(&self) -> u64 {
+        self.pivots
+    }
+
     /// Solves the LP relaxation of `problem` with its variable bounds
     /// replaced by `bounds` (one `(lower, upper)` pair per variable).
     pub(crate) fn solve(&mut self, problem: &Problem, bounds: &[(f64, f64)]) -> Outcome {
@@ -165,6 +219,16 @@ impl Tableau {
         self.basis.resize(m, usize::MAX);
         self.artificial.clear();
         self.artificial.resize(ncols, false);
+        // The scratch buffers only grow, so a search sizes them once.
+        for (buf, len) in [
+            (&mut self.column, m),
+            (&mut self.ratios, m),
+            (&mut self.pivot_nz, self.width),
+        ] {
+            if buf.len() < len {
+                buf.resize(len, (0, 0.0));
+            }
+        }
 
         let mut next = [n, n + n_slack];
         for (i, c) in problem.constraints().iter().enumerate() {
@@ -224,6 +288,7 @@ impl Tableau {
         let w = self.width;
         let ncols = w - 1;
         let m = self.basis.len();
+        self.active = ncols;
 
         // Phase 1: maximize -(sum of artificials).
         if self.artificial.contains(&true) {
@@ -239,11 +304,15 @@ impl Tableau {
             if self.zrow[ncols] < -EPS {
                 return RawOutcome::Infeasible;
             }
+            // From here on the artificial columns are ignored where they
+            // lie: none may re-enter the basis, and no later step reads
+            // them. A redundant row may keep its artificial basic at
+            // zero; that column then costs zero.
+            self.active = self.artificial.iter().position(|&a| a).unwrap_or(ncols);
             // Drive artificials out of the basis.
-            let n_real = self.artificial.iter().position(|&a| a).unwrap_or(ncols);
             for i in 0..m {
                 if self.artificial[self.basis[i]] {
-                    let row = &self.t[i * w..i * w + n_real];
+                    let row = &self.t[i * w..i * w + self.active];
                     match row.iter().position(|v| v.abs() > EPS) {
                         Some(j) => {
                             self.gather(j);
@@ -254,13 +323,11 @@ impl Tableau {
                     }
                 }
             }
-            // Forbid artificials from re-entering: drop their columns.
-            self.truncate_columns(n_real);
         }
 
         // Phase 2: original objective.
         self.cost.clear();
-        self.cost.resize(self.width - 1, 0.0);
+        self.cost.resize(self.active, 0.0);
         self.cost[..n].copy_from_slice(&c[..n]);
         self.build_zrow();
         if !self.pivot_to_optimality() {
@@ -269,36 +336,20 @@ impl Tableau {
         RawOutcome::Optimal
     }
 
-    /// Keeps each row's first `keep` columns and its rhs, dropping the
-    /// columns between. Phase 2 drops the artificial columns this way:
-    /// they are the last ones before the rhs, and no artificial may
-    /// re-enter the basis, so no phase-2 pricing, ratio test or pivot
-    /// needs them. A redundant row may keep its artificial basic at
-    /// zero; that index then lies past the tableau and costs zero.
-    fn truncate_columns(&mut self, keep: usize) {
-        let (w, nw) = (self.width, keep + 1);
-        for i in 0..self.basis.len() {
-            let rhs = self.t[i * w + w - 1];
-            self.t.copy_within(i * w..i * w + keep, i * nw);
-            self.t[i * nw + keep] = rhs;
-        }
-        self.t.truncate(self.basis.len() * nw);
-        self.width = nw;
-    }
-
-    /// Builds the reduced-cost row ζ_j = c_B·B⁻¹A_j − c_j and the
-    /// objective value in the rhs slot.
+    /// Builds the reduced-cost row ζ_j = c_B·B⁻¹A_j − c_j over the
+    /// active columns, and the objective value in the rhs slot.
     fn build_zrow(&mut self) {
-        let w = self.width;
+        let (w, active) = (self.width, self.active);
         self.zrow.clear();
         self.zrow.extend(self.cost.iter().map(|cj| -cj));
-        self.zrow.push(0.0);
+        self.zrow.resize(w, 0.0);
         for (row, &b) in self.t.chunks_exact(w).zip(&self.basis) {
             let cb = self.cost.get(b).copied().unwrap_or(0.0);
             if cb != 0.0 {
-                for (zj, tj) in self.zrow.iter_mut().zip(row) {
+                for (zj, tj) in self.zrow[..active].iter_mut().zip(row) {
                     *zj += cb * tj;
                 }
+                self.zrow[w - 1] += cb * row[w - 1];
             }
         }
     }
@@ -306,30 +357,13 @@ impl Tableau {
     /// Pivots until all reduced costs are ≥ −EPS. Returns false if
     /// unbounded (or the iteration limit is hit).
     fn pivot_to_optimality(&mut self) -> bool {
-        let w = self.width;
-        let ncols = w - 1;
         for _ in 0..MAX_ITER {
             // Bland's rule: entering = smallest index with negative reduced cost.
-            let Some(enter) = self.zrow[..ncols].iter().position(|&z| z < -EPS) else {
+            let Some(enter) = self.zrow[..self.active].iter().position(|&z| z < -EPS) else {
                 return true;
             };
-            // Ratio test with Bland tie-break on smallest basis index.
             self.gather(enter);
-            let mut leave: Option<usize> = None;
-            let mut best = f64::INFINITY;
-            for &(i, a) in &self.column {
-                if a > EPS {
-                    let ratio = self.t[i * w + ncols] / a;
-                    let better = ratio < best - EPS
-                        || (ratio < best + EPS
-                            && leave.is_none_or(|l| self.basis[i] < self.basis[l]));
-                    if better {
-                        best = ratio;
-                        leave = Some(i);
-                    }
-                }
-            }
-            let Some(leave) = leave else {
+            let Some(leave) = self.ratio_test() else {
                 return false; // unbounded
             };
             self.pivot(leave, enter);
@@ -337,41 +371,71 @@ impl Tableau {
         false
     }
 
+    /// The leaving row for the gathered column: the smallest ratio
+    /// `rhs / entry` over its entries above `EPS`, ties within `EPS`
+    /// broken by the smallest basis index (Bland). `None` when no entry
+    /// is positive: the column is unbounded.
+    fn ratio_test(&mut self) -> Option<usize> {
+        let (w, t) = (self.width, &self.t);
+        let candidates = self.column[..self.column_len]
+            .iter()
+            .map(|&(i, a)| ((i, t[i * w + w - 1] / a), a > EPS));
+        let len = compact(&mut self.ratios, candidates);
+        let mut leave: Option<usize> = None;
+        let mut best = f64::INFINITY;
+        for &(i, ratio) in &self.ratios[..len] {
+            let better = ratio < best - EPS
+                || (ratio < best + EPS && leave.is_none_or(|l| self.basis[i] < self.basis[l]));
+            if better {
+                best = ratio;
+                leave = Some(i);
+            }
+        }
+        leave
+    }
+
     /// Gathers column `col`'s entries above `EPS` in magnitude, in row
     /// order, for the ratio test and the pivot that follows it.
     fn gather(&mut self, col: usize) {
-        self.column.clear();
-        for (i, row) in self.t.chunks_exact(self.width).enumerate() {
-            if row[col].abs() > EPS {
-                self.column.push((i, row[col]));
-            }
-        }
+        let entries = self.t.iter().skip(col).step_by(self.width).enumerate();
+        self.column_len = compact(
+            &mut self.column,
+            entries.map(|(i, &v)| ((i, v), v.abs() > EPS)),
+        );
     }
 
     /// Pivots column `col` into the basis at `row`; [`Tableau::gather`]
     /// must have gathered `col` since the last pivot.
     fn pivot(&mut self, row: usize, col: usize) {
-        let w = self.width;
-        let p = self.t[row * w + col];
+        let (w, active) = (self.width, self.active);
+        self.pivots += 1;
+        let pivot_row = &mut self.t[row * w..(row + 1) * w];
+        let p = pivot_row[col];
         debug_assert!(p.abs() > EPS, "pivot on ~zero element");
-        self.pivot_nz.clear();
-        for (j, v) in self.t[row * w..(row + 1) * w].iter_mut().enumerate() {
-            if *v != 0.0 {
-                *v /= p;
-                self.pivot_nz.push((j, *v));
-            }
+        let entries = pivot_row[..active].iter().enumerate();
+        let mut len = compact(
+            &mut self.pivot_nz,
+            entries.map(|(j, &v)| ((j, v), v != 0.0)),
+        );
+        let rhs = pivot_row[w - 1];
+        self.pivot_nz[len] = (w - 1, rhs);
+        len += usize::from(rhs != 0.0);
+        let nonzeros = &mut self.pivot_nz[..len];
+        for (j, v) in nonzeros.iter_mut() {
+            *v /= p;
+            pivot_row[*j] = *v;
         }
-        for &(i, f) in &self.column {
+        for &(i, f) in &self.column[..self.column_len] {
             if i != row {
                 let r = &mut self.t[i * w..(i + 1) * w];
-                for &(j, pv) in &self.pivot_nz {
+                for &(j, pv) in nonzeros.iter() {
                     r[j] -= f * pv;
                 }
             }
         }
         let f = self.zrow[col];
         if f.abs() > EPS {
-            for &(j, pv) in &self.pivot_nz {
+            for &(j, pv) in nonzeros.iter() {
                 self.zrow[j] -= f * pv;
             }
         }

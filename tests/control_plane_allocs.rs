@@ -275,7 +275,7 @@ fn control_plane_phases_stay_under_their_allocation_ceilings() {
     let first = lifecycle();
     let phases = lifecycle();
     assert_eq!(first, phases, "a lifecycle's counts repeat exactly");
-    // Today's counts: 303, 362, 364 and 0. The create and pulse ceilings
+    // Today's counts: 303, 358, 359 and 0. The create and pulse ceilings
     // were set at 386 and 388.
     let ceilings = Phases {
         certify: 318,
